@@ -5,8 +5,8 @@ Layers:
     matrix     dense linear algebra over GF(q)
     code       linear codes, duals, brute-force weight enumeration
     construct  GRS / extended GRS / length-(q+2) MDS builders
-    css        nested classical pair -> asymmetric quantum parameters
-    css        full-weight-codeword construction
+    css        nested classical pair -> asymmetric quantum parameters, and the
+               full-weight-codeword construction
     catalog    classification catalog, certificates, verification oracles
     cli        command-line front end (`aqmds`)
 """

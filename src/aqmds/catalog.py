@@ -26,8 +26,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .code import LinearCode, _enumerate_scan, complement_rows, enum_cap, from_generator, full_space, is_subcode
-from .css import AqcParams, NestedPair, _dual_gen, _mds_backed_distance, make_pair, pair_from_full_weight
+from .code import LinearCode, enum_cap, from_generator, full_space, is_subcode
+from .css import AqcParams, NestedPair, _mds_backed_distance, _side_scan, make_pair, pair_from_full_weight
 from .errors import CapExceeded, NotPrimePower, RecipeInvalid, VerificationFailed
 from .gf import FiniteField, _factor_prime_power, find_irreducible, make_field
 from .matrix import GfMatrix
@@ -283,35 +283,13 @@ def build_pair_from_recipe(recipe: Dict) -> NestedPair:
             high = q_plus_2_high(f, recipe["v"])
             return make_pair(low.dual(), high)
         if construction == "TH12":
-            src = _build_source(f, recipe["source"])
-            return make_pair(*_th12_pair(src))
+            return pair_from_full_weight(_build_source(f, recipe["source"]))
         raise RecipeInvalid(f"unknown construction {construction!r}")
     except (KeyError, TypeError) as exc:
         raise RecipeInvalid(f"malformed recipe: {exc}") from exc
 
 
-def _th12_pair(src: LinearCode) -> Tuple[LinearCode, LinearCode]:
-    pair = pair_from_full_weight(src)
-    return pair.c1, pair.c2
-
-
 # -- verification oracles -----------------------------------------------------
-
-
-def _side_weights(pair: NestedPair, enumerate_c2: bool, cap: int):
-    """One enumeration side of the CSS distance computation.
-
-    Returns (set-difference weight, min distance of the enumerated code).
-    """
-    C1, C2 = pair.c1, pair.c2
-    f = C1.field
-    if enumerate_c2:
-        big, other = C2, C1
-    else:
-        big, other = C1, C2
-    syn = complement_rows(f, _dual_gen(big), other.G.data)
-    scan = _enumerate_scan(f, big.G.data, syn_rows=syn, cap=cap)
-    return scan["min_weight_outside"], scan["min_weight"]
 
 
 def run_oracles(claimed: AqcParams, pair: NestedPair, level: str, cap: int):
@@ -344,18 +322,18 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str, cap: int):
                 d1 = _mds_backed_distance(pair.c1, cap)
                 d2 = _mds_backed_distance(pair.c2, cap)
                 record("distances_exact",
-                       {max(d1, d2), min(d1, d2)} == {claimed.dz, claimed.dx})
+                       (max(d1, d2), min(d1, d2)) == (claimed.dz, claimed.dx))
             except CapExceeded:
                 log.append("distances_exact:skipped(cap)")
         else:
             wt2 = wt1 = d1 = d2 = None
             try:
-                wt2, d2 = _side_weights(pair, enumerate_c2=True, cap=cap)
+                wt2, d2 = _side_scan(pair.c2, pair.c1, cap)
                 record("distance_c2_side", wt2 in (claimed.dz, claimed.dx))
             except CapExceeded:
                 log.append("distance_c2_side:skipped(cap)")
             try:
-                wt1, d1 = _side_weights(pair, enumerate_c2=False, cap=cap)
+                wt1, d1 = _side_scan(pair.c1, pair.c2, cap)
                 record("distance_c1_side", wt1 in (claimed.dz, claimed.dx))
             except CapExceeded:
                 log.append("distance_c1_side:skipped(cap)")
@@ -491,10 +469,18 @@ def exists(
 def verify(cert: Certificate, cap: Optional[int] = None) -> Certificate:
     """Rebuild the pair from the recipe and rerun all oracles.
 
-    Returns a refreshed certificate; raises VerificationFailed naming the
-    first failing oracle.  Idempotent on valid certificates.
+    The header must agree with the rebuilt pair (field size and length) and
+    claim a pure AQMDS code, as every certificate made here does.  Returns a
+    refreshed certificate; raises VerificationFailed naming the first
+    failing header field or oracle.  Idempotent on valid certificates.
     """
     pair = build_pair_from_recipe(cert.recipe)
+    p = cert.params
+    header = {"q": p.q == pair.c1.field.q, "n": p.n == pair.c1.n,
+              "pure": p.pure is True, "aqmds": p.aqmds is True}
+    mismatched = [name for name, ok in header.items() if not ok]
+    if mismatched:
+        raise VerificationFailed(f"header_{mismatched[0]}")
     verified, log = run_oracles(cert.params, pair, "full_oracle", enum_cap(cap))
     if not verified:
         first_fail = next(e.split(":")[0] for e in log if e.endswith("FAIL"))

@@ -11,7 +11,7 @@ comma-separated indices.
 
 Exit codes: 0 success, 2 invalid arguments or specification,
 3 verification failure.  The environment variable AQMDS_MAX_ENUM overrides
-the default enumeration cap of 10^7 codewords.
+the default enumeration cap of 10^7 codewords; it must be a positive integer.
 """
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ from .catalog import (
     make_certificate,
     verify as verify_certificate,
 )
+from .code import enum_cap
 from .construct import (
     GrsSpec,
     default_alpha,
@@ -53,9 +54,8 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
 
-def _parse_indices(text: Optional[str]) -> Optional[List[int]]:
-    if text is None:
-        return None
+def _indices(text: str) -> List[int]:
+    """argparse type for --alpha/--v: comma-separated element indices."""
     try:
         return [int(t) for t in text.split(",") if t.strip() != ""]
     except ValueError as exc:
@@ -72,8 +72,7 @@ def _print_code(C, label: str):
 
 def cmd_construct(args) -> int:
     f = make_field(args.q)
-    alpha = _parse_indices(args.alpha)
-    v = _parse_indices(args.v)
+    alpha, v = args.alpha, args.v
     which = args.builder
     if which == "grs":
         if args.n is None or args.k is None:
@@ -278,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--alpha", help="comma-separated evaluation-point indices")
-    p.add_argument("--v", help="comma-separated nonzero column multipliers")
+    p.add_argument("--alpha", type=_indices, help="comma-separated evaluation-point indices")
+    p.add_argument("--v", type=_indices, help="comma-separated nonzero column multipliers")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("css", help="build a nested pair and derive quantum parameters")
@@ -322,6 +321,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        enum_cap()  # reject a malformed AQMDS_MAX_ENUM before any work
         return args.func(args)
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .errors import (
     CapExceeded,
     FieldMismatch,
+    InvalidSpec,
     LengthMismatch,
     NotStrictSubcode,
     PositionOutOfRange,
@@ -25,7 +26,7 @@ from .errors import (
     ZeroCode,
 )
 from .gf import FiniteField
-from .matrix import GfMatrix, all_k_subsets_nonsingular, mat_vec, nullspace, rank, rref
+from .matrix import GfMatrix, _eliminate, first_singular_k_subset, mat_mul, mat_vec, nullspace, rref, transpose
 
 DEFAULT_ENUM_CAP = 10 ** 7
 _CHUNK_TARGET = 1 << 20
@@ -36,9 +37,15 @@ def enum_cap(cap: Optional[int] = None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get("AQMDS_MAX_ENUM")
-    if env:
-        return int(env)
-    return DEFAULT_ENUM_CAP
+    if not env:
+        return DEFAULT_ENUM_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InvalidSpec(f"AQMDS_MAX_ENUM must be a positive integer, got {env!r}")
+    return cap
 
 
 @dataclass
@@ -93,21 +100,9 @@ class LinearCode:
     def dual(self) -> "LinearCode":
         return LinearCode(self.H, _canonical=True)
 
-    def contains_word(self, v: np.ndarray) -> bool:
-        v = np.asarray(v, dtype=np.uint8)
-        if v.shape != (self.n,):
-            raise LengthMismatch(f"word length {v.shape} != {self.n}")
-        if self.k == self.n:
-            return True
-        return not np.any(mat_vec(self.H, v))
-
     def codeword(self, message: np.ndarray) -> np.ndarray:
         """Encode one message vector (length k) against the canonical G."""
-        f = self.field
-        out = np.zeros(self.n, dtype=np.uint8)
-        for i, m in enumerate(np.asarray(message, dtype=np.uint8)):
-            out = f.add_table[out, f.mul_table[m, self.G.data[i]]]
-        return out
+        return mat_vec(transpose(self.G), np.asarray(message, dtype=np.uint8))
 
     def min_distance(self, cap: Optional[int] = None) -> int:
         """Exact minimum weight by enumerating all q^k codewords."""
@@ -120,7 +115,7 @@ class LinearCode:
         """Every k columns of G independent; equivalent to d = n-k+1."""
         if self.k == 0:
             return False
-        return all_k_subsets_nonsingular(self.G, self.k)
+        return first_singular_k_subset(self.G, self.k) is None
 
     def weight_distribution(self, cap: Optional[int] = None) -> WeightReport:
         if self.k == 0:
@@ -146,21 +141,14 @@ class LinearCode:
         """Restrict to codewords vanishing at pos, then delete the coordinate."""
         if not 0 <= pos < self.n:
             raise PositionOutOfRange(f"position {pos} not in [0, {self.n})")
-        f = self.field
-        rows = self.G.data.copy()
-        nz = [i for i in range(self.k) if rows[i, pos] != 0]
-        if nz:
-            r0 = nz[0]
-            inv = f.inv_table[rows[r0, pos]]
-            rows[r0] = f.mul_table[inv, rows[r0]]
-            for i in nz[1:]:
-                factor = f.neg_table[rows[i, pos]]
-                rows[i] = f.add_table[rows[i], f.mul_table[factor, rows[r0]]]
-            rows = np.delete(rows, r0, axis=0)
-        rows = np.delete(rows, pos, axis=1)
+        # with column pos eliminated first, the rows below its pivot span
+        # exactly the codewords that vanish at pos
+        A = np.hstack([self.G.data[:, [pos]], np.delete(self.G.data, pos, axis=1)])
+        pivots = _eliminate(self.field, A, reduce_above=False)
+        rows = A[1:, 1:] if pivots[:1] == [0] else A[:, 1:]
         if rows.shape[0] == 0:
             raise ZeroCode("shortening leaves only the zero codeword")
-        return from_generator(GfMatrix(f, rows))
+        return from_generator(GfMatrix(self.field, rows))
 
     def puncture(self, pos: int) -> "LinearCode":
         """Delete coordinate pos from all codewords."""
@@ -184,53 +172,48 @@ def full_space(field: FiniteField, n: int) -> LinearCode:
 
 def is_subcode(D: LinearCode, C: LinearCode) -> bool:
     """True iff D is a subcode of C (every row of D.G passes C's parity check)."""
+    return first_row_outside(D, C) is None
+
+
+def first_row_outside(D: LinearCode, C: LinearCode) -> Optional[np.ndarray]:
+    """First row of D.G failing C's parity check, or None when D is a subcode of C."""
     if D.field is not C.field:
         raise FieldMismatch("codes over different fields")
     if D.n != C.n:
         raise LengthMismatch(f"lengths differ: {D.n} != {C.n}")
-    if C.k == C.n:
-        return True
-    for i in range(D.k):
-        if np.any(mat_vec(C.H, D.G.data[i])):
-            return False
-    return True
+    if C.k < C.n:
+        for row in D.G.data:
+            if np.any(mat_vec(C.H, row)):
+                return row
+    return None
 
 
 def complement_rows(field: FiniteField, base: np.ndarray, full: np.ndarray) -> np.ndarray:
-    """Rows of `full` extending rowspace(base), greedily in row order."""
-    stack = base.copy() if base.size else np.zeros((0, full.shape[1]), dtype=np.uint8)
-    out: List[np.ndarray] = []
-    r = rank(GfMatrix(field, stack)) if stack.shape[0] else 0
-    for row in full:
-        cand = np.vstack([stack, row[None, :]])
-        rc = rank(GfMatrix(field, cand))
-        if rc > r:
-            out.append(row)
-            stack = cand
-            r = rc
-    if not out:
-        return np.zeros((0, full.shape[1]), dtype=np.uint8)
-    return np.array(out, dtype=np.uint8)
+    """Rows of `full` extending rowspace(base), greedily in row order.
 
-
-def _coset_check_rows(C: LinearCode, D: LinearCode) -> np.ndarray:
-    """Rows orthogonal to D but not to all of C: dual(D) modulo dual(C).
-
-    A codeword u of C lies in D iff u is orthogonal to every returned row
-    (orthogonality to dual(C) is automatic).  Row count = k_C - k_D.
+    These are the pivots past `base` among the columns of [base; full]^T:
+    a column is a pivot iff it is independent of the columns before it.
     """
-    base = C.H.data if C.k < C.n else np.zeros((0, C.n), dtype=np.uint8)
-    full = D.H.data
-    return complement_rows(C.field, base, full)
+    pivots = _eliminate(field, np.vstack([base, full]).T.copy(), reduce_above=False)
+    return full[[p - len(base) for p in pivots if p >= len(base)]]
+
+
+def _scan_outside(C: LinearCode, checks: np.ndarray, cap: int):
+    """_enumerate_scan of C that also tracks the words outside the subcode
+    {u in C : u orthogonal to every row of `checks`}.
+
+    Only the rows of `checks` that extend dual(C) become syndrome columns:
+    orthogonality to dual(C) is automatic for codewords of C.
+    """
+    syn = complement_rows(C.field, C.H.data, checks)
+    return _enumerate_scan(C.field, C.G.data, syn_rows=syn, cap=cap)
 
 
 def weight_of_difference(C: LinearCode, D: LinearCode, cap: Optional[int] = None) -> int:
     """min { wt(u) : u in C, u not in D } for a strict subcode D of C."""
     if not is_subcode(D, C) or D.k >= C.k:
         raise NotStrictSubcode("D must be a strict subcode of C")
-    syn = _coset_check_rows(C, D)
-    scan = _enumerate_scan(C.field, C.G.data, syn_rows=syn, cap=enum_cap(cap))
-    return scan["min_weight_outside"]
+    return _scan_outside(C, D.H.data, enum_cap(cap))["min_weight_outside"]
 
 
 def extend_by_codeword(C: LinearCode, Cprime: LinearCode, cap: Optional[int] = None) -> LinearCode:
@@ -251,9 +234,7 @@ def extend_by_codeword(C: LinearCode, Cprime: LinearCode, cap: Optional[int] = N
         raise PreconditionFailed(
             f"C' is not MDS [{Cprime.n},{Cprime.k},{Cprime.n - Cprime.k}]"
         )
-    syn = _coset_check_rows(Cprime, C)
-    scan = _enumerate_scan(Cprime.field, Cprime.G.data, syn_rows=syn, cap=enum_cap(cap))
-    w = scan["first_outside_word"]
+    w = _scan_outside(Cprime, C.H.data, enum_cap(cap))["first_outside_word"]
     f = C.field
     top = np.hstack([np.zeros((C.k, 1), dtype=np.uint8), C.G.data])
     bottom = np.hstack([np.array([[1]], dtype=np.uint8), w[None, :]])
@@ -266,44 +247,30 @@ def extend_by_codeword(C: LinearCode, Cprime: LinearCode, cap: Optional[int] = N
 # -- enumeration engine -------------------------------------------------------
 
 
-def _grow_suffix(field: FiniteField, rows: np.ndarray) -> np.ndarray:
-    """All q^t combinations of the given rows, in message-lex order."""
-    q = field.q
-    E = np.zeros((1, rows.shape[1]), dtype=np.uint8)
-    for row in rows[::-1]:
-        scaled = field.mul_table[np.arange(q, dtype=np.uint8)[:, None], row[None, :]]
-        E = field.add_table[scaled[:, None, :], E[None, :, :]].reshape(-1, rows.shape[1])
-    return E
-
-
-def _iter_word_chunks(field: FiniteField, rows: np.ndarray, chunk_target: int = _CHUNK_TARGET):
-    """Yield (start_index, chunk) covering all q^k words in message-lex order."""
-    q = field.q
-    k = rows.shape[0]
-    if k == 0:
-        yield 0, np.zeros((1, rows.shape[1]), dtype=np.uint8)
-        return
+def _iter_word_chunks(field: FiniteField, rows: np.ndarray, digits: np.ndarray,
+                      chunk_target: int = _CHUNK_TARGET):
+    """Yield, in chunks and in message order, the words sum_i m_i rows[i] for
+    every message m with all digits m_i drawn from `digits`."""
+    b = len(digits)
+    k, w = rows.shape
     t = 0
     size = 1
-    while t < k and size * q <= chunk_target:
-        size *= q
+    while t < k and size * b <= chunk_target:
+        size *= b
         t += 1
-    E = _grow_suffix(field, rows[k - t:])
+    # every combination of the last t rows, in message order
+    E = np.zeros((1, w), dtype=np.uint8)
+    for row in rows[k - t:][::-1]:
+        scaled = field.mul_table[digits[:, None], row[None, :]]
+        E = field.add_table[scaled[:, None, :], E[None, :, :]].reshape(-1, w)
     prefix_rows = rows[: k - t]
-    n_prefix = q ** (k - t)
-    digits = np.zeros(k - t, dtype=np.int64)
-    for pi in range(n_prefix):
-        offset = np.zeros(rows.shape[1], dtype=np.uint8)
+    for pi in range(b ** (k - t)):
+        offset = np.zeros(w, dtype=np.uint8)
         tt = pi
         for i in range(k - t - 1, -1, -1):
-            d = tt % q
-            tt //= q
-            if d:
-                offset = field.add_table[offset, field.mul_table[d, prefix_rows[i]]]
-        if np.any(offset):
-            yield pi * size, field.add_table[offset[None, :], E]
-        else:
-            yield pi * size, E
+            tt, d = divmod(tt, b)
+            offset = field.add_table[offset, field.mul_table[digits[d], prefix_rows[i]]]
+        yield field.add_table[offset[None, :], E] if np.any(offset) else E
 
 
 def _enumerate_scan(
@@ -333,20 +300,15 @@ def _enumerate_scan(
         s = syn_rows.shape[0]
         # T[i, t] = <gen_i, syn_t>: the syndrome is linear in the message,
         # so append syndrome columns and enumerate the augmented rows.
-        T = np.zeros((k, s), dtype=np.uint8)
-        for t_idx in range(s):
-            acc = np.zeros(k, dtype=np.uint8)
-            for l in range(n):
-                acc = field.add_table[acc, field.mul_table[gen[:, l], syn_rows[t_idx, l]]]
-            T[:, t_idx] = acc
-        work = np.hstack([gen, T])
+        T = mat_mul(GfMatrix(field, gen), GfMatrix(field, syn_rows.T))
+        work = np.hstack([gen, T.data])
 
     min_w = n + 1
     min_w_out = n + 1
     dist = np.zeros(n + 1, dtype=np.int64) if distribution else None
     full_word = None
     first_out_word = None
-    for start, chunk in _iter_word_chunks(field, work):
+    for chunk in _iter_word_chunks(field, work, np.arange(field.q, dtype=np.uint8)):
         words = chunk[:, :n]
         wts = np.count_nonzero(words, axis=1)
         nz = wts > 0
@@ -381,31 +343,6 @@ def _enumerate_scan(
     return result
 
 
-def _iter_nonzero_message_chunks(field: FiniteField, rows: np.ndarray, chunk_target: int = _CHUNK_TARGET):
-    """Chunks of words whose message digits are all nonzero, in message order."""
-    q = field.q
-    k, w = rows.shape
-    t = 0
-    size = 1
-    while t < k and size * (q - 1) <= chunk_target:
-        size *= q - 1
-        t += 1
-    nonzero = np.arange(1, q, dtype=np.uint8)
-    E = np.zeros((1, w), dtype=np.uint8)
-    for row in rows[k - t:][::-1]:
-        scaled = field.mul_table[nonzero[:, None], row[None, :]]
-        E = field.add_table[scaled[:, None, :], E[None, :, :]].reshape(-1, w)
-    prefix_rows = rows[: k - t]
-    for pi in range((q - 1) ** (k - t)):
-        offset = np.zeros(w, dtype=np.uint8)
-        tt = pi
-        for i in range(k - t - 1, -1, -1):
-            d = 1 + tt % (q - 1)
-            tt //= q - 1
-            offset = field.add_table[offset, field.mul_table[d, prefix_rows[i]]]
-        yield field.add_table[offset[None, :], E] if prefix_rows.size else E
-
-
 def _find_full_weight(field: FiniteField, gen: np.ndarray, cap: int) -> Optional[np.ndarray]:
     """First full-weight codeword in message order; early exit on hit.
 
@@ -417,7 +354,7 @@ def _find_full_weight(field: FiniteField, gen: np.ndarray, cap: int) -> Optional
     """
     k, n = gen.shape
     scanned = 0
-    for chunk in _iter_nonzero_message_chunks(field, gen):
+    for chunk in _iter_word_chunks(field, gen, np.arange(1, field.q, dtype=np.uint8)):
         wts = np.count_nonzero(chunk, axis=1)
         hits = np.nonzero(wts == n)[0]
         if hits.size:

@@ -45,16 +45,30 @@ class GrsSpec:
             raise InvalidSpec(f"n={self.n} must satisfy 1 <= n <= q={f.q}")
         if not 1 <= self.k <= self.n:
             raise InvalidSpec(f"k={self.k} must satisfy 1 <= k <= n={self.n}")
-        alpha = self.alpha or default_alpha(f, self.n)
-        v = self.v or ones(self.n)
-        if len(alpha) != self.n or len(set(alpha)) != self.n:
-            raise InvalidSpec("alpha must be n pairwise distinct elements")
-        if any(not 0 <= a < f.q for a in alpha):
-            raise InvalidSpec("alpha entries out of field range")
-        if len(v) != self.n or any(not 1 <= x < f.q for x in v):
-            raise InvalidSpec("v must be n nonzero field elements")
-        object.__setattr__(self, "alpha", tuple(alpha))
-        object.__setattr__(self, "v", tuple(v))
+        alpha, v = _points(f, self.alpha or None, self.v or None, self.n, self.n,
+                           "be n pairwise distinct elements", "n nonzero field elements")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "v", v)
+
+
+def _points(f: FiniteField, alpha: Optional[Sequence[int]], v: Optional[Sequence[int]],
+            n_alpha: int, n_v: int, alpha_rule: str, v_rule: str):
+    """Evaluation points and column multipliers, defaulted when None and checked
+    to be n_alpha distinct field elements and n_v nonzero ones."""
+    alpha = tuple(alpha) if alpha is not None else default_alpha(f, n_alpha)
+    v = tuple(v) if v is not None else ones(n_v)
+    if len(alpha) != n_alpha or len(set(alpha)) != n_alpha:
+        raise InvalidSpec(f"alpha must {alpha_rule}")
+    if any(not 0 <= a < f.q for a in alpha):
+        raise InvalidSpec("alpha entries out of field range")
+    if len(v) != n_v or any(not 1 <= x < f.q for x in v):
+        raise InvalidSpec(f"v must be {v_rule}")
+    return alpha, v
+
+
+def _extended_points(f: FiniteField, alpha, v):
+    """_points for the length-(q+1) codes: all q points, q+1 multipliers."""
+    return _points(f, alpha, v, f.q, f.q + 1, "cover q distinct points", "q+1 nonzero elements")
 
 
 def _vandermonde_rows(f: FiniteField, alpha: Sequence[int], v: Sequence[int], nrows: int) -> np.ndarray:
@@ -89,12 +103,7 @@ def extended_grs(
     q = f.q
     if not 1 <= k <= q:
         raise InvalidSpec(f"k={k} must satisfy 1 <= k <= q={q}")
-    alpha = tuple(alpha) if alpha is not None else default_alpha(f, q)
-    v = tuple(v) if v is not None else ones(q + 1)
-    if len(alpha) != q or len(set(alpha)) != q:
-        raise InvalidSpec("alpha must cover q distinct points")
-    if len(v) != q + 1 or any(x == 0 or not 0 <= x < q for x in v):
-        raise InvalidSpec("v must be q+1 nonzero elements")
+    alpha, v = _extended_points(f, alpha, v)
     G = _vandermonde_rows(f, alpha, v[:q], k)
     ext_col = np.zeros((k, 1), dtype=np.uint8)
     ext_col[k - 1, 0] = v[q]
@@ -122,12 +131,7 @@ def grs_subcode_irreducible(
         raise InvalidSpec(f"k={k} must satisfy 1 <= k <= q={q}")
     if not 1 <= r <= k - 2:
         raise InvalidRange(f"r={r} must satisfy 1 <= r <= k-2 = {k - 2}")
-    alpha = tuple(alpha) if alpha is not None else default_alpha(f, q)
-    v = tuple(v) if v is not None else ones(q + 1)
-    if len(alpha) != q or len(set(alpha)) != q:
-        raise InvalidSpec("alpha must cover q distinct points")
-    if len(v) != q + 1 or any(x == 0 or not 0 <= x < q for x in v):
-        raise InvalidSpec("v must be q+1 nonzero elements")
+    alpha, v = _extended_points(f, alpha, v)
     p_poly = find_irreducible(f, k - r)
     # irreducible of degree >= 2 has no roots; degree-1 factor X only if r... guard anyway
     p_at = [f.poly_eval(p_poly, a) for a in alpha]

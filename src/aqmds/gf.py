@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +60,8 @@ class FiniteField:
         self.p = p
         self.m = m
         self.q = q
-        self.modulus = self._smallest_irreducible_modulus()
+        # a prime field takes X directly: make_field(p) would be this very field
+        self.modulus = find_irreducible(make_field(p), m) if m > 1 else (0, 1)
 
         self.add_table = self._build_add_table()
         self.neg_table = np.array(
@@ -80,42 +81,17 @@ class FiniteField:
 
     # -- construction helpers -------------------------------------------------
 
-    def _index_to_digits(self, a: int) -> List[int]:
-        digits = []
-        for _ in range(self.m):
-            digits.append(a % self.p)
-            a //= self.p
-        return digits
-
     def _digits_to_index(self, digits: Sequence[int]) -> int:
         a = 0
         for d in reversed(digits):
             a = a * self.p + (d % self.p)
         return a
 
-    def _smallest_irreducible_modulus(self) -> Poly:
-        """Lexicographically smallest monic irreducible of degree m over GF(p).
-
-        Lower-coefficient vectors (c_0,...,c_{m-1}) are ordered as base-p
-        integers with c_0 the least significant digit.
-        """
-        p, m = self.p, self.m
-        for t in range(p ** m):
-            coeffs = []
-            tt = t
-            for _ in range(m):
-                coeffs.append(tt % p)
-                tt //= p
-            poly = tuple(coeffs) + (1,)
-            if _is_irreducible_mod_p(poly, p):
-                return poly
-        raise AssertionError("no irreducible polynomial found")  # unreachable
-
     def _raw_mul(self, a: int, b: int) -> int:
         """Multiply two elements via polynomial-basis arithmetic."""
         p, m = self.p, self.m
-        da = self._index_to_digits(a)
-        db = self._index_to_digits(b)
+        da = _base_digits(a, p, m)
+        db = _base_digits(b, p, m)
         prod = [0] * (2 * m - 1) if m > 1 else [0]
         for i, ca in enumerate(da):
             if ca == 0:
@@ -133,15 +109,15 @@ class FiniteField:
         return self._digits_to_index(prod[:m])
 
     def _digit_neg(self, a: int) -> int:
-        return self._digits_to_index([(-d) % self.p for d in self._index_to_digits(a)])
+        return self._digits_to_index([(-d) % self.p for d in _base_digits(a, self.p, self.m)])
 
     def _build_add_table(self) -> np.ndarray:
         q = self.q
         table = np.zeros((q, q), dtype=np.uint8)
         for a in range(q):
-            da = self._index_to_digits(a)
+            da = _base_digits(a, self.p, self.m)
             for b in range(q):
-                db = self._index_to_digits(b)
+                db = _base_digits(b, self.p, self.m)
                 table[a, b] = self._digits_to_index(
                     [(x + y) % self.p for x, y in zip(da, db)]
                 )
@@ -317,50 +293,20 @@ class FieldElement:
         return FieldElement(self.field, self.field.inv(self.index))
 
 
-def _poly_mul_mod_p(f: Sequence[int], g: Sequence[int], p: int) -> Tuple[int, ...]:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return tuple(out)
+def _base_digits(t: int, base: int, count: int) -> Tuple[int, ...]:
+    """The `count` lowest base-`base` digits of t, least significant first."""
+    digits = []
+    for _ in range(count):
+        t, d = divmod(t, base)
+        digits.append(d)
+    return tuple(digits)
 
 
-def _poly_mod_p_rem(f: Sequence[int], g: Sequence[int], p: int) -> Tuple[int, ...]:
-    """Remainder of f by monic-after-scaling g, coefficients mod p."""
-    rem = list(f)
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    dg = len(g) - 1
-    lead_inv = pow(g[-1], p - 2, p)
-    while len(rem) - 1 >= dg and any(rem):
-        shift = len(rem) - 1 - dg
-        c = (rem[-1] * lead_inv) % p
-        for i in range(dg + 1):
-            rem[shift + i] = (rem[shift + i] - c * g[i]) % p
-        while len(rem) > 1 and rem[-1] == 0:
-            rem.pop()
-    return tuple(rem)
-
-
-def _is_irreducible_mod_p(poly: Sequence[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg/2 over GF(p)."""
-    deg = len(poly) - 1
-    if deg == 1:
-        return True
-    if poly[0] == 0:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for t in range(p ** d):
-            coeffs = []
-            tt = t
-            for _ in range(d):
-                coeffs.append(tt % p)
-                tt //= p
-            divisor = tuple(coeffs) + (1,)
-            rem = _poly_mod_p_rem(poly, divisor, p)
-            if rem == (0,):
-                return False
-    return True
+def _monic_polys(q: int, degree: int):
+    """Every monic polynomial of the given degree over GF(q), in increasing
+    order of its lower coefficients read as a base-q integer, low degree first."""
+    for t in range(q ** degree):
+        yield _base_digits(t, q, degree) + (1,)
 
 
 @lru_cache(maxsize=None)
@@ -379,16 +325,9 @@ def find_irreducible(field: FiniteField, degree: int) -> Poly:
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    q = field.q
     if degree == 1:
         return (0, 1)  # X
-    for t in range(q ** degree):
-        coeffs = []
-        tt = t
-        for _ in range(degree):
-            coeffs.append(tt % q)
-            tt //= q
-        poly = tuple(coeffs) + (1,)
+    for poly in _monic_polys(field.q, degree):
         if _poly_is_irreducible(field, poly):
             return poly
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -403,13 +342,7 @@ def _poly_is_irreducible(field: FiniteField, poly: Poly) -> bool:
     if poly[0] == 0:
         return False
     for d in range(1, degree // 2 + 1):
-        for t in range(field.q ** d):
-            coeffs = []
-            tt = t
-            for _ in range(d):
-                coeffs.append(tt % field.q)
-                tt //= field.q
-            divisor = tuple(coeffs) + (1,)
+        for divisor in _monic_polys(field.q, d):
             _, rem = field.poly_divmod(poly, divisor)
             if rem == (0,):
                 return False

@@ -1,13 +1,15 @@
 """Dense linear algebra over GF(q).
 
-Matrices store element indices in a numpy uint8 array.  Plain Gaussian
-elimination throughout: fields are exact and every matrix in this package
-has at most ~20 columns, so clarity wins over speed.
+Matrices store element indices in a numpy uint8 array.  One Gaussian
+elimination routine, `_eliminate`, backs everything here: `rref`, `rank`
+and `nullspace` ask it for the reduced form, the k-subset MDS oracle
+`first_singular_k_subset` for the rank only.  Fields are exact and every
+matrix in this package has at most ~20 columns, so clarity wins over speed.
 """
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -89,38 +91,47 @@ def mat_vec(A: GfMatrix, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def rref(M: GfMatrix) -> Tuple[GfMatrix, List[int]]:
-    """Reduced row echelon form and pivot columns.
+def _eliminate(field: FiniteField, A: np.ndarray, reduce_above: bool) -> List[int]:
+    """Gaussian elimination of A in place; returns the pivot columns.
 
-    Deterministic: first nonzero pivot scan, top-to-bottom, left-to-right.
+    The pivot of each column is the first nonzero entry at or below the
+    current row, scanning columns left to right.  With `reduce_above` every
+    other row is cleared in the pivot column, leaving the reduced row
+    echelon form; without it only the rows below are, which is enough for
+    the rank and gives the same pivots.
     """
-    f = M.field
-    A = M.data.copy()
-    A.setflags(write=True)
     nrows, ncols = A.shape
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
+        col = A[:, c].tolist()  # stays valid: each update below changes only its own row
         pivot_row = None
         for i in range(r, nrows):
-            if A[i, c] != 0:
+            if col[i]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         if pivot_row != r:
             A[[r, pivot_row]] = A[[pivot_row, r]]
-        inv = f.inv_table[A[r, c]]
-        A[r] = f.mul_table[inv, A[r]]
-        for i in range(nrows):
-            if i != r and A[i, c] != 0:
-                factor = f.neg_table[A[i, c]]
-                A[i] = f.add_table[A[i], f.mul_table[factor, A[r]]]
+            col[r], col[pivot_row] = col[pivot_row], col[r]
+        A[r] = field.mul_table[field.inv_table[col[r]], A[r]]
+        for i in range(0 if reduce_above else r + 1, nrows):
+            if col[i] and i != r:
+                factor = field.neg_table[col[i]]
+                A[i] = field.add_table[A[i], field.mul_table[factor, A[r]]]
         pivots.append(c)
         r += 1
-    return GfMatrix(f, A), pivots
+    return pivots
+
+
+def rref(M: GfMatrix) -> Tuple[GfMatrix, List[int]]:
+    """Reduced row echelon form and pivot columns (deterministic, see _eliminate)."""
+    A = M.data.copy()
+    pivots = _eliminate(M.field, A, reduce_above=True)
+    return GfMatrix(M.field, A), pivots
 
 
 def rank(M: GfMatrix) -> int:
@@ -144,52 +155,16 @@ def nullspace(M: GfMatrix) -> GfMatrix:
     return out
 
 
-def _submatrix_rank(field: FiniteField, data: np.ndarray) -> int:
-    A = data.copy()
-    nrows, ncols = A.shape
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if A[i, c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            A[[r, pivot_row]] = A[[pivot_row, r]]
-        inv = field.inv_table[A[r, c]]
-        A[r] = field.mul_table[inv, A[r]]
-        nz = np.nonzero(A[r + 1:, c])[0]
-        for i in nz:
-            factor = field.neg_table[A[r + 1 + i, c]]
-            A[r + 1 + i] = field.add_table[A[r + 1 + i], field.mul_table[factor, A[r]]]
-        r += 1
-    return r
+def first_singular_k_subset(M: GfMatrix, k: int) -> Optional[Tuple[int, ...]]:
+    """Lexicographically first singular k-column subset of M, or None.
 
-
-def all_k_subsets_nonsingular(M: GfMatrix, k: int) -> bool:
-    """True iff every k x k column-submatrix of M is nonsingular.
-
-    Standard MDS characterization of a rank-k generator matrix; iterates
-    all C(cols, k) column subsets in lexicographic order.
+    None means every k x k column-submatrix is nonsingular: the standard
+    MDS characterization of a rank-k generator matrix.  Iterates the
+    C(cols, k) column subsets in lexicographic order.
     """
     if M.rows != k or rank(M) < k:
         raise RankDeficient(f"matrix must have k={k} independent rows")
-    data = M.data
     for subset in combinations(range(M.cols), k):
-        if _submatrix_rank(M.field, data[:, subset]) < k:
-            return False
-    return True
-
-
-def first_singular_k_subset(M: GfMatrix, k: int):
-    """Lexicographically first singular k-column subset, or None."""
-    if M.rows != k or rank(M) < k:
-        raise RankDeficient(f"matrix must have k={k} independent rows")
-    for subset in combinations(range(M.cols), k):
-        if _submatrix_rank(M.field, M.data[:, subset]) < k:
+        if len(_eliminate(M.field, M.data[:, subset], reduce_above=False)) < k:
             return subset
     return None

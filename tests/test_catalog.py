@@ -178,6 +178,27 @@ class TestVerify:
             verify(certificate_from_dict(d))
         assert "singleton_equality" in str(exc.value)
 
+    @pytest.mark.parametrize("edit, field", [
+        ({"q": 5}, "q"),
+        ({"n": 6, "dz": 4}, "n"),  # keeps the Singleton equality
+        ({"pure": False}, "pure"),
+        ({"aqmds": False}, "aqmds"),
+    ])
+    def test_tampered_header_rejected(self, edit, field):
+        # cap=10 skips the distance oracles: the header check needs none
+        d = certificate_to_dict(exists(7, 5, 1, 3, 3).certificate)
+        with pytest.raises(VerificationFailed) as exc:
+            verify(certificate_from_dict({**d, **edit}), cap=10)
+        assert str(exc.value) == f"header_{field}"
+
+    @pytest.mark.parametrize("n, dz, dx", [(5, 4, 3), (7, 5, 4)])
+    def test_j0_swapped_distances_rejected(self, n, dz, dx):
+        # dz-1/dx+1 keeps the Singleton equality but swaps the ordered pair
+        d = certificate_to_dict(exists(7, n, 0, dz, dx).certificate)
+        with pytest.raises(VerificationFailed) as exc:
+            verify(certificate_from_dict({**d, "dz": dz - 1, "dx": dx + 1}))
+        assert str(exc.value) == "distances_exact"
+
     def test_prop6_certificate_gf3(self):
         cert = exists(3, 4, 0, 3, 3).certificate
         refreshed = verify(cert)

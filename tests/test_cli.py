@@ -1,4 +1,5 @@
 """Command-line front end: subcommands, formats, exit codes, round trips."""
+import hashlib
 import json
 
 import pytest
@@ -40,6 +41,21 @@ class TestConstruct:
                            "--k", "2", "--alpha", "0,1,2,3", "--v", "1,2,3,4")
         assert code == 0
         assert "[4,2,3]_5 MDS=true" in out
+
+    def test_malformed_alpha_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "grs", "--q", "5", "--n", "4", "--k", "2", "--alpha", "1,x"])
+        assert exc.value.code == 2
+        assert "expected comma-separated integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "x"])
+def test_bad_enum_cap_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("AQMDS_MAX_ENUM", value)
+    code, _, err = run(capsys, "exists", "--q", "5", "--n", "7", "--j", "1",
+                       "--dz", "3", "--dx", "3")
+    assert code == 2
+    assert "AQMDS_MAX_ENUM must be a positive integer" in err
 
 
 class TestCss:
@@ -157,3 +173,26 @@ class TestVerifyCommand:
         code, report, _ = run(capsys, "verify", str(path))
         assert code == 0
         assert report.count("verified") == len(json.loads(out))
+
+
+# stdout sha256 of `enumerate --q Q --format json`: catalog bytes are a
+# contract, so a refactor that changes one of these has changed the output
+CATALOG_SHA256 = {
+    (2, "closed_form"): "0d2ca668d9021fe0d9a35a92107e652a1461c19347122c73e76cf3e10d0772c4",
+    (3, "closed_form"): "faab92219748c26767cb5db09a57016ab8d29e8af5898ce10247119efeb8a744",
+    (4, "closed_form"): "2995f665a4843028705d30956ada3d8e3508a1415b5ae80029dce5d69694ead7",
+    (5, "closed_form"): "fa953c502cc0eeb6db9bc7e0931f6c6e0fa263c8ba4ed13ad3834bfc5164db9a",
+    (7, "closed_form"): "b0baed7bcbad97896dfd6930aa2714c041a1b84ac0eaaa68b4bba68b932cbd75",
+    (8, "closed_form"): "800f353fbb914d0923a5c417aa02565a7573859960408ee6a462a3e09d7383e5",
+    (9, "closed_form"): "5a33a977922cb3871b7f553f579f226f207286e8cb589fc35171ec7262a467e3",
+    (4, "full_oracle"): "feba60dcf1ff9997861b7a332e22892cc9c53c917bde77a015d9f14b3f7d442d",
+    (5, "full_oracle"): "6cdffedcdf424c50042c494c01973a785b58aa01a0ea16d3750d704615bbec33",
+}
+
+
+@pytest.mark.parametrize("q, level", sorted(CATALOG_SHA256))
+def test_catalog_bytes_pinned(capsys, q, level):
+    code, out, _ = run(capsys, "enumerate", "--q", str(q), "--format", "json",
+                       "--verify-level", level)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_SHA256[(q, level)]

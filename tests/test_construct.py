@@ -94,6 +94,14 @@ class TestExtendedGrs:
             assert (C.n, C.k) == (q + 1, k)
             assert C.is_mds()
 
+    def test_alpha_out_of_field_range(self):
+        # -1 must not wrap around to the last element as a table index
+        f = make_field(5)
+        with pytest.raises(InvalidSpec):
+            extended_grs(f, 2, alpha=(-1, 0, 1, 2, 3))
+        with pytest.raises(InvalidSpec):
+            grs_subcode_irreducible(f, 4, 2, alpha=(0, 1, 2, 3, 5))
+
 
 class TestGrsSubcodeIrreducible:
     def test_gf4_k3_r1(self):

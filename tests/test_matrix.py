@@ -9,7 +9,6 @@ from aqmds.errors import DimensionMismatch, FieldMismatch, RankDeficient
 from aqmds.gf import make_field
 from aqmds.matrix import (
     GfMatrix,
-    all_k_subsets_nonsingular,
     first_singular_k_subset,
     mat_mul,
     nullspace,
@@ -121,24 +120,23 @@ class TestKSubsetOracle:
     def test_repetition_generator(self):
         f = make_field(5)
         M = GfMatrix(f, [[1, 1, 1, 1, 1]])
-        assert all_k_subsets_nonsingular(M, 1)
+        assert first_singular_k_subset(M, 1) is None
 
     def test_singular_pair_gf2(self):
         f = make_field(2)
         M = GfMatrix(f, [[1, 0, 0], [0, 1, 0]])
-        assert not all_k_subsets_nonsingular(M, 2)
         assert first_singular_k_subset(M, 2) == (0, 2)
 
     def test_grs_vandermonde_gf7(self):
         f = make_field(7)
         M = grs(GrsSpec(f, 5, 3)).G
-        assert all_k_subsets_nonsingular(M, 3)
+        assert first_singular_k_subset(M, 3) is None
 
     def test_rank_deficient_rejected(self):
         f = make_field(3)
         M = GfMatrix(f, [[1, 1], [2, 2]])
         with pytest.raises(RankDeficient):
-            all_k_subsets_nonsingular(M, 2)
+            first_singular_k_subset(M, 2)
 
 
 class TestInvariants:

@@ -6,7 +6,7 @@ from aqmds.code import from_generator, is_subcode
 from aqmds.construct import GrsSpec, grs
 from aqmds.errors import ZeroCode
 from aqmds.gf import make_field
-from aqmds.matrix import GfMatrix, rank, transpose
+from aqmds.matrix import GfMatrix, _eliminate, rank, transpose
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -50,6 +50,15 @@ def small_matrix(draw):
 @given(small_matrix())
 def test_rank_transpose_invariant(M):
     assert rank(M) == rank(transpose(M))
+
+
+@settings(max_examples=60)
+@given(small_matrix())
+def test_eliminate_rank_with_and_without_reduce_above(M):
+    reduced = _eliminate(M.field, M.data.copy(), reduce_above=True)
+    echelon = _eliminate(M.field, M.data.copy(), reduce_above=False)
+    assert reduced == echelon
+    assert len(reduced) == rank(transpose(M))
 
 
 @settings(max_examples=60)
