@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Building the classical MDS ingredients.
 
-Every builder output is verified MDS two independent ways: brute-force
-minimum distance (enumerate all q^k codewords) and the k-column-subset
-rank oracle.
+The builders construct and do not re-prove their output; this walkthrough
+checks it two independent ways: brute-force minimum distance (enumerate
+all q^k codewords) and the k-column-subset rank oracle.
 """
 from aqmds import (
     GrsSpec,

@@ -212,15 +212,9 @@ def _designated_recipe(q: int, case_no: int, n: int, k: int, j: int) -> Dict:
     if tag == "TH11":
         return {**base, "construction": "TH11", "k": 3, "v": list(ones(q + 2))}
     if tag == "TH12":
-        if case_no in (2, 3):
-            src = _mds_source(q, n, n - 1)
-        elif k == 1 and j == 2:
-            src = {"type": "qplus2_low", "v": list(ones(q + 2))}
-        elif k == 1 and j == q - 2:
-            src = {"type": "qplus2_high", "v": list(ones(q + 2))}
-        else:
-            raise RecipeInvalid(f"no TH12 realization for case {case_no}, k={k}, j={j}")
-        return {**base, "construction": "TH12", "k": k, "source": src}
+        # C2 is the [n, j+1] MDS source: n-1 for cases 2/3, the length-(q+2)
+        # dimension-3 or dimension-(q-1) code for case 7
+        return {**base, "construction": "TH12", "k": k, "source": _mds_source(q, n, j + 1)}
     raise AssertionError(tag)  # unreachable
 
 
@@ -307,9 +301,8 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str, cap: int):
         if not passed:
             failures += 1
 
-    record("nesting", is_subcode(pair.c1.dual(), pair.c2)
-           if pair.c1.k < pair.c1.n else True)
     c1_dual = pair.c1.dual()
+    record("nesting", is_subcode(c1_dual, pair.c2))
     record("mds_dual_c1", c1_dual.k > 0 and c1_dual.is_mds())
     record("mds_c2", pair.c2.is_mds())
     record("dimensions", pair.quantum_k == claimed.k)

@@ -1,6 +1,8 @@
 """Classification catalog: enumeration, existence decisions, certificates."""
 import json
+import sys
 
+import numpy as np
 import pytest
 
 from aqmds.catalog import (
@@ -17,8 +19,12 @@ from aqmds.catalog import (
     run_oracles,
     verify,
 )
-from aqmds.css import css_construct
+from aqmds.code import from_generator, full_space
+from aqmds.construct import GrsSpec, grs
+from aqmds.css import AqcParams, css_construct, make_pair
 from aqmds.errors import NotPrimePower, RecipeInvalid, VerificationFailed
+from aqmds.gf import make_field
+from aqmds.matrix import GfMatrix
 
 import th14_expansion
 
@@ -158,6 +164,53 @@ class TestCertificates:
             cert.params, build_pair_from_recipe(cert.recipe), "full_oracle", cap=100)
         assert any(entry.endswith("skipped(cap)") for entry in log)
         assert not any("distance" in entry and entry.endswith("pass") for entry in log)
+
+
+class TestOracles:
+    def test_two_k_subset_calls_per_certificate(self, monkeypatch):
+        # the builders do not re-prove MDS: mds_dual_c1 and mds_c2 are the only
+        # k-subset oracle calls on a closed_form certificate
+        calls = []
+        for name, mod in list(sys.modules.items()):
+            fn = getattr(mod, "first_singular_k_subset", None)
+            if name.startswith("aqmds") and fn is not None:
+                def counted(M, k, _fn=fn):
+                    calls.append(k)
+                    return _fn(M, k)
+                monkeypatch.setattr(mod, "first_singular_k_subset", counted)
+        seen = set()
+        for q in (4, 5, 8, 9):
+            picked = {}
+            for c in enumerate_catalog(CatalogQuery(q=q)):
+                picked.setdefault(c.recipe["construction"], c)
+            for construction, c in picked.items():
+                p = c.params
+                calls.clear()
+                make_certificate(q, p.n, p.k, p.dz, p.dx, c.family, c.recipe)
+                assert len(calls) == 2, (q, construction)
+            seen.update(picked)
+        assert seen == set(FAMILY_TAGS)
+
+    def test_non_mds_sides_fail(self):
+        # [4,2]_3 with two zero columns; its dual is non-MDS too
+        f = make_field(3)
+        C = from_generator(GfMatrix(f, np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.uint8)))
+        claimed = AqcParams(q=3, n=4, k=0, dz=3, dx=3, pure=True, aqmds=True)
+        verified, log = run_oracles(claimed, make_pair(C.dual(), C), "closed_form", 10**7)
+        assert not verified
+        assert "mds_dual_c1:FAIL" in log and "mds_c2:FAIL" in log
+        claimed = AqcParams(q=3, n=4, k=2, dz=2, dx=2, pure=True, aqmds=True)
+        verified, log = run_oracles(claimed, make_pair(C, full_space(f, 4)), "closed_form", 10**7)
+        assert not verified
+        assert "mds_dual_c1:FAIL" in log and "mds_c2:pass" in log
+
+    def test_full_space_c1_is_nested(self):
+        # dual(C1) is the zero code, a subcode of every C2
+        f = make_field(5)
+        claimed = AqcParams(q=5, n=4, k=2, dz=3, dx=1, pure=True, aqmds=True)
+        _, log = run_oracles(claimed, make_pair(full_space(f, 4), grs(GrsSpec(f, 4, 2))),
+                             "closed_form", 10**7)
+        assert log[0] == "nesting:pass"
 
 
 class TestVerify:

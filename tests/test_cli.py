@@ -2,9 +2,14 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from aqmds import cli
 from aqmds.cli import main
+from aqmds.code import from_generator
+from aqmds.gf import make_field
+from aqmds.matrix import GfMatrix
 
 
 def run(capsys, *argv):
@@ -41,6 +46,22 @@ class TestConstruct:
                            "--k", "2", "--alpha", "0,1,2,3", "--v", "1,2,3,4")
         assert code == 0
         assert "[4,2,3]_5 MDS=true" in out
+
+    def test_enum_cap_does_not_apply(self, capsys, monkeypatch):
+        # MDS is proven on k-column subsets; no codeword is enumerated
+        monkeypatch.setenv("AQMDS_MAX_ENUM", "10")
+        code, out, _ = run(capsys, "construct", "grs", "--q", "5", "--n", "5", "--k", "2")
+        assert code == 0
+        assert "[5,2,4]_5 MDS=true" in out
+
+    def test_non_mds_output_exits_3(self, capsys, monkeypatch):
+        # construct proves the builder's output itself, so a broken builder fails
+        bad = from_generator(GfMatrix(make_field(5), np.array([[1, 0, 0, 0], [0, 1, 0, 0]],
+                                                               dtype=np.uint8)))
+        monkeypatch.setattr(cli, "grs", lambda spec: bad)
+        code, out, err = run(capsys, "construct", "grs", "--q", "5", "--n", "4", "--k", "2")
+        assert (code, out) == (3, "")
+        assert "not MDS [4,2]" in err
 
     def test_malformed_alpha_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -148,6 +169,18 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0
         assert "verified" in out
+
+    def test_skipped_oracles_named(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "th7.json"
+        run(capsys, "css", "--family", "th7", "--q", "7", "--n", "5",
+            "--k", "2", "--j", "1", "--emit-cert", str(path))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert (code, out) == (0, "[[5,1,3/3]]_7 pure AQMDS: verified\n")
+        monkeypatch.setenv("AQMDS_MAX_ENUM", "10")  # below the 7^3 words of either side
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        assert out == ("[[5,1,3/3]]_7 pure AQMDS: verified except skipped(cap): "
+                       "distance_c2_side, distance_c1_side\n")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
