@@ -303,8 +303,11 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str, cap: int):
 
     c1_dual = pair.c1.dual()
     record("nesting", is_subcode(c1_dual, pair.c2))
-    record("mds_dual_c1", c1_dual.k > 0 and c1_dual.is_mds())
-    record("mds_c2", pair.c2.is_mds())
+    dual_c1_mds = c1_dual.k > 0 and c1_dual.is_mds()
+    # for j = 0, dual(C1) = C2: one k-subset run proves both
+    c2_mds = dual_c1_mds if c1_dual == pair.c2 else pair.c2.is_mds()
+    record("mds_dual_c1", dual_c1_mds)
+    record("mds_c2", c2_mds)
     record("dimensions", pair.quantum_k == claimed.k)
     record("singleton_equality",
            claimed.k == claimed.n - claimed.dx - claimed.dz + 2)
@@ -313,7 +316,7 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str, cap: int):
         if claimed.k == 0:
             try:
                 d1 = _mds_backed_distance(pair.c1, cap)
-                d2 = _mds_backed_distance(pair.c2, cap)
+                d2 = _mds_backed_distance(pair.c2, cap, c2_mds)
                 record("distances_exact",
                        (max(d1, d2), min(d1, d2)) == (claimed.dz, claimed.dx))
             except CapExceeded:

@@ -26,10 +26,10 @@ from .errors import (
     ZeroCode,
 )
 from .gf import FiniteField
-from .matrix import GfMatrix, _eliminate, first_singular_k_subset, mat_mul, mat_vec, nullspace, rref, transpose
+from .matrix import (_CHUNK_TARGET, GfMatrix, _eliminate, first_singular_k_subset, mat_mul,
+                     mat_vec, nullspace, rref, transpose)
 
 DEFAULT_ENUM_CAP = 10 ** 7
-_CHUNK_TARGET = 1 << 20
 
 
 def enum_cap(cap: Optional[int] = None) -> int:

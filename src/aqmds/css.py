@@ -80,11 +80,14 @@ def make_pair(C1: LinearCode, C2: LinearCode) -> NestedPair:
     return NestedPair(C1, C2)
 
 
-def _mds_backed_distance(C: LinearCode, cap: int) -> int:
-    """Exact distance by enumeration, or via the MDS oracle when too large."""
+def _mds_backed_distance(C: LinearCode, cap: int, mds: Optional[bool] = None) -> int:
+    """Exact distance by enumeration, or via the MDS oracle when too large.
+
+    `mds` is the oracle's verdict on C when the caller already has it.
+    """
     if C.field.q ** C.k <= cap:
         return C.min_distance(cap)
-    if C.is_mds():
+    if C.is_mds() if mds is None else mds:
         return C.n - C.k + 1
     raise CapExceeded(
         f"cannot determine distance of [{C.n},{C.k}]_{C.field.q} within cap {cap}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -315,38 +315,101 @@ def make_field(q: int) -> FiniteField:
     return FiniteField(q)
 
 
+# (q, degree) -> the polynomial find_irreducible chose; it depends on nothing else
+_IRREDUCIBLE: Dict[Tuple[int, int], Poly] = {}
+
+
 def find_irreducible(field: FiniteField, degree: int) -> Poly:
     """Lexicographically smallest monic irreducible of given degree over GF(q).
 
     Lower-coefficient vectors are ordered as base-q integers, low degree
-    first.  Irreducibility is certified by a root scan for degree <= 3 and
-    by trial division against all monic divisors of degree <= degree/2
-    otherwise.
+    first.  Irreducibility is certified by Ben-Or's test (see
+    `_poly_is_irreducible`).  The result is memoized per (q, degree).
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    if degree == 1:
-        return (0, 1)  # X
-    for poly in _monic_polys(field.q, degree):
-        if _poly_is_irreducible(field, poly):
-            return poly
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    key = (field.q, degree)
+    if key not in _IRREDUCIBLE:
+        tables = tuple(t.tolist() for t in (field.add_table, field.mul_table,
+                                             field.neg_table, field.inv_table))
+        _IRREDUCIBLE[key] = next(poly for poly in _monic_polys(field.q, degree)
+                                 if _poly_is_irreducible(tables, poly))
+    return _IRREDUCIBLE[key]
 
 
-def _poly_is_irreducible(field: FiniteField, poly: Poly) -> bool:
-    degree = len(poly) - 1
-    if degree == 1:
+def _poly_is_irreducible(tables, poly: Poly) -> bool:
+    """Ben-Or's test (Ben-Or 1981; Rabin 1980): a monic f of degree d over
+    GF(q) is irreducible iff gcd(x^(q^i) - x, f) = 1 for every i <= d/2.
+
+    The i = 1 condition says f has no root in GF(q), so it is a root scan;
+    for d <= 3 it is the whole test.  `tables` are the field's add, mul,
+    neg and inv tables as nested lists, for fast scalar lookups.
+    """
+    add, mul, neg, inv = tables
+    q, d = len(inv), len(poly) - 1
+    if d == 1:
         return True
-    if degree <= 3:
-        return all(field.poly_eval(poly, x) != 0 for x in field.elements())
-    if poly[0] == 0:
-        return False
-    for d in range(1, degree // 2 + 1):
-        for divisor in _monic_polys(field.q, d):
-            _, rem = field.poly_divmod(poly, divisor)
-            if rem == (0,):
-                return False
+    for x in range(q):
+        acc = 0
+        for c in reversed(poly):
+            acc = add[mul[acc][x]][c]
+        if acc == 0:
+            return False
+    if d <= 3:
+        return True
+    # x -> x^q is GF(q)-linear modulo f, so with frob[j] = x^(q*j) mod f,
+    # h^q mod f = sum_j h_j frob[j].
+    neg_low = [neg[c] for c in poly[:d]]
+    frob = []
+    cur = [1] + [0] * (d - 1)
+    for t in range(q * (d - 1) + 1):
+        if t % q == 0:
+            frob.append(cur)
+        lead = cur[-1]
+        cur = [0] + cur[:-1]
+        if lead:
+            row = mul[lead]
+            cur = [add[a][row[b]] for a, b in zip(cur, neg_low)]
+    h = frob[1]  # x^q mod f
+    for _ in range(2, d // 2 + 1):
+        nxt = [0] * d
+        for hj, row in zip(h, frob):
+            if hj:
+                scale = mul[hj]
+                nxt = [add[a][scale[b]] for a, b in zip(nxt, row)]
+        h = nxt
+        # gcd(f, h - x) by Euclid, on coefficient lists without leading zeros
+        a, b = list(poly), list(h)
+        b[1] = add[b[1]][neg[1]]
+        b = _trim(b)
+        while b:
+            a, b = b, _poly_rem(a, b, tables)
+        if len(a) > 1:
+            return False
     return True
+
+
+def _trim(f: list) -> list:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _poly_rem(a: list, b: list, tables) -> list:
+    """a mod b on coefficient lists (low degree first, b nonzero and trimmed)."""
+    add, mul, neg, inv = tables
+    a = list(a)
+    db = len(b) - 1
+    lead_inv = inv[b[-1]]
+    while len(a) > db:
+        c = mul[a[-1]][lead_inv]
+        if c:
+            scale = mul[neg[c]]
+            s = len(a) - 1 - db
+            for i in range(db):
+                a[s + i] = add[a[s + i]][scale[b[i]]]
+        a.pop()  # its coefficient is now zero
+    return _trim(a)
 
 
 def element_sums(field: FiniteField) -> Tuple[int, int, int]:

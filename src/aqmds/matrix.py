@@ -1,20 +1,26 @@
 """Dense linear algebra over GF(q).
 
 Matrices store element indices in a numpy uint8 array.  One Gaussian
-elimination routine, `_eliminate`, backs everything here: `rref`, `rank`
-and `nullspace` ask it for the reduced form, the k-subset MDS oracle
-`first_singular_k_subset` for the rank only.  Fields are exact and every
-matrix in this package has at most ~20 columns, so clarity wins over speed.
+elimination routine, `_eliminate`, backs `rref`, `rank` and `nullspace`
+(and `code.complement_rows` and `LinearCode.shorten`): the matrices there
+are small, so it works one row at a time.  The k-subset MDS oracle
+`first_singular_k_subset` faces up to C(n, k) square submatrices instead,
+so it eliminates a chunk of them at once, in lockstep, with table lookups
+over the whole stack.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations, count, islice
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, FieldMismatch, RankDeficient
 from .gf import FiniteField
+
+# elements per numpy chunk, for the k-subset oracle here and the codeword scan
+_CHUNK_TARGET = 1 << 20
 
 
 class GfMatrix:
@@ -159,12 +165,56 @@ def first_singular_k_subset(M: GfMatrix, k: int) -> Optional[Tuple[int, ...]]:
     """Lexicographically first singular k-column subset of M, or None.
 
     None means every k x k column-submatrix is nonsingular: the standard
-    MDS characterization of a rank-k generator matrix.  Iterates the
-    C(cols, k) column subsets in lexicographic order.
+    MDS characterization of a rank-k generator matrix.  The C(cols, k)
+    subsets are taken in lexicographic order, in chunks of about
+    `_CHUNK_TARGET` matrix entries, and each chunk's submatrices are
+    eliminated in lockstep.
     """
     if M.rows != k or rank(M) < k:
         raise RankDeficient(f"matrix must have k={k} independent rows")
-    for subset in combinations(range(M.cols), k):
-        if len(_eliminate(M.field, M.data[:, subset], reduce_above=False)) < k:
-            return subset
-    return None
+    if k == 0:
+        return None  # the empty subset: a 0 x 0 matrix is nonsingular
+    f = M.field
+    q = f.q
+    # entry a * q + b of a flat table is a + b, resp. a * b; it fits uint16
+    add, mul = f.add_table.ravel(), f.mul_table.ravel()
+    size = max(1, _CHUNK_TARGET // (k * k))
+    for i in count():
+        subsets = _subset_chunk(M.cols, k, size, i)
+        # a matrix and its transpose are singular together, so row r of A[b]
+        # is column subsets[b, r] of M
+        A = M.data.T[subsets].astype(np.uint16)
+        singular = np.zeros(len(A), dtype=bool)
+        batch = np.arange(len(A))
+        for c in range(k - 1):
+            # the pivot row is the first with a nonzero entry in column c; row c
+            # takes its place among the rows left to eliminate.  A pivot entry 0
+            # marks A[b] singular, and its factors below are 0 (inv_table[0] is 0).
+            p = (A[:, c:, c] != 0).argmax(axis=1) + c
+            pivot = A[batch, p, c:]
+            A[batch, p, c:] = A[:, c, c:]
+            singular |= pivot[:, 0] == 0
+            # q * (-A[b, r, c] / pivot[b, 0]) for the rows r below c
+            factor = mul.take(f.neg_table[A[:, c + 1:, c]].astype(np.uint16) * q
+                              + f.inv_table[pivot[:, :1]]).astype(np.uint16) * q
+            A[:, c + 1:, c + 1:] = add.take(
+                A[:, c + 1:, c + 1:] * q + mul.take(factor[:, :, None] + pivot[:, None, 1:]))
+        singular |= A[:, k - 1, k - 1] == 0
+        hits = np.flatnonzero(singular)
+        if hits.size:
+            return tuple(int(col) for col in subsets[hits[0]])
+        if len(subsets) < size:  # the last chunk
+            return None
+
+
+@lru_cache(maxsize=128)
+def _subset_chunk(n: int, k: int, size: int, i: int) -> np.ndarray:
+    """Chunk i of the k-subsets of range(n) in lexicographic order, `size`
+    subsets a chunk, as a read-only (<= size, k) index array.
+
+    Entries take the smallest dtype that holds n: one byte while n <= 256.
+    """
+    subsets = islice(combinations(range(n), k), i * size, (i + 1) * size)
+    chunk = np.fromiter(chain.from_iterable(subsets), dtype=np.min_scalar_type(n)).reshape(-1, k)
+    chunk.setflags(write=False)
+    return chunk

@@ -50,9 +50,10 @@ class TestEnumerate:
         certs = enumerate_catalog(CatalogQuery(q=4))
         assert len(certs) == GOLDEN_COUNT_Q4
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13])
     def test_matches_independent_expansion(self, q):
         certs = enumerate_catalog(CatalogQuery(q=q))
+        assert all(c.verified for c in certs)
         got = {(c.params.n, c.params.k, c.params.dz, c.params.dx) for c in certs}
         assert got == th14_expansion.expand(q)
 
@@ -166,18 +167,25 @@ class TestCertificates:
         assert not any("distance" in entry and entry.endswith("pass") for entry in log)
 
 
+def count_k_subset_calls(monkeypatch) -> list:
+    """Record the k of every k-subset oracle call into the returned list."""
+    calls = []
+    for name, mod in list(sys.modules.items()):
+        fn = getattr(mod, "first_singular_k_subset", None)
+        if name.startswith("aqmds") and fn is not None:
+            def counted(M, k, _fn=fn):
+                calls.append(k)
+                return _fn(M, k)
+            monkeypatch.setattr(mod, "first_singular_k_subset", counted)
+    return calls
+
+
 class TestOracles:
     def test_two_k_subset_calls_per_certificate(self, monkeypatch):
         # the builders do not re-prove MDS: mds_dual_c1 and mds_c2 are the only
-        # k-subset oracle calls on a closed_form certificate
-        calls = []
-        for name, mod in list(sys.modules.items()):
-            fn = getattr(mod, "first_singular_k_subset", None)
-            if name.startswith("aqmds") and fn is not None:
-                def counted(M, k, _fn=fn):
-                    calls.append(k)
-                    return _fn(M, k)
-                monkeypatch.setattr(mod, "first_singular_k_subset", counted)
+        # k-subset oracle calls on a closed_form certificate, and one call
+        # serves both for PROP6, where dual(C1) = C2
+        calls = count_k_subset_calls(monkeypatch)
         seen = set()
         for q in (4, 5, 8, 9):
             picked = {}
@@ -187,9 +195,20 @@ class TestOracles:
                 p = c.params
                 calls.clear()
                 make_certificate(q, p.n, p.k, p.dz, p.dx, c.family, c.recipe)
-                assert len(calls) == 2, (q, construction)
+                assert len(calls) == (1 if construction == "PROP6" else 2), (q, construction)
             seen.update(picked)
         assert seen == set(FAMILY_TAGS)
+
+    def test_j0_full_oracle_proves_each_code_once(self, monkeypatch):
+        # q^k over the cap: the distances come from the MDS oracle, which has
+        # already proven C2 as mds_dual_c1; C1 = dual(C2) is proven once more
+        calls = count_k_subset_calls(monkeypatch)
+        r = exists(9, 10, 0, 6, 6, verify_level="full_oracle", cap=1000)
+        assert r.certificate.verified
+        assert r.certificate.oracle_log == [
+            "nesting:pass", "mds_dual_c1:pass", "mds_c2:pass", "dimensions:pass",
+            "singleton_equality:pass", "distances_exact:pass"]
+        assert len(calls) == 2
 
     def test_non_mds_sides_fail(self):
         # [4,2]_3 with two zero columns; its dual is non-MDS too

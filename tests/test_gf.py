@@ -4,8 +4,11 @@ import random
 import numpy as np
 import pytest
 
+import aqmds.gf as gf
 from aqmds.errors import CapExceeded, DivisionByZero, FieldMismatch, NotPrimePower
 from aqmds.gf import FIELD_CAP, FiniteField, element_sums, find_irreducible, make_field
+
+import irreducible_reference
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 LARGE_Q = [25, 27, 32, 49, 64]
@@ -161,6 +164,55 @@ class TestFindIrreducible:
                 divisor = tuple(coeffs) + (1,)
                 _, rem = f.poly_divmod(poly, divisor)
                 assert rem != (0,)
+
+    @pytest.mark.parametrize("q", SMALL_Q)
+    def test_matches_trial_division(self, q):
+        # every degree whose trial division needs at most 10^4 divisors a candidate
+        f = make_field(q)
+        d = 1
+        while q ** (d // 2) <= 10 ** 4:
+            assert find_irreducible(f, d) == irreducible_reference.smallest_irreducible(q, d), d
+            d += 1
+
+    @pytest.mark.parametrize("deg, poly", [
+        (8, (4, 1, 0, 0, 0, 0, 0, 0, 1)),
+        (9, (5, 1, 0, 0, 0, 0, 0, 0, 0, 1)),
+        (10, (3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+    ])
+    def test_q11_high_degree_pinned(self, deg, poly):
+        # found by trial division, which takes seconds per degree here
+        assert find_irreducible(make_field(11), deg) == poly
+
+    def test_memoized_per_q_and_degree(self, monkeypatch):
+        f = make_field(13)
+        first = find_irreducible(f, 6)
+        monkeypatch.setattr(gf, "_poly_is_irreducible", None)  # a second search would fail
+        assert find_irreducible(f, 6) == first
+        assert find_irreducible(FiniteField(13), 6) == first
+
+
+# make_field(q).modulus for every prime power q <= FIELD_CAP, as chosen by
+# trial division; the element encoding, hence every table, depends on it
+MODULI = {
+    2: (0, 1), 3: (0, 1), 4: (1, 1, 1), 5: (0, 1), 7: (0, 1), 8: (1, 1, 0, 1),
+    9: (1, 0, 1), 11: (0, 1), 13: (0, 1), 16: (1, 1, 0, 0, 1), 17: (0, 1), 19: (0, 1),
+    23: (0, 1), 25: (2, 0, 1), 27: (1, 2, 0, 1), 29: (0, 1), 31: (0, 1),
+    32: (1, 0, 1, 0, 0, 1), 37: (0, 1), 41: (0, 1), 43: (0, 1), 47: (0, 1),
+    49: (1, 0, 1), 53: (0, 1), 59: (0, 1), 61: (0, 1), 64: (1, 1, 0, 0, 0, 0, 1),
+}
+
+
+def test_moduli_cover_every_field():
+    for q in range(2, FIELD_CAP + 1):
+        if q not in MODULI:
+            with pytest.raises(NotPrimePower):
+                make_field(q)
+
+
+@pytest.mark.parametrize("q", sorted(MODULI))
+def test_modulus_pinned(q):
+    assert make_field(q).modulus == MODULI[q]
+    assert irreducible_reference.make_field(q).modulus == MODULI[q]
 
 
 class TestElementSums:

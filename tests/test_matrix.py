@@ -6,6 +6,7 @@ import pytest
 
 from aqmds.construct import GrsSpec, grs, ones, q_plus_2_low, _q_plus_2_check_matrix
 from aqmds.errors import DimensionMismatch, FieldMismatch, RankDeficient
+from aqmds import matrix
 from aqmds.gf import make_field
 from aqmds.matrix import (
     GfMatrix,
@@ -131,6 +132,14 @@ class TestKSubsetOracle:
         f = make_field(7)
         M = grs(GrsSpec(f, 5, 3)).G
         assert first_singular_k_subset(M, 3) is None
+
+    def test_singular_subset_in_second_chunk(self, monkeypatch):
+        # 64 // 2^2 = 16 subsets a chunk; columns 5 and 6 are proportional and no
+        # other pair is, and (5, 6) is the 26th of the C(8, 2) = 28 pairs
+        monkeypatch.setattr(matrix, "_CHUNK_TARGET", 64)
+        f = make_field(7)
+        M = GfMatrix(f, [[1, 0, 1, 1, 1, 1, 2, 1], [0, 1, 1, 2, 3, 4, 1, 6]])
+        assert first_singular_k_subset(M, 2) == (5, 6)
 
     def test_rank_deficient_rejected(self):
         f = make_field(3)

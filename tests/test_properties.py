@@ -1,4 +1,6 @@
 """Property-based checks over randomly drawn inputs (hypothesis)."""
+from itertools import combinations
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +8,7 @@ from aqmds.code import from_generator, is_subcode
 from aqmds.construct import GrsSpec, grs
 from aqmds.errors import ZeroCode
 from aqmds.gf import make_field
-from aqmds.matrix import GfMatrix, _eliminate, rank, transpose
+from aqmds.matrix import GfMatrix, _eliminate, first_singular_k_subset, rank, transpose
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -130,3 +132,30 @@ def test_full_weight_matches_naive_scan(params):
         assert got is None
     else:
         assert got is not None and np.array_equal(got, naive)
+
+
+@st.composite
+def full_rank_matrix(draw):
+    """A k x n matrix of rank k over GF(q), q <= 16; k = 1 and k = n are drawn
+    often, and zeroed entries make singular column subsets common."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16]))
+    f = make_field(q)
+    n = draw(st.integers(1, 7))
+    k = draw(st.sampled_from([1, n, draw(st.integers(1, n))]))
+    zero_share = draw(st.sampled_from([0.0, 0.3, 0.6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    while True:
+        A = rng.integers(0, q, size=(k, n)).astype(np.uint8)
+        A[rng.random(A.shape) < zero_share] = 0
+        M = GfMatrix(f, A)
+        if rank(M) == k:
+            return M
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_matrix())
+def test_first_singular_k_subset_matches_rank_loop(M):
+    k = M.rows
+    expected = next((s for s in combinations(range(M.cols), k)
+                     if rank(GfMatrix(M.field, M.data[:, s])) < k), None)
+    assert first_singular_k_subset(M, k) == expected
