@@ -100,66 +100,52 @@ def length_bound(q: int) -> int:
 
 
 def _case_triples(q: int, n: int):
-    """Yield (case_no, k, j) for every family admitting length n over GF(q).
+    """Yield (tag, k, j) for every family admitting length n over GF(q).
 
     k is the classical dimension parameter of the classification; the
     parameter tuple it encodes is [[n, j, dz/dx]] with
-    {dz, dx} = {n-k-j+1, k+1}.
+    {dz, dx} = {n-k-j+1, k+1}.  Cases come in classification order, which
+    picks the recipe of a tuple that several cases reach.
     """
-    is_even = q % 2 == 0
-    two_power = is_even and is_prime_power(q)
-    if n >= 2:
-        for k in dict.fromkeys((1, n - 1)):  # case 1, trivial MDS pairs
-            for j in dict.fromkeys((0, n - k)):
-                yield 1, k, j
-    if q == 2 and n >= 2 and n % 2 == 0:  # case 2
-        yield 2, 1, n - 2
-    if q >= 3 and n >= 2:  # case 3
-        yield 3, 1, n - 2
-    if q >= 3 and 2 <= n <= q:  # case 4
-        for k in range(1, n):
-            for j in range(0, n - k + 1):
-                yield 4, k, j
-    if q >= 3 and n == q + 1:  # case 5
-        for k in range(1, n):
-            yield 5, k, 0
-            for j in range(2, n - k + 1):
-                yield 5, k, j
-    if two_power and q >= 4 and n == q + 1:  # case 6
-        for k in dict.fromkeys((2, q - 2)):
-            yield 6, k, 1
-    if two_power and q >= 4 and n == q + 2:  # case 7
-        for j in dict.fromkeys((2, q - 2)):
-            yield 7, 1, j
-        for j in dict.fromkeys((0, q - 4, q - 1)):
-            yield 7, 3, j
-        for j in dict.fromkeys((0, 3)):
-            yield 7, q - 1, j
+    def cases():
+        is_even = q % 2 == 0
+        two_power = is_even and is_prime_power(q)
+        if n >= 2:
+            for k in dict.fromkeys((1, n - 1)):  # case 1, trivial MDS pairs, all PROP5/6
+                for j in dict.fromkeys((0, n - k)):
+                    yield "PROP5", k, j
+        if q == 2 and n >= 2 and n % 2 == 0:  # case 2
+            yield "TH12", 1, n - 2
+        if q >= 3 and n >= 2:  # case 3
+            yield "TH12", 1, n - 2
+        if q >= 3 and 2 <= n <= q:  # case 4
+            for k in range(1, n):
+                for j in range(0, n - k + 1):
+                    yield "TH7", k, j
+        if q >= 3 and n == q + 1:  # case 5
+            for k in range(1, n):
+                yield "TH8", k, 0
+                for j in range(2, n - k + 1):
+                    yield "TH8", k, j
+        if two_power and q >= 4 and n == q + 1:  # case 6
+            for k in dict.fromkeys((2, q - 2)):
+                yield "COR10", k, 1
+        if two_power and q >= 4 and n == q + 2:  # case 7
+            for j in dict.fromkeys((2, q - 2)):
+                yield "TH12", 1, j
+            for j in dict.fromkeys((0, q - 4, q - 1)):
+                yield "TH11", 3, j
+            for j in dict.fromkeys((0, 3)):
+                yield "TH12", q - 1, j
+
+    for tag, k, j in cases():
+        # j = 0 pairs a code with its dual, and dx = 1 pairs one with the full space
+        yield ("PROP6" if j == 0 else "PROP5" if j == n - k else tag), k, j
 
 
 def _tuple_of(n: int, k: int, j: int) -> Tuple[int, int, int, int]:
     a, b = n - k - j + 1, k + 1
     return (n, j, max(a, b), min(a, b))
-
-
-def _family_tag(case_no: int, q: int, n: int, k: int, j: int) -> str:
-    if j == 0:
-        return "PROP6"
-    if j == n - k:  # dx = 1
-        return "PROP5"
-    if case_no in (2, 3):
-        return "TH12"
-    if case_no == 4:
-        return "TH7"
-    if case_no == 5:
-        return "TH8"
-    if case_no == 6:
-        return "COR10"
-    if case_no == 7:
-        if k == 3 and j == q - 4:
-            return "TH11"
-        return "TH12"
-    raise AssertionError((case_no, k, j))  # unreachable
 
 
 # -- recipes ------------------------------------------------------------------
@@ -188,11 +174,10 @@ def _mds_source(q: int, n: int, k: int) -> Dict:
     raise RecipeInvalid(f"no known MDS construction for [{n},{k}]_{q}")
 
 
-def _designated_recipe(q: int, case_no: int, n: int, k: int, j: int) -> Dict:
-    """Construction recipe for the (case, k, j) realization of a tuple."""
+def _designated_recipe(q: int, tag: str, n: int, k: int, j: int) -> Dict:
+    """Construction recipe for the (tag, k, j) realization of a tuple."""
     f = make_field(q)
     base = {"q": q, "n": n, "j": j, "alpha_convention": "zero_last"}
-    tag = _family_tag(case_no, q, n, k, j)
     if tag == "PROP6":
         return {**base, "construction": "PROP6", "k": k, "code": _mds_source(q, n, k)}
     if tag == "PROP5":
@@ -381,13 +366,12 @@ def enumerate_catalog(query: CatalogQuery, cap: Optional[int] = None) -> List[Ce
     for n in ns:
         if not 2 <= n <= length_bound(q):
             continue
-        for case_no, k, j in _case_triples(q, n):
+        for tag, k, j in _case_triples(q, n):
             key = _tuple_of(n, k, j)
-            tag = _family_tag(case_no, q, n, k, j)
             if key not in rows:
                 rows[key] = {
                     "tags": {tag},
-                    "recipe": _designated_recipe(q, case_no, n, k, j),
+                    "recipe": _designated_recipe(q, tag, n, k, j),
                 }
             else:
                 rows[key]["tags"].add(tag)
@@ -442,8 +426,8 @@ def exists(
             f"not quantum-Singleton-tight: j={j} != n-dz-dx+2={n - dz - dx + 2}",
         )
     matches = [
-        (case_no, k, jj)
-        for case_no, k, jj in _case_triples(q, n)
+        (tag, k, jj)
+        for tag, k, jj in _case_triples(q, n)
         if jj == j and _tuple_of(n, k, jj) == (n, j, dz, dx)
     ]
     if not matches:
@@ -452,9 +436,9 @@ def exists(
         else:
             reason = "parameters fall outside the classification"
         return ExistsResult(False, None, reason)
-    tags = sorted({_family_tag(c, q, n, k, jj) for c, k, jj in matches})
-    case_no, k, jj = matches[0]
-    recipe = _designated_recipe(q, case_no, n, k, jj)
+    tags = sorted({tag for tag, _, _ in matches})
+    tag, k, jj = matches[0]
+    recipe = _designated_recipe(q, tag, n, k, jj)
     try:
         cert = make_certificate(q, n, j, dz, dx, tags, recipe, verify_level, cap)
     except CapExceeded as exc:
@@ -466,9 +450,11 @@ def verify(cert: Certificate, cap: Optional[int] = None) -> Certificate:
     """Rebuild the pair from the recipe and rerun all oracles.
 
     The header must agree with the rebuilt pair (field size and length) and
-    claim a pure AQMDS code, as every certificate made here does.  Returns a
-    refreshed certificate; raises VerificationFailed naming the first
-    failing header field or oracle.  Idempotent on valid certificates.
+    claim a pure AQMDS code, as every certificate made here does.  Once the
+    oracles pass, the claimed ordered (dz, dx) must equal the ordered
+    distances of the two MDS codes ("mds_distances").  Returns a refreshed
+    certificate; raises VerificationFailed naming the first failing header
+    field, oracle or that check.  Idempotent on valid certificates.
     """
     pair = build_pair_from_recipe(cert.recipe)
     p = cert.params
@@ -481,6 +467,11 @@ def verify(cert: Certificate, cap: Optional[int] = None) -> Certificate:
     if not verified:
         first_fail = next(e.split(":")[0] for e in log if e.endswith("FAIL"))
         raise VerificationFailed(first_fail)
+    # nested MDS codes: d(C1) = n-k1+1, d(C2) = n-k2+1, and these are the
+    # quantum distances for every j, even where the distance oracles skipped
+    d1, d2 = p.n - pair.c1.k + 1, p.n - pair.c2.k + 1
+    if (p.dz, p.dx) != (max(d1, d2), min(d1, d2)):
+        raise VerificationFailed("mds_distances")
     return Certificate(
         params=cert.params,
         family=list(cert.family),

@@ -1,8 +1,14 @@
 """Command-line front end.
 
-Subcommands: construct (classical MDS builders), css (nested-pair families
-with quantum parameters), enumerate (full catalog for a field size),
+Subcommands: construct (classical MDS builders), css (one family's nested
+pair with quantum parameters), enumerate (full catalog for a field size),
 exists (single-tuple decision), verify (re-verify a certificate file).
+
+css maps its options onto the catalog's construction for that family and
+certifies it with the catalog's recipe and claimed dz/dx, so --emit-cert
+writes the record enumerate writes for the same construction.  --k is the
+dimension of the MDS code given: 1 <= k <= n-1 for prop5 and prop6,
+2 <= k <= n-1 for th12, and the ambient extended GRS dimension for th8.
 
 Field elements are written as integer indices in 0..q-1: the base-p digits
 of an index are the polynomial-basis coefficients of the element, so over
@@ -18,15 +24,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .catalog import (
     CatalogQuery,
     Certificate,
     FAMILY_TAGS,
     VERIFY_LEVELS,
-    _mds_source,
-    build_pair_from_recipe,
+    _designated_recipe,
+    _tuple_of,
     certificate_from_dict,
     certificate_to_dict,
     certificates_to_json,
@@ -38,16 +44,14 @@ from .catalog import (
 from .code import enum_cap
 from .construct import (
     GrsSpec,
-    default_alpha,
     extended_grs,
     grs,
     grs_subcode_irreducible,
-    ones,
     q_plus_2_high,
     q_plus_2_low,
 )
 from .errors import AqmdsError, RecipeInvalid, VerificationFailed
-from .gf import find_irreducible, make_field
+from .gf import make_field
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -104,13 +108,13 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _css_recipe(args) -> Dict:
-    """Claimed parameters and recipe for a family selected on the css command.
+def _css_construction(args) -> Tuple[str, int, int, int]:
+    """The catalog's (tag, n, k, j) for the family selected on the css command.
 
-    Returns {"n", "j", "dz", "dx", "recipe"} with dz >= dx.
+    k and j are the classification parameters of catalog._case_triples.
     """
     q, fam = args.q, args.family
-    f = make_field(q)
+    make_field(q)  # a bad q is reported before any family requirement
 
     def need(*names):
         missing = [m for m in names if getattr(args, m) is None]
@@ -118,76 +122,39 @@ def _css_recipe(args) -> Dict:
             raise RecipeInvalid(
                 f"--family {fam} requires {', '.join('--' + m for m in missing)}")
 
-    base = {"q": q, "alpha_convention": "zero_last"}
     if fam == "th7":
         need("n", "k", "j")
         n, k, j = args.n, args.k, args.j
         if not (1 <= k and j >= 1 and k + j <= n - 1 and n <= q):
             raise RecipeInvalid(
                 "th7 requires 1 <= k, j >= 1, k+j <= n-1, n <= q")
-        recipe = {**base, "construction": "TH7", "n": n, "j": j, "k": k,
-                  "alpha": list(default_alpha(f, n)), "v": list(ones(n))}
-        a, b = n - k - j + 1, k + 1
-        return {"n": n, "j": j, "dz": max(a, b), "dx": min(a, b), "recipe": recipe}
+        return "TH7", n, k, j
     if fam == "th8":
         need("k", "j")
-        k, j = args.k, args.j
+        k, j = args.k, args.j  # k is the dimension of the ambient extended GRS code
         if not 2 <= j <= k - 1:
             raise RecipeInvalid("th8 requires 2 <= j <= k-1")
         if not 3 <= k <= q:
             raise RecipeInvalid("th8 requires 3 <= k <= q")
-        n = q + 1
-        recipe = {**base, "construction": "TH8", "n": n, "j": j, "k": k, "r": k - j,
-                  "alpha": list(default_alpha(f, q)), "v": list(ones(q + 1)),
-                  "irreducible": list(find_irreducible(f, j))}
-        a, b = q - k + 2, k - j + 1
-        return {"n": n, "j": j, "dz": max(a, b), "dx": min(a, b), "recipe": recipe}
-    if fam == "th11":
+        return "TH8", q + 1, k - j, j
+    if fam in ("th11", "cor10"):
         if q % 2 == 1 or q < 4:
-            raise RecipeInvalid("th11 requires q = 2^m with m >= 2")
-        recipe = {**base, "construction": "TH11", "n": q + 2, "j": q - 4,
-                  "k": 3, "v": list(ones(q + 2))}
-        return {"n": q + 2, "j": q - 4, "dz": 4, "dx": 4, "recipe": recipe}
-    if fam == "th12":
-        need("n", "k")
-        n, k = args.n, args.k
-        if k < 2:
-            raise RecipeInvalid("th12 requires k >= 2")
-        src = _mds_source(q, n, k)
-        recipe = {**base, "construction": "TH12", "n": n, "j": k - 1, "k": k,
-                  "source": src}
-        return {"n": n, "j": k - 1, "dz": n - k + 1, "dx": 2, "recipe": recipe}
-    if fam == "prop5":
-        need("n", "k")
-        n, k = args.n, args.k
-        recipe = {**base, "construction": "PROP5", "n": n, "j": k, "k": k,
-                  "code": _mds_source(q, n, k)}
-        return {"n": n, "j": k, "dz": n - k + 1, "dx": 1, "recipe": recipe}
-    if fam == "prop6":
-        need("n", "k")
-        n, k = args.n, args.k
-        recipe = {**base, "construction": "PROP6", "n": n, "j": 0, "k": k,
-                  "code": _mds_source(q, n, k)}
-        a, b = n - k + 1, k + 1
-        return {"n": n, "j": 0, "dz": max(a, b), "dx": min(a, b), "recipe": recipe}
-    if fam == "cor10":
-        if q % 2 == 1 or q < 4:
-            raise RecipeInvalid("cor10 requires q = 2^m with m >= 2")
-        recipe = {**base, "construction": "COR10", "n": q + 1, "j": 1,
-                  "k": 1, "v": list(ones(q + 2))}
-        return {"n": q + 1, "j": 1, "dz": q - 1, "dx": 3, "recipe": recipe}
-    raise RecipeInvalid(f"unknown family {fam!r}")  # unreachable via choices
-
-
-_FAMILY_TO_TAG = {"th7": "TH7", "th8": "TH8", "th11": "TH11", "th12": "TH12",
-                  "prop5": "PROP5", "prop6": "PROP6", "cor10": "COR10"}
+            raise RecipeInvalid(f"{fam} requires q = 2^m with m >= 2")
+        return ("TH11", q + 2, 3, q - 4) if fam == "th11" else ("COR10", q + 1, 2, 1)
+    need("n", "k")  # th12, prop5, prop6: k is the dimension of the MDS code given
+    n, k = args.n, args.k
+    low = 2 if fam == "th12" else 1
+    if not low <= k <= n - 1:
+        raise RecipeInvalid(f"{fam} requires {low} <= k <= n-1")
+    return {"th12": ("TH12", n, 1, k - 1), "prop5": ("PROP5", n, n - k, k),
+            "prop6": ("PROP6", n, k, 0)}[fam]
 
 
 def cmd_css(args) -> int:
-    claim = _css_recipe(args)
-    cert = make_certificate(
-        args.q, claim["n"], claim["j"], claim["dz"], claim["dx"],
-        [_FAMILY_TO_TAG[args.family]], claim["recipe"], args.verify_level)
+    tag, n, k, j = _css_construction(args)
+    _, _, dz, dx = _tuple_of(n, k, j)
+    cert = make_certificate(args.q, n, j, dz, dx, [tag],
+                            _designated_recipe(args.q, tag, n, k, j), args.verify_level)
     if not cert.verified:
         print(f"verification failed: {cert.oracle_log}", file=sys.stderr)
         return EXIT_VERIFY
@@ -286,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("css", help="build a nested pair and derive quantum parameters")
-    p.add_argument("--family", required=True, choices=sorted(_FAMILY_TO_TAG))
+    p.add_argument("--family", required=True, choices=sorted(t.lower() for t in FAMILY_TAGS))
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)

@@ -50,10 +50,9 @@ def enum_cap(cap: Optional[int] = None) -> int:
 
 @dataclass
 class WeightReport:
-    """Exact weight data for a code: A_0..A_n plus convenience extras."""
+    """Exact weight data for a code: minimum weight and A_0..A_n."""
 
     min_weight: int
-    full_weight_codeword: Optional[np.ndarray]
     distribution: Optional[np.ndarray]
 
 
@@ -125,7 +124,6 @@ class LinearCode:
         )
         return WeightReport(
             min_weight=scan["min_weight"],
-            full_weight_codeword=scan["full_weight_word"],
             distribution=scan["distribution"],
         )
 
@@ -306,7 +304,6 @@ def _enumerate_scan(
     min_w = n + 1
     min_w_out = n + 1
     dist = np.zeros(n + 1, dtype=np.int64) if distribution else None
-    full_word = None
     first_out_word = None
     for chunk in _iter_word_chunks(field, work, np.arange(field.q, dtype=np.uint8)):
         words = chunk[:, :n]
@@ -318,10 +315,6 @@ def _enumerate_scan(
                 min_w = w
         if distribution:
             dist += np.bincount(wts, minlength=n + 1)
-        if full_word is None and n > 0:
-            hits = np.nonzero(wts == n)[0]
-            if hits.size:
-                full_word = words[hits[0]].copy()
         if s:
             outside = chunk[:, n:].any(axis=1)
             if np.any(outside):
@@ -332,7 +325,6 @@ def _enumerate_scan(
                     first_out_word = words[np.nonzero(outside)[0][0]].copy()
     result = {
         "min_weight": min_w if min_w <= n else None,
-        "full_weight_word": full_word,
         "distribution": dist,
     }
     if s:

@@ -271,6 +271,22 @@ class TestVerify:
             verify(certificate_from_dict({**d, "dz": dz - 1, "dx": dx + 1}))
         assert str(exc.value) == "distances_exact"
 
+    def test_false_split_rejected_above_cap(self):
+        # [[17,2,10/7]]_16 claimed as 9/8: both distance oracles are over the
+        # cap, and the split still has to match the MDS distances 10 and 7
+        d = certificate_to_dict(exists(16, 17, 2, 10, 7).certificate)
+        assert d["recipe"]["construction"] == "TH8"
+        with pytest.raises(VerificationFailed) as exc:
+            verify(certificate_from_dict({**d, "dz": 9, "dx": 8}))
+        assert str(exc.value) == "mds_distances"
+
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
+    def test_mds_distances_hold_on_catalog(self, q):
+        # at cap 10 no distance oracle runs, so mds_distances is the only
+        # check on the split of a genuine certificate
+        for cert in enumerate_catalog(CatalogQuery(q=q)):
+            verify(cert, cap=10)
+
     def test_prop6_certificate_gf3(self):
         cert = exists(3, 4, 0, 3, 3).certificate
         refreshed = verify(cert)

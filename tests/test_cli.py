@@ -112,6 +112,45 @@ class TestCss:
         assert payload["dx"] == 2 and payload["verified"]
 
 
+    @pytest.mark.parametrize("family, k, low", [
+        ("prop5", 5, 1), ("prop6", 5, 1), ("th12", 5, 2),
+        ("prop5", 0, 1), ("prop6", 0, 1), ("th12", 1, 2),
+    ])
+    def test_out_of_family_k_exits_2(self, capsys, tmp_path, family, k, low):
+        # k = n is outside each family: prop6 would claim [[5,0,6/1]]_5 (dz > n),
+        # th12 [[5,4,1/2]]_5 (dz < dx), and prop5 has no MDS dual(C1)
+        path = tmp_path / "cert.json"
+        code, out, err = run(capsys, "css", "--family", family, "--q", "5", "--n", "5",
+                             "--k", str(k), "--emit-cert", str(path))
+        assert (code, out) == (2, "")
+        assert f"{family} requires {low} <= k <= n-1" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("q", [4, 5, 8])
+    def test_emits_the_catalog_record(self, capsys, tmp_path, q):
+        # one writer for recipes: css with the options of a catalog recipe's
+        # construction emits that certificate, up to its family list
+        _, out, _ = run(capsys, "enumerate", "--q", str(q), "--format", "json")
+        path = tmp_path / "cert.json"
+        for rec in json.loads(out):
+            recipe = rec["recipe"]
+            family = recipe["construction"]
+            argv = ["css", "--family", family.lower(), "--q", str(q), "--emit-cert", str(path)]
+            if family in ("TH7", "TH12", "PROP5", "PROP6"):
+                argv += ["--n", str(rec["n"])]
+            if family in ("TH7", "TH8"):
+                argv += ["--j", str(rec["j"])]
+            if family not in ("TH11", "COR10"):
+                argv += ["--k", str(rec["j"] + 1 if family == "TH12" else recipe["k"])]
+            code, _, err = run(capsys, *argv)
+            assert code == 0, (argv, err)
+            emitted = json.loads(path.read_text())
+            assert emitted["family"] == [family]
+            for key in ("q", "n", "j", "dz", "dx", "pure", "aqmds", "recipe", "oracle_log"):
+                assert emitted[key] == rec[key], (argv, key)
+            assert list(emitted["recipe"]) == list(recipe)
+
+
 class TestEnumerate:
     def test_json_count_golden(self, capsys):
         from th14_expansion import GOLDEN_COUNT_Q4
@@ -181,6 +220,33 @@ class TestVerifyCommand:
         assert code == 0
         assert out == ("[[5,1,3/3]]_7 pure AQMDS: verified except skipped(cap): "
                        "distance_c2_side, distance_c1_side\n")
+
+    # css certificates written before css took its recipes from the catalog:
+    # other key order, and a TH12/COR10 "k" that the rebuild does not read
+    OLD_CSS_RECORDS = [
+        {"q": 5, "n": 5, "j": 2, "dz": 3, "dx": 2, "pure": True, "aqmds": True,
+         "family": ["TH12"],
+         "recipe": {"q": 5, "alpha_convention": "zero_last", "construction": "TH12",
+                    "n": 5, "j": 2, "k": 3,
+                    "source": {"type": "grs", "n": 5, "k": 3, "alpha": [1, 2, 3, 4, 0],
+                               "v": [1, 1, 1, 1, 1]}},
+         "verified": True, "oracle_log": ["nesting:pass", "mds_dual_c1:pass", "mds_c2:pass",
+                                          "dimensions:pass", "singleton_equality:pass"]},
+        {"q": 4, "n": 5, "j": 1, "dz": 3, "dx": 3, "pure": True, "aqmds": True,
+         "family": ["COR10"],
+         "recipe": {"q": 4, "alpha_convention": "zero_last", "construction": "COR10",
+                    "n": 5, "j": 1, "k": 1, "v": [1, 1, 1, 1, 1, 1]},
+         "verified": True, "oracle_log": ["nesting:pass", "mds_dual_c1:pass", "mds_c2:pass",
+                                          "dimensions:pass", "singleton_equality:pass"]},
+    ]
+
+    @pytest.mark.parametrize("record", OLD_CSS_RECORDS, ids=["th12", "cor10"])
+    def test_old_css_layout_verifies(self, capsys, tmp_path, record):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(record))
+        code, out, _ = run(capsys, "verify", str(path))
+        label = f"[[{record['n']},{record['j']},{record['dz']}/{record['dx']}]]_{record['q']}"
+        assert (code, out) == (0, f"{label} pure AQMDS: verified\n")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
