@@ -245,15 +245,14 @@ def extend_by_codeword(C: LinearCode, Cprime: LinearCode, cap: Optional[int] = N
 # -- enumeration engine -------------------------------------------------------
 
 
-def _iter_word_chunks(field: FiniteField, rows: np.ndarray, digits: np.ndarray,
-                      chunk_target: int = _CHUNK_TARGET):
+def _iter_word_chunks(field: FiniteField, rows: np.ndarray, digits: np.ndarray):
     """Yield, in chunks and in message order, the words sum_i m_i rows[i] for
     every message m with all digits m_i drawn from `digits`."""
     b = len(digits)
     k, w = rows.shape
     t = 0
     size = 1
-    while t < k and size * b <= chunk_target:
+    while t < k and size * b <= _CHUNK_TARGET:
         size *= b
         t += 1
     # every combination of the last t rows, in message order

@@ -40,11 +40,6 @@ class AqcParams:
     dx: int
     pure: bool
     aqmds: bool
-    # which set difference achieved which value (None on the k = 0 path)
-    wt_c2_minus_c1perp: Optional[int] = None
-    wt_c1_minus_c2perp: Optional[int] = None
-    d1: Optional[int] = None
-    d2: Optional[int] = None
 
     def __str__(self):
         flags = []
@@ -111,7 +106,7 @@ def css_construct(pair: NestedPair, cap: Optional[int] = None) -> AqcParams:
         dz, dx = max(d1, d2), min(d1, d2)
         return AqcParams(
             q=f.q, n=n, k=0, dz=dz, dx=dx, pure=True,
-            aqmds=(0 == n - dx - dz + 2), d1=d1, d2=d2,
+            aqmds=(0 == n - dx - dz + 2),
         )
 
     wt2, d2 = _side_scan(C2, C1, cap)
@@ -121,7 +116,6 @@ def css_construct(pair: NestedPair, cap: Optional[int] = None) -> AqcParams:
     return AqcParams(
         q=f.q, n=n, k=k, dz=dz, dx=dx, pure=pure,
         aqmds=(k == n - dx - dz + 2),
-        wt_c2_minus_c1perp=wt2, wt_c1_minus_c2perp=wt1, d1=d1, d2=d2,
     )
 
 

@@ -5,14 +5,19 @@ are the coefficients of the element in the polynomial basis, low degree
 first.  Index 0 is the additive identity and index 1 the multiplicative
 identity.  A :class:`FiniteField` carries dense lookup tables (add, mul,
 inv, neg, exp, log) so that matrix and enumeration code can run entirely
-on numpy fancy indexing.
+on numpy fancy indexing.  The tables come from the array of every element's
+digits: addition and negation act digit-wise mod p, and multiplication by
+x is GF(p)-linear on digits, so a*b = sum_i a_i (x^i b) is one contraction.
 
 Polynomials over GF(q) are tuples of element indices, low degree first.
+Every polynomial division (`poly_divmod` and the irreducibility test's
+Euclid steps) runs on one loop, `_poly_divmod`, over nested-list tables.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -63,106 +68,43 @@ class FiniteField:
         # a prime field takes X directly: make_field(p) would be this very field
         self.modulus = find_irreducible(make_field(p), m) if m > 1 else (0, 1)
 
-        self.add_table = self._build_add_table()
-        self.neg_table = np.array(
-            [self._digit_neg(a) for a in range(q)], dtype=np.uint8
-        )
-        self.mul_table = self._build_mul_table()
-        self.inv_table = self._build_inv_table()
-        self.generator = self._find_generator()
-        self.exp_table, self.log_table = self._build_exp_log()
+        place = p ** np.arange(m)
+        digits = np.arange(q)[:, None] // place % p  # digits[a]: a's base-p digits
 
-        self.add_table.setflags(write=False)
-        self.neg_table.setflags(write=False)
-        self.mul_table.setflags(write=False)
-        self.inv_table.setflags(write=False)
-        self.exp_table.setflags(write=False)
-        self.log_table.setflags(write=False)
+        def to_index(d: np.ndarray) -> np.ndarray:
+            return ((d % p) @ place).astype(np.uint8)
 
-    # -- construction helpers -------------------------------------------------
+        # xb[i][b] holds the digits of x^i * b mod the modulus: shift up one
+        # place, then replace the x^m term by -(the modulus below its leading 1)
+        xb = [digits]
+        for _ in range(1, m):
+            prev = xb[-1]
+            xb.append((np.pad(prev[:, :-1], ((0, 0), (1, 0)))
+                       - prev[:, -1:] * self.modulus[:m]) % p)
+        self.add_table = to_index(digits[:, None] + digits[None])
+        self.neg_table = to_index(-digits)
+        self.mul_table = to_index(np.einsum("ai,ibj->abj", digits, np.stack(xb)))
+        self.inv_table = np.argmax(self.mul_table == 1, axis=1).astype(np.uint8)
+        # nested-list copies for the scalar loops of the polynomial code
+        self._tables = tuple(t.tolist() for t in (self.add_table, self.mul_table,
+                                                  self.neg_table, self.inv_table))
 
-    def _digits_to_index(self, digits: Sequence[int]) -> int:
-        a = 0
-        for d in reversed(digits):
-            a = a * self.p + (d % self.p)
-        return a
+        # the generator is the smallest element of order q - 1
+        mul = self._tables[1]
+        for g in range(1, q):
+            powers = [1]
+            while mul[powers[-1]][g] != 1:
+                powers.append(mul[powers[-1]][g])
+            if len(powers) == q - 1:
+                break
+        self.generator = g
+        self.exp_table = np.array(powers, dtype=np.uint8)
+        self.log_table = np.zeros(q, dtype=np.int64)
+        self.log_table[self.exp_table] = np.arange(q - 1)
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        """Multiply two elements via polynomial-basis arithmetic."""
-        p, m = self.p, self.m
-        da = _base_digits(a, p, m)
-        db = _base_digits(b, p, m)
-        prod = [0] * (2 * m - 1) if m > 1 else [0]
-        for i, ca in enumerate(da):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(db):
-                prod[i + j] = (prod[i + j] + ca * cb) % p
-        # reduce modulo the monic modulus
-        mod = self.modulus
-        for deg in range(len(prod) - 1, m - 1, -1):
-            c = prod[deg]
-            if c:
-                prod[deg] = 0
-                for i in range(m):
-                    prod[deg - m + i] = (prod[deg - m + i] - c * mod[i]) % p
-        return self._digits_to_index(prod[:m])
-
-    def _digit_neg(self, a: int) -> int:
-        return self._digits_to_index([(-d) % self.p for d in _base_digits(a, self.p, self.m)])
-
-    def _build_add_table(self) -> np.ndarray:
-        q = self.q
-        table = np.zeros((q, q), dtype=np.uint8)
-        for a in range(q):
-            da = _base_digits(a, self.p, self.m)
-            for b in range(q):
-                db = _base_digits(b, self.p, self.m)
-                table[a, b] = self._digits_to_index(
-                    [(x + y) % self.p for x, y in zip(da, db)]
-                )
-        return table
-
-    def _build_mul_table(self) -> np.ndarray:
-        q = self.q
-        table = np.zeros((q, q), dtype=np.uint8)
-        for a in range(1, q):
-            for b in range(a, q):
-                v = self._raw_mul(a, b)
-                table[a, b] = v
-                table[b, a] = v
-        return table
-
-    def _build_inv_table(self) -> np.ndarray:
-        q = self.q
-        table = np.zeros(q, dtype=np.uint8)
-        for a in range(1, q):
-            row = self.mul_table[a]
-            table[a] = int(np.nonzero(row == 1)[0][0])
-        return table
-
-    def _find_generator(self) -> int:
-        order = self.q - 1
-        for g in range(1, self.q):
-            e = 1
-            x = g
-            while x != 1:
-                x = int(self.mul_table[x, g])
-                e += 1
-            if e == order:
-                return g
-        raise AssertionError("multiplicative group has no generator")  # unreachable
-
-    def _build_exp_log(self) -> Tuple[np.ndarray, np.ndarray]:
-        order = self.q - 1
-        exp = np.zeros(order, dtype=np.uint8)
-        log = np.zeros(self.q, dtype=np.int64)
-        x = 1
-        for i in range(order):
-            exp[i] = x
-            log[x] = i
-            x = int(self.mul_table[x, self.generator])
-        return exp, log
+        for t in (self.add_table, self.neg_table, self.mul_table, self.inv_table,
+                  self.exp_table, self.log_table):
+            t.setflags(write=False)
 
     # -- element operations ---------------------------------------------------
 
@@ -213,39 +155,26 @@ class FiniteField:
         return tuple(f)
 
     def poly_mul(self, f: Sequence[int], g: Sequence[int]) -> Poly:
+        add, mul = self._tables[:2]
         out = [0] * (len(f) + len(g) - 1)
         for i, a in enumerate(f):
-            if a == 0:
-                continue
             for j, b in enumerate(g):
-                out[i + j] = self.add(out[i + j], self.mul(a, b))
+                out[i + j] = add[out[i + j]][mul[a][b]]
         return self.poly_trim(out)
 
     def poly_divmod(self, f: Sequence[int], g: Sequence[int]) -> Tuple[Poly, Poly]:
-        g = self.poly_trim(g)
-        if g == (0,):
+        g = _trim(list(g))
+        if not g:
             raise DivisionByZero("polynomial division by zero")
-        rem = list(self.poly_trim(f))
-        dg = len(g) - 1
-        lead_inv = self.inv(g[-1])
-        quot = [0] * max(len(rem) - dg, 1)
-        while len(rem) - 1 >= dg and self.poly_trim(rem) != (0,):
-            shift = len(rem) - 1 - dg
-            c = self.mul(rem[-1], lead_inv)
-            if c == 0:
-                rem.pop()
-                continue
-            quot[shift] = c
-            for i in range(dg + 1):
-                rem[shift + i] = self.sub(rem[shift + i], self.mul(c, g[i]))
-            while len(rem) > 1 and rem[-1] == 0:
-                rem.pop()
-        return self.poly_trim(quot), self.poly_trim(rem)
+        quot, rem = _poly_divmod(f, g, self._tables)
+        # the zero polynomial is (0,), except that an empty f leaves rem empty
+        return tuple(quot) or (0,), tuple(rem) or (0,)[:len(f)]
 
     def poly_eval(self, f: Sequence[int], x: int) -> int:
+        add, mul = self._tables[:2]
         acc = 0
         for c in reversed(f):
-            acc = self.add(self.mul(acc, x), c)
+            acc = add[mul[acc][x]][c]
         return acc
 
     def __repr__(self):
@@ -293,20 +222,11 @@ class FieldElement:
         return FieldElement(self.field, self.field.inv(self.index))
 
 
-def _base_digits(t: int, base: int, count: int) -> Tuple[int, ...]:
-    """The `count` lowest base-`base` digits of t, least significant first."""
-    digits = []
-    for _ in range(count):
-        t, d = divmod(t, base)
-        digits.append(d)
-    return tuple(digits)
-
-
 def _monic_polys(q: int, degree: int):
     """Every monic polynomial of the given degree over GF(q), in increasing
     order of its lower coefficients read as a base-q integer, low degree first."""
-    for t in range(q ** degree):
-        yield _base_digits(t, q, degree) + (1,)
+    for low in product(range(q), repeat=degree):
+        yield low[::-1] + (1,)
 
 
 @lru_cache(maxsize=None)
@@ -330,10 +250,8 @@ def find_irreducible(field: FiniteField, degree: int) -> Poly:
         raise ValueError("degree must be >= 1")
     key = (field.q, degree)
     if key not in _IRREDUCIBLE:
-        tables = tuple(t.tolist() for t in (field.add_table, field.mul_table,
-                                             field.neg_table, field.inv_table))
         _IRREDUCIBLE[key] = next(poly for poly in _monic_polys(field.q, degree)
-                                 if _poly_is_irreducible(tables, poly))
+                                 if _poly_is_irreducible(field._tables, poly))
     return _IRREDUCIBLE[key]
 
 
@@ -383,7 +301,7 @@ def _poly_is_irreducible(tables, poly: Poly) -> bool:
         b[1] = add[b[1]][neg[1]]
         b = _trim(b)
         while b:
-            a, b = b, _poly_rem(a, b, tables)
+            a, b = b, _poly_divmod(a, b, tables)[1]
         if len(a) > 1:
             return False
     return True
@@ -395,21 +313,23 @@ def _trim(f: list) -> list:
     return f
 
 
-def _poly_rem(a: list, b: list, tables) -> list:
-    """a mod b on coefficient lists (low degree first, b nonzero and trimmed)."""
+def _poly_divmod(a: list, b: list, tables) -> Tuple[list, list]:
+    """(a div b, a mod b) on coefficient lists, low degree first, with b
+    nonzero and trimmed; both results are trimmed, zero being []."""
     add, mul, neg, inv = tables
     a = list(a)
     db = len(b) - 1
     lead_inv = inv[b[-1]]
+    quot = [0] * max(len(a) - db, 0)
     while len(a) > db:
-        c = mul[a[-1]][lead_inv]
+        s = len(a) - 1 - db
+        c = quot[s] = mul[a[-1]][lead_inv]
         if c:
             scale = mul[neg[c]]
-            s = len(a) - 1 - db
             for i in range(db):
                 a[s + i] = add[a[s + i]][scale[b[i]]]
         a.pop()  # its coefficient is now zero
-    return _trim(a)
+    return _trim(quot), _trim(a)
 
 
 def element_sums(field: FiniteField) -> Tuple[int, int, int]:

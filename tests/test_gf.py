@@ -215,6 +215,34 @@ def test_modulus_pinned(q):
     assert irreducible_reference.make_field(q).modulus == MODULI[q]
 
 
+@pytest.mark.parametrize("q", sorted(MODULI))
+def test_tables_match_reference(q):
+    f, ref = make_field(q), irreducible_reference.make_field(q)
+    assert f.add_table.tolist() == ref.add
+    assert f.mul_table.tolist() == ref.mul
+    assert f.neg_table.tolist() == ref.neg
+    for name in ("add_table", "mul_table", "neg_table", "inv_table", "exp_table"):
+        assert getattr(f, name).dtype == np.uint8, name
+    assert f.log_table.dtype == np.int64
+    assert f.inv_table[0] == 0
+    assert all(ref.mul[a][f.inv_table[a]] == 1 for a in range(1, q))
+
+    def order(g):
+        e, x = 1, g
+        while x != 1:
+            x, e = ref.mul[x][g], e + 1
+        return e
+
+    # the generator is the smallest element of order q - 1 ...
+    assert order(f.generator) == q - 1
+    assert all(order(g) < q - 1 for g in range(1, f.generator))
+    # ... and exp_table lists its powers, which log_table inverts
+    x = 1
+    for i in range(q - 1):
+        assert f.exp_table[i] == x and f.log_table[x] == i
+        x = ref.mul[x][f.generator]
+
+
 class TestElementSums:
     def test_gf4(self):
         assert element_sums(make_field(4)) == (0, 0, 0)
@@ -232,12 +260,13 @@ class TestElementSums:
 
 
 class TestPolynomials:
-    def test_divmod_roundtrip(self):
-        f = make_field(7)
-        rng = random.Random(7)
+    @pytest.mark.parametrize("q", [2, 4, 7, 9, 16, 27])
+    def test_divmod_roundtrip(self, q):
+        f = make_field(q)
+        rng = random.Random(q)
         for _ in range(50):
-            a = tuple(rng.randrange(7) for _ in range(5))
-            b = tuple(rng.randrange(7) for _ in range(3))
+            a = tuple(rng.randrange(q) for _ in range(5))
+            b = tuple(rng.randrange(q) for _ in range(3))
             if f.poly_trim(b) == (0,):
                 continue
             quot, rem = f.poly_divmod(a, b)
@@ -246,6 +275,12 @@ class TestPolynomials:
             for i, r in enumerate(rem):
                 recon[i] = f.add(recon[i], r)
             assert f.poly_trim(recon) == f.poly_trim(a)
+
+    def test_divmod_by_zero(self):
+        f = make_field(9)
+        for g in [(0,), (0, 0), ()]:
+            with pytest.raises(DivisionByZero):
+                f.poly_divmod((1, 2, 3), g)
 
     def test_poly_eval_horner(self):
         f = make_field(5)
