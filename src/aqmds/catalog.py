@@ -5,7 +5,9 @@ families; the enumerator expands all of them over the conjecture-bounded
 length range (n <= q+1 for odd q, n <= q+2 for even q), deduplicates
 tuples, and emits one certificate per tuple.  A certificate carries a
 replayable construction recipe plus the log of verification oracles that
-were run on the rebuilt pair.
+were run on the rebuilt pair.  One function decides whether a
+certificate is true: make_certificate sets `verified` from its checks,
+and verify raises the first one that fails.
 
 Family tags:
     PROP5  d_x = 1: an MDS code against the full space
@@ -21,8 +23,8 @@ Family tags:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -146,6 +148,20 @@ def _case_triples(q: int, n: int):
 def _tuple_of(n: int, k: int, j: int) -> Tuple[int, int, int, int]:
     a, b = n - k - j + 1, k + 1
     return (n, j, max(a, b), min(a, b))
+
+
+def _tuples(q: int, n: int, j: Optional[int] = None
+            ) -> Dict[Tuple[int, int, int, int], Tuple[Set[str], Tuple]]:
+    """Every tuple (n, j, dz, dx) of length n over GF(q), only those of the
+    given j if one is given, with the tags of the cases that reach it and
+    the first of them, (tag, n, k, j), whose recipe the tuple's certificate
+    carries."""
+    rows = {}
+    for tag, k, jj in _case_triples(q, n):
+        if j is None or jj == j:
+            tags, _ = rows.setdefault(_tuple_of(n, k, jj), (set(), (tag, n, k, jj)))
+            tags.add(tag)
+    return rows
 
 
 # -- recipes ------------------------------------------------------------------
@@ -278,13 +294,9 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str, cap: int):
     enumeration cap are marked skipped, never silently passed.
     """
     log: List[str] = []
-    failures = 0
 
     def record(name: str, passed: bool):
-        nonlocal failures
         log.append(f"{name}:{'pass' if passed else 'FAIL'}")
-        if not passed:
-            failures += 1
 
     c1_dual = pair.c1.dual()
     record("nesting", is_subcode(c1_dual, pair.c2))
@@ -322,7 +334,34 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str, cap: int):
                 record("distances_exact",
                        (max(wt2, wt1), min(wt2, wt1)) == (claimed.dz, claimed.dx))
                 record("purity", {max(wt2, wt1), min(wt2, wt1)} == {d1, d2})
-    return failures == 0, log
+    return not any(e.endswith(":FAIL") for e in log), log
+
+
+def _failed_checks(claimed: AqcParams, recipe: Dict, level: str,
+                   cap: Optional[int]) -> Tuple[List[str], List[str]]:
+    """Check a claimed header against the pair rebuilt from `recipe`.
+
+    In order: the header (q, n, pure, aqmds) against the pair, the oracles
+    of run_oracles, and, once those pass, the ordered (dz, dx) against the
+    distances n-k1+1 and n-k2+1 of the two proven MDS codes, which are the
+    quantum distances for every j, even where the distance oracles skipped.
+    Returns the names of the failed checks in that order, and the oracle
+    log, which is empty when the header already fails.
+    """
+    pair = build_pair_from_recipe(recipe)
+    c1, c2 = pair.c1, pair.c2
+    header = {"q": claimed.q == c1.field.q, "n": claimed.n == c1.n,
+              "pure": claimed.pure is True, "aqmds": claimed.aqmds is True}
+    failed = [f"header_{name}" for name, ok in header.items() if not ok]
+    if failed:
+        return failed, []
+    verified, log = run_oracles(claimed, pair, level, enum_cap(cap))
+    if not verified:
+        return [e.split(":")[0] for e in log if e.endswith(":FAIL")], log
+    d1, d2 = c1.n - c1.k + 1, c2.n - c2.k + 1
+    if (claimed.dz, claimed.dx) != (max(d1, d2), min(d1, d2)):
+        return ["mds_distances"], log
+    return [], log
 
 
 def make_certificate(
@@ -331,21 +370,33 @@ def make_certificate(
     j: int,
     dz: int,
     dx: int,
-    tags: List[str],
+    tags: Iterable[str],
     recipe: Dict,
     verify_level: str = "closed_form",
     cap: Optional[int] = None,
 ) -> Certificate:
-    pair = build_pair_from_recipe(recipe)
+    """Certificate of the claim [[n, j, dz/dx]]_q, pure and AQMDS, for the
+    pair `recipe` builds; `verified` when every check of verify passes at
+    `verify_level`."""
     claimed = AqcParams(q=q, n=n, k=j, dz=dz, dx=dx, pure=True, aqmds=True)
-    verified, log = run_oracles(claimed, pair, verify_level, enum_cap(cap))
+    failed, log = _failed_checks(claimed, recipe, verify_level, cap)
     return Certificate(
         params=claimed,
         family=sorted(tags, key=FAMILY_TAGS.index),
         recipe=recipe,
-        verified=verified,
+        verified=not failed,
         oracle_log=log,
     )
+
+
+def _certify(q: int, tags: Iterable[str], case: Tuple[str, int, int, int], verify_level: str,
+             cap: Optional[int] = None) -> Certificate:
+    """make_certificate for the tuple that the (tag, n, k, j) case reaches,
+    with that case's recipe."""
+    tag, n, k, j = case
+    _, _, dz, dx = _tuple_of(n, k, j)
+    return make_certificate(q, n, j, dz, dx, tags, _designated_recipe(q, tag, n, k, j),
+                            verify_level, cap)
 
 
 # -- public operations --------------------------------------------------------
@@ -361,24 +412,13 @@ def enumerate_catalog(query: CatalogQuery, cap: Optional[int] = None) -> List[Ce
     q = query.q
     if not is_prime_power(q):
         raise NotPrimePower(f"{q} is not a prime power")
-    rows: Dict[Tuple[int, int, int, int], Dict] = {}
+    rows = {}
     ns = [query.n] if query.n is not None else list(range(2, length_bound(q) + 1))
     for n in ns:
-        if not 2 <= n <= length_bound(q):
-            continue
-        for tag, k, j in _case_triples(q, n):
-            key = _tuple_of(n, k, j)
-            if key not in rows:
-                rows[key] = {
-                    "tags": {tag},
-                    "recipe": _designated_recipe(q, tag, n, k, j),
-                }
-            else:
-                rows[key]["tags"].add(tag)
+        if 2 <= n <= length_bound(q):
+            rows.update(_tuples(q, n, query.j))
     out = []
     for (n, j, dz, dx) in sorted(rows):
-        if query.j is not None and j != query.j:
-            continue
         if query.dz is not None and query.dx is not None:
             if {dz, dx} != {query.dz, query.dx}:
                 continue
@@ -388,11 +428,8 @@ def enumerate_catalog(query: CatalogQuery, cap: Optional[int] = None) -> List[Ce
             continue
         if query.dx_min is not None and dx < query.dx_min:
             continue
-        entry = rows[(n, j, dz, dx)]
-        out.append(
-            make_certificate(q, n, j, dz, dx, sorted(entry["tags"]),
-                             entry["recipe"], query.verify_level, cap)
-        )
+        tags, case = rows[(n, j, dz, dx)]
+        out.append(_certify(q, tags, case, query.verify_level, cap))
     return out
 
 
@@ -425,60 +462,36 @@ def exists(
             False, None,
             f"not quantum-Singleton-tight: j={j} != n-dz-dx+2={n - dz - dx + 2}",
         )
-    matches = [
-        (tag, k, jj)
-        for tag, k, jj in _case_triples(q, n)
-        if jj == j and _tuple_of(n, k, jj) == (n, j, dz, dx)
-    ]
-    if not matches:
+    row = _tuples(q, n, j).get((n, j, dz, dx))
+    if row is None:
         if n == q + 1 and j == 1 and dx >= 2:
             reason = "j=1 at length q+1 requires even q and {dz,dx}={3,q-1}"
         else:
             reason = "parameters fall outside the classification"
         return ExistsResult(False, None, reason)
-    tags = sorted({tag for tag, _, _ in matches})
-    tag, k, jj = matches[0]
-    recipe = _designated_recipe(q, tag, n, k, jj)
+    tags, case = row
     try:
-        cert = make_certificate(q, n, j, dz, dx, tags, recipe, verify_level, cap)
+        cert = _certify(q, tags, case, verify_level, cap)
     except CapExceeded as exc:
         return ExistsResult(True, None, f"exists; certificate construction skipped: {exc}")
     return ExistsResult(True, cert, "admitted by the classification")
 
 
 def verify(cert: Certificate, cap: Optional[int] = None) -> Certificate:
-    """Rebuild the pair from the recipe and rerun all oracles.
+    """Rebuild the pair from the recipe and rerun every check at full_oracle.
 
-    The header must agree with the rebuilt pair (field size and length) and
-    claim a pure AQMDS code, as every certificate made here does.  Once the
-    oracles pass, the claimed ordered (dz, dx) must equal the ordered
-    distances of the two MDS codes ("mds_distances").  Returns a refreshed
-    certificate; raises VerificationFailed naming the first failing header
-    field, oracle or that check.  Idempotent on valid certificates.
+    The checks are those of make_certificate: the header must agree with
+    the rebuilt pair (field size and length) and claim a pure AQMDS code,
+    as every certificate made here does; the oracles must pass; and the
+    claimed ordered (dz, dx) must equal the ordered distances of the two
+    MDS codes ("mds_distances").  Returns a refreshed certificate; raises
+    VerificationFailed naming the first failing header field, oracle or
+    that check.  Idempotent on valid certificates.
     """
-    pair = build_pair_from_recipe(cert.recipe)
-    p = cert.params
-    header = {"q": p.q == pair.c1.field.q, "n": p.n == pair.c1.n,
-              "pure": p.pure is True, "aqmds": p.aqmds is True}
-    mismatched = [name for name, ok in header.items() if not ok]
-    if mismatched:
-        raise VerificationFailed(f"header_{mismatched[0]}")
-    verified, log = run_oracles(cert.params, pair, "full_oracle", enum_cap(cap))
-    if not verified:
-        first_fail = next(e.split(":")[0] for e in log if e.endswith("FAIL"))
-        raise VerificationFailed(first_fail)
-    # nested MDS codes: d(C1) = n-k1+1, d(C2) = n-k2+1, and these are the
-    # quantum distances for every j, even where the distance oracles skipped
-    d1, d2 = p.n - pair.c1.k + 1, p.n - pair.c2.k + 1
-    if (p.dz, p.dx) != (max(d1, d2), min(d1, d2)):
-        raise VerificationFailed("mds_distances")
-    return Certificate(
-        params=cert.params,
-        family=list(cert.family),
-        recipe=cert.recipe,
-        verified=True,
-        oracle_log=log,
-    )
+    failed, log = _failed_checks(cert.params, cert.recipe, "full_oracle", cap)
+    if failed:
+        raise VerificationFailed(failed[0])
+    return replace(cert, family=list(cert.family), verified=True, oracle_log=log)
 
 
 # -- serialization ------------------------------------------------------------

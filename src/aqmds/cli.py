@@ -31,14 +31,12 @@ from .catalog import (
     Certificate,
     FAMILY_TAGS,
     VERIFY_LEVELS,
-    _designated_recipe,
-    _tuple_of,
+    _certify,
     certificate_from_dict,
     certificate_to_dict,
     certificates_to_json,
     enumerate_catalog,
     exists,
-    make_certificate,
     verify as verify_certificate,
 )
 from .code import enum_cap
@@ -151,10 +149,8 @@ def _css_construction(args) -> Tuple[str, int, int, int]:
 
 
 def cmd_css(args) -> int:
-    tag, n, k, j = _css_construction(args)
-    _, _, dz, dx = _tuple_of(n, k, j)
-    cert = make_certificate(args.q, n, j, dz, dx, [tag],
-                            _designated_recipe(args.q, tag, n, k, j), args.verify_level)
+    case = _css_construction(args)
+    cert = _certify(args.q, {case[0]}, case, args.verify_level)
     if not cert.verified:
         print(f"verification failed: {cert.oracle_log}", file=sys.stderr)
         return EXIT_VERIFY

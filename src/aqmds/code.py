@@ -53,7 +53,7 @@ class WeightReport:
     """Exact weight data for a code: minimum weight and A_0..A_n."""
 
     min_weight: int
-    distribution: Optional[np.ndarray]
+    distribution: np.ndarray
 
 
 class LinearCode:
@@ -105,10 +105,7 @@ class LinearCode:
 
     def min_distance(self, cap: Optional[int] = None) -> int:
         """Exact minimum weight by enumerating all q^k codewords."""
-        if self.k == 0:
-            raise ZeroCode("the zero code has no minimum distance")
-        scan = _enumerate_scan(self.field, self.G.data, cap=enum_cap(cap))
-        return scan["min_weight"]
+        return self.weight_distribution(cap).min_weight
 
     def is_mds(self) -> bool:
         """Every k columns of G independent; equivalent to d = n-k+1."""
@@ -119,13 +116,8 @@ class LinearCode:
     def weight_distribution(self, cap: Optional[int] = None) -> WeightReport:
         if self.k == 0:
             raise ZeroCode("the zero code has no weight distribution")
-        scan = _enumerate_scan(
-            self.field, self.G.data, cap=enum_cap(cap), distribution=True
-        )
-        return WeightReport(
-            min_weight=scan["min_weight"],
-            distribution=scan["distribution"],
-        )
+        dist, _, _ = _enumerate_scan(self.field, self.G.data, cap=enum_cap(cap))
+        return WeightReport(min_weight=_lowest_weight(dist), distribution=dist)
 
     def full_weight_codeword(self, cap: Optional[int] = None) -> Optional[np.ndarray]:
         """First codeword of Hamming weight n in message order, if any."""
@@ -197,21 +189,27 @@ def complement_rows(field: FiniteField, base: np.ndarray, full: np.ndarray) -> n
 
 
 def _scan_outside(C: LinearCode, checks: np.ndarray, cap: int):
-    """_enumerate_scan of C that also tracks the words outside the subcode
+    """_enumerate_scan of C, with "outside" meaning outside the subcode
     {u in C : u orthogonal to every row of `checks`}.
 
     Only the rows of `checks` that extend dual(C) become syndrome columns:
     orthogonality to dual(C) is automatic for codewords of C.
     """
     syn = complement_rows(C.field, C.H.data, checks)
-    return _enumerate_scan(C.field, C.G.data, syn_rows=syn, cap=cap)
+    return _enumerate_scan(C.field, C.G.data, syn, cap)
+
+
+def _lowest_weight(dist: np.ndarray) -> Optional[int]:
+    """Smallest positive weight counted in a weight distribution, or None."""
+    nonzero = np.flatnonzero(dist[1:])
+    return int(nonzero[0]) + 1 if nonzero.size else None
 
 
 def weight_of_difference(C: LinearCode, D: LinearCode, cap: Optional[int] = None) -> int:
     """min { wt(u) : u in C, u not in D } for a strict subcode D of C."""
     if not is_subcode(D, C) or D.k >= C.k:
         raise NotStrictSubcode("D must be a strict subcode of C")
-    return _scan_outside(C, D.H.data, enum_cap(cap))["min_weight_outside"]
+    return _lowest_weight(_scan_outside(C, D.H.data, enum_cap(cap))[1])
 
 
 def extend_by_codeword(C: LinearCode, Cprime: LinearCode, cap: Optional[int] = None) -> LinearCode:
@@ -232,7 +230,7 @@ def extend_by_codeword(C: LinearCode, Cprime: LinearCode, cap: Optional[int] = N
         raise PreconditionFailed(
             f"C' is not MDS [{Cprime.n},{Cprime.k},{Cprime.n - Cprime.k}]"
         )
-    w = _scan_outside(Cprime, C.H.data, enum_cap(cap))["first_outside_word"]
+    _, _, w = _scan_outside(Cprime, C.H.data, enum_cap(cap))
     f = C.field
     top = np.hstack([np.zeros((C.k, 1), dtype=np.uint8), C.G.data])
     bottom = np.hstack([np.array([[1]], dtype=np.uint8), w[None, :]])
@@ -270,19 +268,14 @@ def _iter_word_chunks(field: FiniteField, rows: np.ndarray, digits: np.ndarray):
         yield field.add_table[offset[None, :], E] if np.any(offset) else E
 
 
-def _enumerate_scan(
-    field: FiniteField,
-    gen: np.ndarray,
-    syn_rows: Optional[np.ndarray] = None,
-    cap: int = DEFAULT_ENUM_CAP,
-    distribution: bool = False,
-):
+def _enumerate_scan(field: FiniteField, gen: np.ndarray, syn_rows: Optional[np.ndarray] = None,
+                    cap: int = DEFAULT_ENUM_CAP):
     """Single pass over all codewords of the row space of `gen`.
 
-    Computes the exact minimum nonzero weight, and optionally: the minimum
-    weight among words outside the subcode cut out by `syn_rows` (rows
-    orthogonal to the subcode but not the code), the full weight
-    distribution, and the first word with nonzero syndrome.
+    Returns (dist, dist_outside, first_outside): the weight distribution
+    A_0..A_n of all codewords, that of the codewords outside the subcode cut
+    out by `syn_rows` (rows orthogonal to the subcode but not the code), and
+    the first such codeword in message order, or None.
     """
     k, n = gen.shape
     total = field.q ** k
@@ -292,46 +285,23 @@ def _enumerate_scan(
             "raise AQMDS_MAX_ENUM or use the MDS k-subset oracle"
         )
     work = gen
-    s = 0
     if syn_rows is not None and syn_rows.shape[0] > 0:
-        s = syn_rows.shape[0]
         # T[i, t] = <gen_i, syn_t>: the syndrome is linear in the message,
         # so append syndrome columns and enumerate the augmented rows.
         T = mat_mul(GfMatrix(field, gen), GfMatrix(field, syn_rows.T))
         work = np.hstack([gen, T.data])
 
-    min_w = n + 1
-    min_w_out = n + 1
-    dist = np.zeros(n + 1, dtype=np.int64) if distribution else None
-    first_out_word = None
+    # counts[w] for words inside the subcode, counts[n + 1 + w] outside it
+    counts = np.zeros(2 * (n + 1), dtype=np.int64)
+    first_outside = None
     for chunk in _iter_word_chunks(field, work, np.arange(field.q, dtype=np.uint8)):
-        words = chunk[:, :n]
-        wts = np.count_nonzero(words, axis=1)
-        nz = wts > 0
-        if np.any(nz):
-            w = int(wts[nz].min())
-            if w < min_w:
-                min_w = w
-        if distribution:
-            dist += np.bincount(wts, minlength=n + 1)
-        if s:
-            outside = chunk[:, n:].any(axis=1)
-            if np.any(outside):
-                w = int(wts[outside].min())
-                if w < min_w_out:
-                    min_w_out = w
-                if first_out_word is None:
-                    first_out_word = words[np.nonzero(outside)[0][0]].copy()
-    result = {
-        "min_weight": min_w if min_w <= n else None,
-        "distribution": dist,
-    }
-    if s:
-        if min_w_out > n:
-            raise NotStrictSubcode("no codeword outside the subcode")
-        result["min_weight_outside"] = min_w_out
-        result["first_outside_word"] = first_out_word
-    return result
+        wts = np.count_nonzero(chunk[:, :n], axis=1)
+        outside = chunk[:, n:].any(axis=1)
+        np.add(wts, n + 1, out=wts, where=outside)  # in place: no chunk-sized temporary
+        counts += np.bincount(wts, minlength=2 * (n + 1))
+        if first_outside is None and outside.any():
+            first_outside = chunk[np.argmax(outside), :n].copy()
+    return counts[: n + 1] + counts[n + 1:], counts[n + 1:], first_outside
 
 
 def _find_full_weight(field: FiniteField, gen: np.ndarray, cap: int) -> Optional[np.ndarray]:

@@ -153,45 +153,35 @@ def _char_two_points(f: FiniteField, v: Optional[Sequence[int]]) -> Tuple[Tuple[
     return alpha, v
 
 
-def _q_plus_2_check_matrix(f: FiniteField, v: Sequence[int]) -> GfMatrix:
-    """The 3 x (q+2) matrix with rows v_j alpha_j^i and tail identity block."""
+def _q_plus_2_matrix(f: FiniteField, points: Sequence[int], v: Sequence[int]) -> GfMatrix:
+    """The 3 x (q+2) matrix with columns v_j (1, a_j, a_j^2) at the q-1 given
+    points, then v_{q-1} e_0, v_q e_1 and v_{q+1} e_2."""
     q = f.q
-    alpha, _ = _char_two_points(f, v)
-    H = np.zeros((3, q + 2), dtype=np.uint8)
-    for j in range(q - 1):
-        a = alpha[j]
-        H[0, j] = v[j]
-        H[1, j] = f.mul(v[j], a)
-        H[2, j] = f.mul(v[j], f.mul(a, a))
-    H[0, q - 1] = v[q - 1]  # the zero point contributes to row 0 only
-    H[1, q] = v[q]
-    H[2, q + 1] = v[q + 1]
-    return GfMatrix(f, H)
+    M = np.zeros((3, q + 2), dtype=np.uint8)
+    M[:, : q - 1] = _vandermonde_rows(f, points, v[: q - 1], 3)
+    M[[0, 1, 2], [q - 1, q, q + 1]] = v[q - 1:]
+    return GfMatrix(f, M)
+
+
+def _q_plus_2_check_matrix(f: FiniteField, v: Sequence[int]) -> GfMatrix:
+    """The parity-check matrix of the high code, at the nonzero points
+    1, ..., q-1 of the default order (the zero point contributes e_0)."""
+    alpha, v = _char_two_points(f, v)
+    return _q_plus_2_matrix(f, alpha[: f.q - 1], v)
 
 
 def q_plus_2_high(f: FiniteField, v: Optional[Sequence[int]] = None) -> LinearCode:
     """The [2^m+2, 2^m-1, 4] code defined by the 3-row parity check matrix."""
-    alpha, vv = _char_two_points(f, v)
-    H = _q_plus_2_check_matrix(f, vv)
-    return LinearCode(H).dual()
+    return LinearCode(_q_plus_2_check_matrix(f, v)).dual()
 
 
 def q_plus_2_low(f: FiniteField, v: Optional[Sequence[int]] = None) -> LinearCode:
-    """The [2^m+2, 3, 2^m] code generated by the inverse-entry matrix.
+    """The [2^m+2, 3, 2^m] code generated by the check-matrix layout with
+    every nonzero point and every multiplier inverted.
 
     With the same multipliers v, this code is nested inside the high code:
     G H^T = 0 against the parity-check matrix.
     """
-    alpha, vv = _char_two_points(f, v)
-    q = f.q
-    G = np.zeros((3, q + 2), dtype=np.uint8)
-    for j in range(q - 1):
-        a_inv = f.inv(alpha[j])
-        vj_inv = f.inv(vv[j])
-        G[0, j] = vj_inv
-        G[1, j] = f.mul(vj_inv, a_inv)
-        G[2, j] = f.mul(vj_inv, f.mul(a_inv, a_inv))
-    G[0, q - 1] = f.inv(vv[q - 1])
-    G[1, q] = f.inv(vv[q])
-    G[2, q + 1] = f.inv(vv[q + 1])
-    return from_generator(GfMatrix(f, G))
+    alpha, v = _char_two_points(f, v)
+    return from_generator(_q_plus_2_matrix(
+        f, [f.inv(a) for a in alpha[: f.q - 1]], [f.inv(x) for x in v]))

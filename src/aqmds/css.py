@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .code import LinearCode, _scan_outside, enum_cap, first_row_outside
+from .code import LinearCode, _lowest_weight, _scan_outside, enum_cap, first_row_outside
 from .errors import (
     CapExceeded,
     DegenerateInput,
@@ -119,11 +119,12 @@ def css_construct(pair: NestedPair, cap: Optional[int] = None) -> AqcParams:
     )
 
 
-def _side_scan(code: LinearCode, other: LinearCode, cap: int) -> Tuple[int, int]:
+def _side_scan(code: LinearCode, other: LinearCode, cap: int) -> Tuple[Optional[int], int]:
     """(min weight of code \\ dual(other), min distance of code) for one side
-    of a nested pair, from a single enumeration pass over `code`."""
-    scan = _scan_outside(code, other.G.data, cap)
-    return scan["min_weight_outside"], scan["min_weight"]
+    of a nested pair, from a single enumeration pass over `code`; the first
+    is None when code lies inside dual(other)."""
+    dist, dist_outside, _ = _scan_outside(code, other.G.data, cap)
+    return _lowest_weight(dist_outside), _lowest_weight(dist)
 
 
 def pair_from_full_weight(C: LinearCode, cap: Optional[int] = None) -> NestedPair:

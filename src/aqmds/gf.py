@@ -125,9 +125,6 @@ class FiniteField:
             raise DivisionByZero("0 has no multiplicative inverse")
         return int(self.inv_table[a])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             a = self.inv(a)

@@ -66,9 +66,6 @@ class GfMatrix:
     def __repr__(self):
         return f"GfMatrix({self.field}, {self.data.tolist()})"
 
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i]
-
 
 def transpose(M: GfMatrix) -> GfMatrix:
     return GfMatrix(M.field, M.data.T)

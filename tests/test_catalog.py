@@ -287,6 +287,14 @@ class TestVerify:
         for cert in enumerate_catalog(CatalogQuery(q=q)):
             verify(cert, cap=10)
 
+    def test_tampered_j_on_j0_pair_fails_dimensions(self):
+        # claimed j = 1 on a j = 0 pair: no codeword lies outside the other
+        # side's dual, so the side scans find no outside weight at all
+        d = certificate_to_dict(exists(7, 5, 0, 4, 3).certificate)
+        with pytest.raises(VerificationFailed) as exc:
+            verify(certificate_from_dict({**d, "j": 1, "dz": 3, "dx": 3}))
+        assert str(exc.value) == "dimensions"
+
     def test_prop6_certificate_gf3(self):
         cert = exists(3, 4, 0, 3, 3).certificate
         refreshed = verify(cert)
@@ -300,3 +308,27 @@ class TestVerify:
         for cert in enumerate_catalog(CatalogQuery(q=q, verify_level="full_oracle")):
             assert cert.verified, certificate_to_dict(cert)
             assert not any(e.endswith("FAIL") for e in cert.oracle_log)
+
+
+class TestOneCheckPath:
+    @pytest.mark.parametrize("q, n, j, dz, dx, first_failed", [
+        (7, 7, 1, 5, 3, "header_n"),
+        (5, 6, 1, 4, 3, "header_q"),
+        (7, 6, 1, 5, 2, "mds_distances"),  # right sum, wrong split
+    ])
+    def test_false_claims_not_verified(self, q, n, j, dz, dx, first_failed):
+        # each claim rides on the recipe of [[6,1,4/3]]_7, whose oracles all
+        # pass at closed_form; make_certificate and verify run the same checks
+        source = exists(7, 6, 1, 4, 3).certificate
+        cert = make_certificate(q, n, j, dz, dx, source.family, source.recipe)
+        assert not cert.verified
+        with pytest.raises(VerificationFailed) as exc:
+            verify(cert, cap=10)
+        assert str(exc.value) == first_failed
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
+    def test_exists_certificate_is_the_catalog_record(self, q):
+        for cert in enumerate_catalog(CatalogQuery(q=q)):
+            p = cert.params
+            r = exists(q, p.n, p.k, p.dz, p.dx)
+            assert certificate_to_dict(r.certificate) == certificate_to_dict(cert)

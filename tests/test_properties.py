@@ -1,14 +1,16 @@
 """Property-based checks over randomly drawn inputs (hypothesis)."""
-from itertools import combinations
+from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from aqmds.code import from_generator, is_subcode
+import aqmds.code
+from aqmds.code import _lowest_weight, _scan_outside, from_generator, is_subcode
 from aqmds.construct import GrsSpec, grs
 from aqmds.errors import ZeroCode
 from aqmds.gf import make_field
-from aqmds.matrix import GfMatrix, _eliminate, first_singular_k_subset, rank, transpose
+from aqmds.matrix import GfMatrix, _eliminate, first_singular_k_subset, mat_mul, rank, transpose
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -159,3 +161,62 @@ def test_first_singular_k_subset_matches_rank_loop(M):
     expected = next((s for s in combinations(range(M.cols), k)
                      if rank(GfMatrix(M.field, M.data[:, s])) < k), None)
     assert first_singular_k_subset(M, k) == expected
+
+
+def _random_full_rank(rng, f, k, n) -> np.ndarray:
+    while True:
+        A = rng.integers(0, f.q, size=(k, n)).astype(np.uint8)
+        if rank(GfMatrix(f, A)) == k:
+            return A
+
+
+@st.composite
+def code_and_subcode_checks(draw):
+    """A code C over GF(q), q <= 5, k <= 4, and the parity checks of a subcode
+    D of C: the zero code, a strict subcode, or C itself."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    f = make_field(q)
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, min(4, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    C = from_generator(GfMatrix(f, _random_full_rank(rng, f, k, n)))
+    r = draw(st.integers(0, k))
+    if r == 0:
+        return C, np.eye(n, dtype=np.uint8)
+    R = GfMatrix(f, _random_full_rank(rng, f, r, k))
+    return C, from_generator(mat_mul(R, C.G)).H.data
+
+
+@settings(max_examples=80, deadline=None)
+@given(code_and_subcode_checks(), st.sampled_from([1, 3, 16, 1 << 20]))
+def test_scan_matches_naive_enumeration(pair, chunk_target):
+    C, checks = pair
+    f, n = C.field, C.n
+
+    def dot(u, h):
+        acc = 0
+        for a, b in zip(u, h):
+            acc = f.add(acc, f.mul(a, int(b)))
+        return acc
+
+    dist, dist_out, first_out = [0] * (n + 1), [0] * (n + 1), None
+    for msg in product(range(f.q), repeat=C.k):  # message order, m_0 most significant
+        word = [0] * n
+        for m, row in zip(msg, C.G.data):
+            word = [f.add(w, f.mul(m, int(x))) for w, x in zip(word, row)]
+        wt = sum(1 for w in word if w)
+        dist[wt] += 1
+        if any(dot(word, h) for h in checks):
+            dist_out[wt] += 1
+            if first_out is None:
+                first_out = word
+
+    # small chunk targets split the scan into many chunks with nonzero offsets
+    with mock.patch.object(aqmds.code, "_CHUNK_TARGET", chunk_target):
+        got_dist, got_out, got_first = _scan_outside(C, checks, cap=10 ** 7)
+    assert got_dist.tolist() == dist
+    assert got_out.tolist() == dist_out
+    assert (None if got_first is None else got_first.tolist()) == first_out
+    naive_min_out = next((w for w in range(1, n + 1) if dist_out[w]), None)
+    assert _lowest_weight(got_out) == naive_min_out
+    assert C.min_distance() == next(w for w in range(1, n + 1) if dist[w])
