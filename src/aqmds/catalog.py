@@ -31,7 +31,7 @@ import numpy as np
 from .code import LinearCode, enum_cap, from_generator, full_space, is_subcode
 from .css import AqcParams, NestedPair, _mds_backed_distance, _side_scan, make_pair, pair_from_full_weight
 from .errors import CapExceeded, NotPrimePower, RecipeInvalid, VerificationFailed
-from .gf import FiniteField, _factor_prime_power, find_irreducible, make_field
+from .gf import FIELD_CAP, FiniteField, _factor_prime_power, find_irreducible, make_field
 from .matrix import GfMatrix
 from .construct import (
     GrsSpec,
@@ -110,8 +110,7 @@ def _case_triples(q: int, n: int):
     picks the recipe of a tuple that several cases reach.
     """
     def cases():
-        is_even = q % 2 == 0
-        two_power = is_even and is_prime_power(q)
+        is_even = q % 2 == 0  # so q = 2^m: both callers reject other q
         if n >= 2:
             for k in dict.fromkeys((1, n - 1)):  # case 1, trivial MDS pairs, all PROP5/6
                 for j in dict.fromkeys((0, n - k)):
@@ -129,10 +128,10 @@ def _case_triples(q: int, n: int):
                 yield "TH8", k, 0
                 for j in range(2, n - k + 1):
                     yield "TH8", k, j
-        if two_power and q >= 4 and n == q + 1:  # case 6
+        if is_even and q >= 4 and n == q + 1:  # case 6
             for k in dict.fromkeys((2, q - 2)):
                 yield "COR10", k, 1
-        if two_power and q >= 4 and n == q + 2:  # case 7
+        if is_even and q >= 4 and n == q + 2:  # case 7
             for j in dict.fromkeys((2, q - 2)):
                 yield "TH12", 1, j
             for j in dict.fromkeys((0, q - 4, q - 1)):
@@ -219,15 +218,21 @@ def _designated_recipe(q: int, tag: str, n: int, k: int, j: int) -> Dict:
     raise AssertionError(tag)  # unreachable
 
 
+def _length(n: int) -> int:
+    """A length a recipe supplies, rejected before anything is allocated when
+    it exceeds q+2 for every accepted q."""
+    if n > FIELD_CAP + 2:
+        raise CapExceeded(f"length {n} exceeds {FIELD_CAP + 2}, the longest code of any field")
+    return n
+
+
 def _build_source(f: FiniteField, src: Dict) -> LinearCode:
     kind = src.get("type")
     if kind == "full":
-        return full_space(f, src["n"])
-    if kind == "repetition":
-        return from_generator(GfMatrix(f, np.ones((1, src["n"]), dtype=np.uint8)))
-    if kind == "repetition_dual":
-        rep = from_generator(GfMatrix(f, np.ones((1, src["n"]), dtype=np.uint8)))
-        return rep.dual()
+        return full_space(f, _length(src["n"]))
+    if kind in ("repetition", "repetition_dual"):
+        rep = from_generator(GfMatrix(f, np.ones((1, _length(src["n"])), dtype=np.uint8)))
+        return rep if kind == "repetition" else rep.dual()
     if kind == "grs":
         return grs(GrsSpec(f, src["n"], src["k"],
                            tuple(src["alpha"]), tuple(src["v"])))
@@ -248,7 +253,7 @@ def build_pair_from_recipe(recipe: Dict) -> NestedPair:
         f = make_field(q)
         if construction == "PROP5":
             code = _build_source(f, recipe["code"])
-            return make_pair(code, full_space(f, recipe["n"]))
+            return make_pair(code, full_space(f, _length(recipe["n"])))
         if construction == "PROP6":
             code = _build_source(f, recipe["code"])
             return make_pair(code.dual(), code)
@@ -300,7 +305,7 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str, cap: int):
 
     c1_dual = pair.c1.dual()
     record("nesting", is_subcode(c1_dual, pair.c2))
-    dual_c1_mds = c1_dual.k > 0 and c1_dual.is_mds()
+    dual_c1_mds = c1_dual.is_mds()
     # for j = 0, dual(C1) = C2: one k-subset run proves both
     c2_mds = dual_c1_mds if c1_dual == pair.c2 else pair.c2.is_mds()
     record("mds_dual_c1", dual_c1_mds)

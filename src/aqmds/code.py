@@ -97,7 +97,9 @@ class LinearCode:
     # -- basic operations -----------------------------------------------------
 
     def dual(self) -> "LinearCode":
-        return LinearCode(self.H, _canonical=True)
+        dual = LinearCode(self.H, _canonical=True)
+        dual._H = self.G  # the dual's parity check is this code's canonical generator
+        return dual
 
     def codeword(self, message: np.ndarray) -> np.ndarray:
         """Encode one message vector (length k) against the canonical G."""

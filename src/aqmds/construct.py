@@ -145,12 +145,8 @@ def _char_two_points(f: FiniteField, v: Optional[Sequence[int]]) -> Tuple[Tuple[
         raise NotCharTwo(f"construction requires characteristic 2, got p={f.p}")
     if f.m < 2:
         raise DegreeTooSmall("construction requires q = 2^m with m >= 2")
-    q = f.q
-    v = tuple(v) if v is not None else ones(q + 2)
-    if len(v) != q + 2 or any(x == 0 or not 0 <= x < q for x in v):
-        raise InvalidSpec("v must be q+2 nonzero elements")
-    alpha = default_alpha(f, q)  # alpha_q = 0, first q-1 points invertible
-    return alpha, v
+    # the default alpha: alpha_q = 0, first q-1 points invertible
+    return _points(f, None, v, f.q, f.q + 2, "cover q distinct points", "q+2 nonzero elements")
 
 
 def _q_plus_2_matrix(f: FiniteField, points: Sequence[int], v: Sequence[int]) -> GfMatrix:

@@ -10,8 +10,9 @@ digits: addition and negation act digit-wise mod p, and multiplication by
 x is GF(p)-linear on digits, so a*b = sum_i a_i (x^i b) is one contraction.
 
 Polynomials over GF(q) are tuples of element indices, low degree first.
-Every polynomial division (`poly_divmod` and the irreducibility test's
-Euclid steps) runs on one loop, `_poly_divmod`, over nested-list tables.
+Polynomial arithmetic has one product loop, `_poly_mul`, and one division
+loop, `_poly_divmod`, over nested-list tables: `poly_mul`, `poly_divmod`
+and the irreducibility test's powers and Euclid steps all run on them.
 """
 from __future__ import annotations
 
@@ -146,18 +147,11 @@ class FiniteField:
     # -- polynomials over GF(q), tuples of indices, low degree first ----------
 
     def poly_trim(self, f: Sequence[int]) -> Poly:
-        f = list(f)
-        while len(f) > 1 and f[-1] == 0:
-            f.pop()
-        return tuple(f)
+        # the zero polynomial is (0,), except that an empty f stays empty
+        return tuple(_trim(list(f))) or (0,)[:len(f)]
 
     def poly_mul(self, f: Sequence[int], g: Sequence[int]) -> Poly:
-        add, mul = self._tables[:2]
-        out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            for j, b in enumerate(g):
-                out[i + j] = add[out[i + j]][mul[a][b]]
-        return self.poly_trim(out)
+        return self.poly_trim(_poly_mul(f, g, self._tables))
 
     def poly_divmod(self, f: Sequence[int], g: Sequence[int]) -> Tuple[Poly, Poly]:
         g = _trim(list(g))
@@ -257,8 +251,10 @@ def _poly_is_irreducible(tables, poly: Poly) -> bool:
     GF(q) is irreducible iff gcd(x^(q^i) - x, f) = 1 for every i <= d/2.
 
     The i = 1 condition says f has no root in GF(q), so it is a root scan;
-    for d <= 3 it is the whole test.  `tables` are the field's add, mul,
-    neg and inv tables as nested lists, for fast scalar lookups.
+    for d <= 3 it is the whole test.  Each step raises x^(q^(i-1)) mod f to
+    the q-th power by square-and-multiply over the bits of q (von zur Gathen
+    & Gerhard, Modern Computer Algebra, ch. 14).  `tables` are the field's
+    add, mul, neg and inv tables as nested lists, for fast scalar lookups.
     """
     add, mul, neg, inv = tables
     q, d = len(inv), len(poly) - 1
@@ -272,35 +268,22 @@ def _poly_is_irreducible(tables, poly: Poly) -> bool:
             return False
     if d <= 3:
         return True
-    # x -> x^q is GF(q)-linear modulo f, so with frob[j] = x^(q*j) mod f,
-    # h^q mod f = sum_j h_j frob[j].
-    neg_low = [neg[c] for c in poly[:d]]
-    frob = []
-    cur = [1] + [0] * (d - 1)
-    for t in range(q * (d - 1) + 1):
-        if t % q == 0:
-            frob.append(cur)
-        lead = cur[-1]
-        cur = [0] + cur[:-1]
-        if lead:
-            row = mul[lead]
-            cur = [add[a][row[b]] for a, b in zip(cur, neg_low)]
-    h = frob[1]  # x^q mod f
-    for _ in range(2, d // 2 + 1):
-        nxt = [0] * d
-        for hj, row in zip(h, frob):
-            if hj:
-                scale = mul[hj]
-                nxt = [add[a][scale[b]] for a, b in zip(nxt, row)]
-        h = nxt
-        # gcd(f, h - x) by Euclid, on coefficient lists without leading zeros
-        a, b = list(poly), list(h)
-        b[1] = add[b[1]][neg[1]]
-        b = _trim(b)
-        while b:
-            a, b = b, _poly_divmod(a, b, tables)[1]
-        if len(a) > 1:
-            return False
+    h = [0, 1]  # x^(q^i) mod f, from i = 0
+    for i in range(1, d // 2 + 1):
+        power = h
+        for bit in bin(q)[3:]:  # the bits below q's leading one, which h stands for
+            power = _poly_divmod(_poly_mul(power, power, tables), poly, tables)[1]
+            if bit == "1":
+                power = _poly_divmod(_poly_mul(power, h, tables), poly, tables)[1]
+        h = power
+        if i > 1:  # i = 1 was the root scan; gcd(f, h - x) by Euclid
+            a, b = list(poly), h + [0, 0]
+            b[1] = add[b[1]][neg[1]]
+            b = _trim(b)
+            while b:
+                a, b = b, _poly_divmod(a, b, tables)[1]
+            if len(a) > 1:
+                return False
     return True
 
 
@@ -308,6 +291,17 @@ def _trim(f: list) -> list:
     while f and f[-1] == 0:
         f.pop()
     return f
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int], tables) -> list:
+    """a * b on coefficient lists, low degree first, untrimmed."""
+    add, mul = tables[:2]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        row = mul[c]
+        for j, e in enumerate(b):
+            out[i + j] = add[out[i + j]][row[e]]
+    return out
 
 
 def _poly_divmod(a: list, b: list, tables) -> Tuple[list, list]:

@@ -1,5 +1,8 @@
 """Classification catalog: enumeration, existence decisions, certificates."""
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -23,10 +26,12 @@ from aqmds.code import from_generator, full_space
 from aqmds.construct import GrsSpec, grs
 from aqmds.css import AqcParams, css_construct, make_pair
 from aqmds.errors import NotPrimePower, RecipeInvalid, VerificationFailed
-from aqmds.gf import make_field
+from aqmds.gf import FIELD_CAP, make_field
 from aqmds.matrix import GfMatrix
 
 import th14_expansion
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 GOLDEN_COUNT_Q4 = th14_expansion.GOLDEN_COUNT_Q4  # frozen: 29
 
@@ -332,3 +337,66 @@ class TestOneCheckPath:
             p = cert.params
             r = exists(q, p.n, p.k, p.dz, p.dx)
             assert certificate_to_dict(r.certificate) == certificate_to_dict(cert)
+
+
+class TestLengthBound:
+    """A length no accepted field reaches is refused before anything is built."""
+
+    ADDRESS_LIMIT = 2 << 30  # bytes: far below what a length of 10^6 asks for
+
+    def run_limited(self, code):
+        """Run `code` in a child Python with a capped address space, so that an
+        unbounded length fails there with MemoryError instead of allocating."""
+        limit = f"import resource; resource.setrlimit(resource.RLIMIT_AS, " \
+                f"({self.ADDRESS_LIMIT}, {self.ADDRESS_LIMIT}))\n"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-c", limit + code], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("n", [10, FIELD_CAP + 2])
+    def test_prop6_within_bound_certified(self, n):
+        r = exists(3, n, 0, n, 2)
+        assert r.exists and r.certificate is not None and r.certificate.verified
+
+    def test_prop6_above_bound_skips_certificate(self):
+        r = exists(3, FIELD_CAP + 3, 0, FIELD_CAP + 3, 2)
+        assert r.exists and r.certificate is None
+        assert r.reason.startswith("exists; certificate construction skipped")
+
+    def test_huge_prop6_length_allocates_nothing(self):
+        result = self.run_limited(
+            "import json, time\n"
+            "from aqmds.catalog import exists\n"
+            "start = time.perf_counter()\n"
+            "r = exists(3, 10 ** 6, 0, 10 ** 6, 2)\n"
+            "print(json.dumps([r.exists, r.certificate is None, r.reason,"
+            " time.perf_counter() - start]))\n")
+        assert result.returncode == 0, result.stderr
+        found, skipped, reason, seconds = json.loads(result.stdout)
+        assert found and skipped and "certificate construction skipped" in reason
+        assert seconds < 1
+
+    @pytest.mark.parametrize("recipe", [
+        {"construction": "PROP6", "k": 1, "code": {"type": "repetition", "n": 10 ** 6}},
+        {"construction": "PROP5", "k": 3, "code": {"type": "full", "n": 3}},
+    ], ids=["prop6_source_n", "prop5_top_level_n"])
+    def test_verify_huge_length_exits_2(self, tmp_path, recipe):
+        record = certificate_to_dict(exists(3, 10, 0, 10, 2).certificate)
+        record.update(n=10 ** 6, dz=10 ** 6)
+        record["recipe"] = {"q": 3, "n": 10 ** 6, "j": 0, "alpha_convention": "zero_last",
+                            **recipe}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(record))
+        result = self.run_limited(
+            f"from aqmds.cli import main\nraise SystemExit(main(['verify', {str(path)!r}]))\n")
+        assert result.returncode == 2, result.stderr
+        assert "exceeds" in result.stderr
+
+    def test_css_huge_length_exits_2(self):
+        result = self.run_limited(
+            "from aqmds.cli import main\n"
+            "raise SystemExit(main(['css', '--family', 'prop6', '--q', '3',"
+            " '--n', '1000000', '--k', '1']))\n")
+        assert result.returncode == 2, result.stderr
+        assert "exceeds" in result.stderr

@@ -183,6 +183,30 @@ class TestFindIrreducible:
         # found by trial division, which takes seconds per degree here
         assert find_irreducible(make_field(11), deg) == poly
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_rootless_reducibles_rejected(self, q):
+        # none of these has a root, so only the steps i >= 2 of Ben-Or's test
+        # can reject them: two distinct irreducible quadratics (degree 4), a
+        # quadratic times a cubic (degree 5), an irreducible cubic squared (6)
+        f, ref = make_field(q), irreducible_reference.make_field(q)
+        quadratics = [p for p in gf._monic_polys(q, 2)
+                      if irreducible_reference.is_irreducible(ref, list(p))]
+        cubic = find_irreducible(f, 3)
+        products = [(quadratics[0], cubic), (cubic, cubic)]
+        if len(quadratics) > 1:  # GF(2) has a single irreducible quadratic
+            products.append((quadratics[0], quadratics[1]))
+        for a, b in products:
+            poly = f.poly_mul(a, b)
+            assert all(f.poly_eval(poly, x) != 0 for x in f.elements()), poly
+            assert not gf._poly_is_irreducible(f._tables, poly), poly
+        assert gf._poly_is_irreducible(f._tables, quadratics[0])
+        assert gf._poly_is_irreducible(f._tables, cubic)
+
+    def test_q32_degree8_pinned(self):
+        # found by Ben-Or's test with a Frobenius matrix in place of squaring,
+        # an independent implementation; trial division is out of reach here
+        assert find_irreducible(make_field(32), 8) == (2, 1, 0, 1, 0, 0, 0, 0, 1)
+
     def test_memoized_per_q_and_degree(self, monkeypatch):
         f = make_field(13)
         first = find_irreducible(f, 6)

@@ -6,11 +6,15 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import aqmds.code
-from aqmds.code import _lowest_weight, _scan_outside, from_generator, is_subcode
+from aqmds.code import (LinearCode, _lowest_weight, _scan_outside, from_generator, full_space,
+                        is_subcode)
 from aqmds.construct import GrsSpec, grs
 from aqmds.errors import ZeroCode
-from aqmds.gf import make_field
-from aqmds.matrix import GfMatrix, _eliminate, first_singular_k_subset, mat_mul, rank, transpose
+from aqmds.gf import _poly_is_irreducible, make_field
+from aqmds.matrix import (GfMatrix, _eliminate, first_singular_k_subset, mat_mul, nullspace, rank,
+                          transpose)
+
+import irreducible_reference
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -77,6 +81,43 @@ def test_dual_involution_and_dimension(M):
     assert D.dual() == C
     if D.k > 0:
         assert is_subcode(C.dual(), D) and is_subcode(D, C.dual())
+
+
+@st.composite
+def any_code(draw):
+    """The code a random matrix generates, or the zero code or the full space
+    of the same length."""
+    M = draw(small_matrix())
+    kind = draw(st.sampled_from(["matrix", "zero", "full"]))
+    if kind == "zero":
+        return LinearCode(GfMatrix(M.field, np.zeros_like(M.data)))
+    if kind == "full":
+        return full_space(M.field, M.cols)
+    return LinearCode(M)
+
+
+@settings(max_examples=60)
+@given(any_code())
+def test_dual_parity_check_is_its_nullspace(C):
+    D = C.dual()
+    assert D.H == nullspace(D.G)
+    assert D.dual() == C
+
+
+@st.composite
+def monic_poly(draw):
+    q = draw(field_q)
+    degree = draw(st.integers(1, 6))
+    low = draw(st.lists(st.integers(0, q - 1), min_size=degree, max_size=degree))
+    return q, tuple(low) + (1,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monic_poly())
+def test_ben_or_matches_trial_division(q_poly):
+    q, poly = q_poly
+    expected = irreducible_reference.is_irreducible(irreducible_reference.make_field(q), list(poly))
+    assert _poly_is_irreducible(make_field(q)._tables, poly) == expected
 
 
 @settings(max_examples=60)
