@@ -6,6 +6,10 @@ numpy chunks over lookup tables, in a fixed "message order": messages are
 coefficient vectors (m_0, ..., m_{k-1}) against the canonical generator
 rows, ordered lexicographically with m_0 most significant.  Every
 "first found" witness refers to this order, so results are reproducible.
+
+The scans visit one word per scalar class {lambda*u}: the messages whose
+first nonzero digit is 1.  Weight and subcode membership are class
+invariants, and the first witness in message order is always such a word.
 """
 from __future__ import annotations
 
@@ -106,7 +110,7 @@ class LinearCode:
         return mat_vec(transpose(self.G), np.asarray(message, dtype=np.uint8))
 
     def min_distance(self, cap: Optional[int] = None) -> int:
-        """Exact minimum weight by enumerating all q^k codewords."""
+        """Exact minimum weight by enumerating one codeword per scalar class."""
         return self.weight_distribution(cap).min_weight
 
     def is_mds(self) -> bool:
@@ -245,39 +249,56 @@ def extend_by_codeword(C: LinearCode, Cprime: LinearCode, cap: Optional[int] = N
 # -- enumeration engine -------------------------------------------------------
 
 
-def _iter_word_chunks(field: FiniteField, rows: np.ndarray, digits: np.ndarray):
-    """Yield, in chunks and in message order, the words sum_i m_i rows[i] for
-    every message m with all digits m_i drawn from `digits`."""
+def _iter_word_chunks(field: FiniteField, base: np.ndarray, rows: np.ndarray, digits: np.ndarray):
+    """Yield, in chunks and in message order, the words base + sum_i m_i rows[i]
+    for every message m with all digits m_i drawn from `digits`.
+
+    These are F + sum_i d(m_i) rows[i], with F the first word and
+    d = digits - digits[0], so d starts at 0.  The last t rows span a block
+    E of b^t <= _CHUNK_TARGET words, grown from [F] one row at a time; the
+    words each row adds (1, b-1, b^2-b, ...) are yielded at once, so a caller
+    that stops early never waits for a full chunk.  Each later prefix of the
+    first k-t digits shifts E.
+    """
+    add, mul = field.add_table, field.mul_table
     b = len(digits)
     k, w = rows.shape
     t = 0
-    size = 1
-    while t < k and size * b <= _CHUNK_TARGET:
-        size *= b
+    while t < k and b ** (t + 1) <= _CHUNK_TARGET:
         t += 1
-    # every combination of the last t rows, in message order
-    E = np.zeros((1, w), dtype=np.uint8)
+    deltas = add[digits, field.neg_table[digits[0]]]
+    E = base[None, :]
+    for row in rows:
+        E = add[E, mul[digits[0], row]]
+    yield E
     for row in rows[k - t:][::-1]:
-        scaled = field.mul_table[digits[:, None], row[None, :]]
-        E = field.add_table[scaled[:, None, :], E[None, :, :]].reshape(-1, w)
-    prefix_rows = rows[: k - t]
-    for pi in range(b ** (k - t)):
+        grown = add[mul[deltas[:, None], row[None, :]][:, None, :], E[None, :, :]].reshape(-1, w)
+        yield grown[len(E):]
+        E = grown
+    for pi in range(1, b ** (k - t)):
         offset = np.zeros(w, dtype=np.uint8)
-        tt = pi
         for i in range(k - t - 1, -1, -1):
-            tt, d = divmod(tt, b)
-            offset = field.add_table[offset, field.mul_table[digits[d], prefix_rows[i]]]
-        yield field.add_table[offset[None, :], E] if np.any(offset) else E
+            pi, d = divmod(pi, b)
+            offset = add[offset, mul[deltas[d], rows[i]]]
+        yield add[offset[None, :], E]
 
 
 def _enumerate_scan(field: FiniteField, gen: np.ndarray, syn_rows: Optional[np.ndarray] = None,
                     cap: int = DEFAULT_ENUM_CAP):
-    """Single pass over all codewords of the row space of `gen`.
+    """Exact weight counts of the row space of `gen`, in a single pass.
 
     Returns (dist, dist_outside, first_outside): the weight distribution
     A_0..A_n of all codewords, that of the codewords outside the subcode cut
     out by `syn_rows` (rows orthogonal to the subcode but not the code), and
     the first such codeword in message order, or None.
+
+    It visits one word per scalar class, the (q^k-1)/(q-1) messages whose
+    first nonzero digit is 1: in message order, row i plus every combination
+    of rows i+1..k-1, for i = k-1 down to 0.  wt(lambda u) = wt(u) and
+    syn(lambda u) = lambda syn(u), so each count is q-1 times the
+    representatives' count, plus the zero word.  If the first outside
+    message has leading digit a, a^-1 times it is outside and no later, so
+    the first outside word is a representative.  The cap counts all q^k.
     """
     k, n = gen.shape
     total = field.q ** k
@@ -296,13 +317,17 @@ def _enumerate_scan(field: FiniteField, gen: np.ndarray, syn_rows: Optional[np.n
     # counts[w] for words inside the subcode, counts[n + 1 + w] outside it
     counts = np.zeros(2 * (n + 1), dtype=np.int64)
     first_outside = None
-    for chunk in _iter_word_chunks(field, work, np.arange(field.q, dtype=np.uint8)):
-        wts = np.count_nonzero(chunk[:, :n], axis=1)
-        outside = chunk[:, n:].any(axis=1)
-        np.add(wts, n + 1, out=wts, where=outside)  # in place: no chunk-sized temporary
-        counts += np.bincount(wts, minlength=2 * (n + 1))
-        if first_outside is None and outside.any():
-            first_outside = chunk[np.argmax(outside), :n].copy()
+    digits = np.arange(field.q, dtype=np.uint8)
+    for i in range(k - 1, -1, -1):
+        for chunk in _iter_word_chunks(field, work[i], work[i + 1:], digits):
+            wts = np.count_nonzero(chunk[:, :n], axis=1)
+            outside = chunk[:, n:].any(axis=1)
+            np.add(wts, n + 1, out=wts, where=outside)  # in place: no chunk-sized temporary
+            counts += np.bincount(wts, minlength=2 * (n + 1))
+            if first_outside is None and outside.any():
+                first_outside = chunk[np.argmax(outside), :n].copy()
+    counts *= field.q - 1
+    counts[0] += 1  # the zero word
     return counts[: n + 1] + counts[n + 1:], counts[n + 1:], first_outside
 
 
@@ -310,22 +335,25 @@ def _find_full_weight(field: FiniteField, gen: np.ndarray, cap: int) -> Optional
     """First full-weight codeword in message order; early exit on hit.
 
     Requires `gen` in RREF: a full-weight word is then nonzero at every
-    pivot column, i.e. every message digit is nonzero, so only (q-1)^k
-    messages need scanning.  The cap bounds the number of words scanned;
-    CapExceeded is raised when the budget runs out before either a hit or
-    exhaustion (which certifies absence).
+    pivot column, i.e. every message digit is nonzero, and it is a scalar
+    multiple of one with m_0 = 1.  Those come first in message order, so the
+    candidates are the (q-1)^(k-1) messages with m_0 = 1 and every digit
+    nonzero, in message order.  The hit at 0-based candidate position i is
+    returned iff i < cap; absence is proven iff there are at most cap
+    candidates; otherwise CapExceeded is raised.
     """
     k, n = gen.shape
+    candidates = (field.q - 1) ** (k - 1)
     scanned = 0
-    for chunk in _iter_word_chunks(field, gen, np.arange(1, field.q, dtype=np.uint8)):
-        wts = np.count_nonzero(chunk, axis=1)
-        hits = np.nonzero(wts == n)[0]
+    for chunk in _iter_word_chunks(field, gen[0], gen[1:], np.arange(1, field.q, dtype=np.uint8)):
+        chunk = chunk[: cap - scanned]
+        hits = np.flatnonzero(np.count_nonzero(chunk, axis=1) == n)
         if hits.size:
             return chunk[hits[0]].copy()
-        scanned += chunk.shape[0]
-        if scanned > cap:
+        scanned += len(chunk)
+        if scanned == cap < candidates:
             raise CapExceeded(
-                f"no full-weight codeword in the first {scanned} of "
-                f"({field.q}-1)^{k} candidate words; raise AQMDS_MAX_ENUM"
+                f"no full-weight codeword in the first {cap} of "
+                f"({field.q}-1)^{k - 1} candidate words; raise AQMDS_MAX_ENUM"
             )
     return None

@@ -287,6 +287,8 @@ CATALOG_SHA256 = {
     (13, "closed_form"): "1628d3b326ef93242cb47a00a605e04b1ea67c39b7c6ba7f0c37736c10105601",
     (4, "full_oracle"): "feba60dcf1ff9997861b7a332e22892cc9c53c917bde77a015d9f14b3f7d442d",
     (5, "full_oracle"): "6cdffedcdf424c50042c494c01973a785b58aa01a0ea16d3750d704615bbec33",
+    (7, "full_oracle"): "63cf337be86268a2a1becf7237f1a76950b25affa0e40e30b6ae4b2b583223e6",
+    (8, "full_oracle"): "e51b808d19063c56e04c4a4e46e87a85ad0ecccee0b3ff11ee4177bb7689049a",
 }
 
 

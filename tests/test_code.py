@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import aqmds.code
 from aqmds.code import (
     LinearCode,
     enum_cap,
@@ -284,6 +285,31 @@ class TestFullWeightCodeword:
         # full (q-1)^k = 1 candidate, which fits any budget
         C = from_generator(GfMatrix(f, np.ones((1, 9), dtype=np.uint8))).dual()
         assert C.full_weight_codeword(cap=1) is None
+
+
+class TestEnumeratorWork:
+    """Words the one enumerator yields, counted by wrapping it."""
+
+    @pytest.fixture
+    def yielded(self, monkeypatch):
+        sizes = []
+        inner = aqmds.code._iter_word_chunks
+
+        def counting(*args):
+            for chunk in inner(*args):
+                sizes.append(len(chunk))
+                yield chunk
+
+        monkeypatch.setattr(aqmds.code, "_iter_word_chunks", counting)
+        return sizes
+
+    def test_scan_visits_one_word_per_scalar_class(self, yielded):
+        grs(GrsSpec(make_field(7), 7, 5)).weight_distribution()
+        assert sum(yielded) == (7 ** 5 - 1) // 6  # 2,801 of the 16,807 codewords
+
+    def test_full_weight_search_looks_before_it_builds(self, yielded):
+        assert grs(GrsSpec(make_field(16), 16, 6)).full_weight_codeword() is not None
+        assert sum(yielded) < 100  # a whole first chunk is 15^5 = 759,375 words
 
 
 class TestWeightDistribution:

@@ -3,13 +3,14 @@ from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import aqmds.code
 from aqmds.code import (LinearCode, _lowest_weight, _scan_outside, from_generator, full_space,
                         is_subcode)
 from aqmds.construct import GrsSpec, grs
-from aqmds.errors import ZeroCode
+from aqmds.errors import CapExceeded, ZeroCode
 from aqmds.gf import _poly_is_irreducible, make_field
 from aqmds.matrix import (GfMatrix, _eliminate, first_singular_k_subset, mat_mul, nullspace, rank,
                           transpose)
@@ -261,3 +262,37 @@ def test_scan_matches_naive_enumeration(pair, chunk_target):
     naive_min_out = next((w for w in range(1, n + 1) if dist_out[w]), None)
     assert _lowest_weight(got_out) == naive_min_out
     assert C.min_distance() == next(w for w in range(1, n + 1) if dist[w])
+
+
+@st.composite
+def code_maybe_zero_column(draw):
+    """A code over GF(q), q <= 7, k <= 4; with a drawn flag, one generator
+    column is zeroed, so that the code has no full-weight word."""
+    f = make_field(draw(st.sampled_from([2, 3, 4, 5, 7])))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(4, n)))
+    A = _random_full_rank(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), f, k, n).copy()
+    if draw(st.booleans()):
+        A[:, draw(st.integers(0, n - 1))] = 0
+    assume(A.any())
+    return from_generator(GfMatrix(f, A))
+
+
+@settings(max_examples=120, deadline=None)
+@given(code_maybe_zero_column(), st.sampled_from([1, 3, 16, 1 << 20]),
+       st.sampled_from([1, 2, 3, 10 ** 7]))
+def test_full_weight_search_matches_naive_list(C, chunk_target, cap):
+    q, n = C.field.q, C.n
+    # a full-weight word has every message digit nonzero (G is in RREF)
+    messages = list(product(range(1, q), repeat=C.k))  # message order
+    words = {m: C.codeword(np.array(m, dtype=np.uint8)) for m in messages}
+    full = [m for m in messages if np.count_nonzero(words[m]) == n]
+    candidates = [m for m in messages if m[0] == 1]
+    with mock.patch.object(aqmds.code, "_CHUNK_TARGET", chunk_target):
+        if full and candidates.index(full[0]) < cap:
+            assert np.array_equal(C.full_weight_codeword(cap=cap), words[full[0]])
+        elif not full and len(candidates) <= cap:
+            assert C.full_weight_codeword(cap=cap) is None
+        else:
+            with pytest.raises(CapExceeded):
+                C.full_weight_codeword(cap=cap)
