@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -226,64 +226,103 @@ def _length(n: int) -> int:
     return n
 
 
-def _build_source(f: FiniteField, src: Dict) -> LinearCode:
+class CodeStore:
+    """The codes and MDS verdicts of one run, shared by its certificates.
+
+    A run is one enumerate_catalog call, one `aqmds verify` of a file, or
+    one call of any other public function, which makes a fresh store.  A
+    code is keyed by its builder and the repr of the builder's arguments:
+    unlike ==, repr tells 1, 1.0 and True apart, so a recipe gets the code
+    its own spec builds.  A verdict is keyed by the generator matrix that
+    was proven, never by the recipe that claims it.  Shared codes are never
+    changed in place; their matrices are read-only.
+    """
+
+    def __init__(self):
+        self._codes: Dict[Tuple, LinearCode] = {}
+        self._mds: Dict[Tuple, bool] = {}
+
+    def code(self, build: Callable[..., LinearCode], *args) -> LinearCode:
+        """build(*args), built once per run."""
+        key = (build, repr(args))
+        if key not in self._codes:
+            self._codes[key] = build(*args)
+        return self._codes[key]
+
+    def is_mds(self, C: LinearCode) -> bool:
+        """C.is_mds(), proven once per run for each generator matrix."""
+        G = C.G.data
+        key = (C.field.q, G.shape, G.tobytes())
+        if key not in self._mds:
+            self._mds[key] = C.is_mds()
+        return self._mds[key]
+
+
+def _repetition(f: FiniteField, n: int) -> LinearCode:
+    return from_generator(GfMatrix(f, np.ones((1, n), dtype=np.uint8)))
+
+
+def _build_source(f: FiniteField, src: Dict, store: CodeStore) -> LinearCode:
     kind = src.get("type")
     if kind == "full":
-        return full_space(f, _length(src["n"]))
+        return store.code(full_space, f, _length(src["n"]))
     if kind in ("repetition", "repetition_dual"):
-        rep = from_generator(GfMatrix(f, np.ones((1, _length(src["n"])), dtype=np.uint8)))
+        rep = store.code(_repetition, f, _length(src["n"]))
         return rep if kind == "repetition" else rep.dual()
     if kind == "grs":
-        return grs(GrsSpec(f, src["n"], src["k"],
-                           tuple(src["alpha"]), tuple(src["v"])))
+        return store.code(grs, GrsSpec(f, src["n"], src["k"],
+                                       tuple(src["alpha"]), tuple(src["v"])))
     if kind == "extended_grs":
-        return extended_grs(f, src["k"], src["alpha"], src["v"])
+        return store.code(extended_grs, f, src["k"], src["alpha"], src["v"])
     if kind == "qplus2_low":
-        return q_plus_2_low(f, src["v"])
+        return store.code(q_plus_2_low, f, src["v"])
     if kind == "qplus2_high":
-        return q_plus_2_high(f, src["v"])
+        return store.code(q_plus_2_high, f, src["v"])
     raise RecipeInvalid(f"unknown source type {kind!r}")
 
 
-def build_pair_from_recipe(recipe: Dict) -> NestedPair:
-    """Rebuild the classical nested pair described by a certificate recipe."""
+def build_pair_from_recipe(recipe: Dict, *, store: Optional[CodeStore] = None) -> NestedPair:
+    """Rebuild the classical nested pair described by a certificate recipe,
+    taking the codes the run already built from `store`."""
+    store = store or CodeStore()
     try:
         q = recipe["q"]
         construction = recipe["construction"]
         f = make_field(q)
         if construction == "PROP5":
-            code = _build_source(f, recipe["code"])
-            return make_pair(code, full_space(f, _length(recipe["n"])))
+            code = _build_source(f, recipe["code"], store)
+            return make_pair(code, store.code(full_space, f, _length(recipe["n"])))
         if construction == "PROP6":
-            code = _build_source(f, recipe["code"])
+            code = _build_source(f, recipe["code"], store)
             return make_pair(code.dual(), code)
         if construction == "TH7":
             n, k, j = recipe["n"], recipe["k"], recipe["j"]
             alpha, v = tuple(recipe["alpha"]), tuple(recipe["v"])
-            c_low = grs(GrsSpec(f, n, k, alpha, v))
-            c_high = grs(GrsSpec(f, n, k + j, alpha, v))
+            c_low = store.code(grs, GrsSpec(f, n, k, alpha, v))
+            c_high = store.code(grs, GrsSpec(f, n, k + j, alpha, v))
             return make_pair(c_low.dual(), c_high)
         if construction == "TH8":
             k, r = recipe["k"], recipe["r"]
-            alpha, v = tuple(recipe["alpha"]), tuple(recipe["v"])
-            sub, poly = grs_subcode_irreducible(f, k, r, alpha, v)
+            sub, poly = grs_subcode_irreducible(
+                f, k, r, tuple(recipe["alpha"]), tuple(recipe["v"]))
             if "irreducible" in recipe and tuple(recipe["irreducible"]) != poly:
                 raise RecipeInvalid(
                     f"stored irreducible {recipe['irreducible']} does not match {list(poly)}"
                 )
-            amb = extended_grs(f, k, alpha, v)
+            # the arguments an extended_grs source passes, so the two share a code
+            amb = store.code(extended_grs, f, k, recipe["alpha"], recipe["v"])
             return make_pair(sub.dual(), amb)
         if construction == "COR10":
-            d = q_plus_2_low(f, recipe["v"])
+            d = store.code(q_plus_2_low, f, recipe["v"])
             shortened = d.shorten(d.n - 1)
             punctured = d.puncture(d.n - 1)
             return make_pair(shortened.dual(), punctured)
         if construction == "TH11":
-            low = q_plus_2_low(f, recipe["v"])
-            high = q_plus_2_high(f, recipe["v"])
+            low = store.code(q_plus_2_low, f, recipe["v"])
+            high = store.code(q_plus_2_high, f, recipe["v"])
             return make_pair(low.dual(), high)
         if construction == "TH12":
-            return pair_from_full_weight(_build_source(f, recipe["source"]))
+            return pair_from_full_weight(_build_source(f, recipe["source"], store))
         raise RecipeInvalid(f"unknown construction {construction!r}")
     except (KeyError, TypeError) as exc:
         raise RecipeInvalid(f"malformed recipe: {exc}") from exc
@@ -292,12 +331,15 @@ def build_pair_from_recipe(recipe: Dict) -> NestedPair:
 # -- verification oracles -----------------------------------------------------
 
 
-def run_oracles(claimed: AqcParams, pair: NestedPair, level: str, cap: int):
+def run_oracles(claimed: AqcParams, pair: NestedPair, level: str, cap: int,
+                *, store: Optional[CodeStore] = None):
     """Run verification oracles against the rebuilt pair.
 
     Returns (verified, oracle_log).  Oracles that would exceed the
-    enumeration cap are marked skipped, never silently passed.
+    enumeration cap are marked skipped, never silently passed.  MDS
+    verdicts come from `store`, which proves each generator matrix once.
     """
+    store = store or CodeStore()
     log: List[str] = []
 
     def record(name: str, passed: bool):
@@ -305,9 +347,9 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str, cap: int):
 
     c1_dual = pair.c1.dual()
     record("nesting", is_subcode(c1_dual, pair.c2))
-    dual_c1_mds = c1_dual.is_mds()
-    # for j = 0, dual(C1) = C2: one k-subset run proves both
-    c2_mds = dual_c1_mds if c1_dual == pair.c2 else pair.c2.is_mds()
+    # for j = 0, dual(C1) = C2: the store proves their one matrix once
+    dual_c1_mds = store.is_mds(c1_dual)
+    c2_mds = store.is_mds(pair.c2)
     record("mds_dual_c1", dual_c1_mds)
     record("mds_c2", c2_mds)
     record("dimensions", pair.quantum_k == claimed.k)
@@ -317,6 +359,8 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str, cap: int):
     if level == "full_oracle":
         if claimed.k == 0:
             try:
+                # C1 is not among the MDS oracles: the distance oracle proves
+                # it itself, also where C1 = C2 (a self-dual code)
                 d1 = _mds_backed_distance(pair.c1, cap)
                 d2 = _mds_backed_distance(pair.c2, cap, c2_mds)
                 record("distances_exact",
@@ -342,8 +386,8 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str, cap: int):
     return not any(e.endswith(":FAIL") for e in log), log
 
 
-def _failed_checks(claimed: AqcParams, recipe: Dict, level: str,
-                   cap: Optional[int]) -> Tuple[List[str], List[str]]:
+def _failed_checks(claimed: AqcParams, recipe: Dict, level: str, cap: Optional[int],
+                   store: CodeStore) -> Tuple[List[str], List[str]]:
     """Check a claimed header against the pair rebuilt from `recipe`.
 
     In order: the header (q, n, pure, aqmds) against the pair, the oracles
@@ -353,14 +397,14 @@ def _failed_checks(claimed: AqcParams, recipe: Dict, level: str,
     Returns the names of the failed checks in that order, and the oracle
     log, which is empty when the header already fails.
     """
-    pair = build_pair_from_recipe(recipe)
+    pair = build_pair_from_recipe(recipe, store=store)
     c1, c2 = pair.c1, pair.c2
     header = {"q": claimed.q == c1.field.q, "n": claimed.n == c1.n,
               "pure": claimed.pure is True, "aqmds": claimed.aqmds is True}
     failed = [f"header_{name}" for name, ok in header.items() if not ok]
     if failed:
         return failed, []
-    verified, log = run_oracles(claimed, pair, level, enum_cap(cap))
+    verified, log = run_oracles(claimed, pair, level, enum_cap(cap), store=store)
     if not verified:
         return [e.split(":")[0] for e in log if e.endswith(":FAIL")], log
     d1, d2 = c1.n - c1.k + 1, c2.n - c2.k + 1
@@ -379,12 +423,14 @@ def make_certificate(
     recipe: Dict,
     verify_level: str = "closed_form",
     cap: Optional[int] = None,
+    *,
+    store: Optional[CodeStore] = None,
 ) -> Certificate:
     """Certificate of the claim [[n, j, dz/dx]]_q, pure and AQMDS, for the
     pair `recipe` builds; `verified` when every check of verify passes at
     `verify_level`."""
     claimed = AqcParams(q=q, n=n, k=j, dz=dz, dx=dx, pure=True, aqmds=True)
-    failed, log = _failed_checks(claimed, recipe, verify_level, cap)
+    failed, log = _failed_checks(claimed, recipe, verify_level, cap, store or CodeStore())
     return Certificate(
         params=claimed,
         family=sorted(tags, key=FAMILY_TAGS.index),
@@ -395,13 +441,13 @@ def make_certificate(
 
 
 def _certify(q: int, tags: Iterable[str], case: Tuple[str, int, int, int], verify_level: str,
-             cap: Optional[int] = None) -> Certificate:
+             cap: Optional[int] = None, *, store: Optional[CodeStore] = None) -> Certificate:
     """make_certificate for the tuple that the (tag, n, k, j) case reaches,
     with that case's recipe."""
     tag, n, k, j = case
     _, _, dz, dx = _tuple_of(n, k, j)
     return make_certificate(q, n, j, dz, dx, tags, _designated_recipe(q, tag, n, k, j),
-                            verify_level, cap)
+                            verify_level, cap, store=store)
 
 
 # -- public operations --------------------------------------------------------
@@ -412,7 +458,9 @@ def enumerate_catalog(query: CatalogQuery, cap: Optional[int] = None) -> List[Ce
 
     A tuple reachable by several families carries all their tags; its
     recipe comes from the first family in classification order.  Output is
-    sorted by (n, j, dz, dx) and deterministic across runs.
+    sorted by (n, j, dz, dx) and deterministic across runs.  The
+    certificates share one CodeStore: each code is built, and each
+    generator matrix proven MDS, once.
     """
     q = query.q
     if not is_prime_power(q):
@@ -423,6 +471,7 @@ def enumerate_catalog(query: CatalogQuery, cap: Optional[int] = None) -> List[Ce
         if 2 <= n <= length_bound(q):
             rows.update(_tuples(q, n, query.j))
     out = []
+    store = CodeStore()
     for (n, j, dz, dx) in sorted(rows):
         if query.dz is not None and query.dx is not None:
             if {dz, dx} != {query.dz, query.dx}:
@@ -434,7 +483,7 @@ def enumerate_catalog(query: CatalogQuery, cap: Optional[int] = None) -> List[Ce
         if query.dx_min is not None and dx < query.dx_min:
             continue
         tags, case = rows[(n, j, dz, dx)]
-        out.append(_certify(q, tags, case, query.verify_level, cap))
+        out.append(_certify(q, tags, case, query.verify_level, cap, store=store))
     return out
 
 
@@ -482,7 +531,8 @@ def exists(
     return ExistsResult(True, cert, "admitted by the classification")
 
 
-def verify(cert: Certificate, cap: Optional[int] = None) -> Certificate:
+def verify(cert: Certificate, cap: Optional[int] = None, *,
+           store: Optional[CodeStore] = None) -> Certificate:
     """Rebuild the pair from the recipe and rerun every check at full_oracle.
 
     The checks are those of make_certificate: the header must agree with
@@ -491,9 +541,11 @@ def verify(cert: Certificate, cap: Optional[int] = None) -> Certificate:
     claimed ordered (dz, dx) must equal the ordered distances of the two
     MDS codes ("mds_distances").  Returns a refreshed certificate; raises
     VerificationFailed naming the first failing header field, oracle or
-    that check.  Idempotent on valid certificates.
+    that check.  Idempotent on valid certificates.  Certificates verified
+    through one `store` share its codes and MDS verdicts.
     """
-    failed, log = _failed_checks(cert.params, cert.recipe, "full_oracle", cap)
+    failed, log = _failed_checks(cert.params, cert.recipe, "full_oracle", cap,
+                                 store or CodeStore())
     if failed:
         raise VerificationFailed(failed[0])
     return replace(cert, family=list(cert.family), verified=True, oracle_log=log)

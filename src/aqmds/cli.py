@@ -29,6 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 from .catalog import (
     CatalogQuery,
     Certificate,
+    CodeStore,
     FAMILY_TAGS,
     VERIFY_LEVELS,
     _certify,
@@ -220,9 +221,10 @@ def cmd_verify(args) -> int:
     with open(args.certificate) as fh:
         payload = json.load(fh)
     items = payload if isinstance(payload, list) else [payload]
+    store = CodeStore()  # the file's records share their codes and MDS proofs
     for item in items:
         cert = certificate_from_dict(item)
-        refreshed = verify_certificate(cert)
+        refreshed = verify_certificate(cert, store=store)
         skipped = [e.split(":")[0] for e in refreshed.oracle_log if e.endswith(":skipped(cap)")]
         status = f"verified except skipped(cap): {', '.join(skipped)}" if skipped else "verified"
         print(f"{refreshed.params}: {status}")

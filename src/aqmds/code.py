@@ -24,7 +24,6 @@ from .errors import (
     FieldMismatch,
     InvalidSpec,
     LengthMismatch,
-    NotStrictSubcode,
     PositionOutOfRange,
     PreconditionFailed,
     ZeroCode,
@@ -209,13 +208,6 @@ def _lowest_weight(dist: np.ndarray) -> Optional[int]:
     """Smallest positive weight counted in a weight distribution, or None."""
     nonzero = np.flatnonzero(dist[1:])
     return int(nonzero[0]) + 1 if nonzero.size else None
-
-
-def weight_of_difference(C: LinearCode, D: LinearCode, cap: Optional[int] = None) -> int:
-    """min { wt(u) : u in C, u not in D } for a strict subcode D of C."""
-    if not is_subcode(D, C) or D.k >= C.k:
-        raise NotStrictSubcode("D must be a strict subcode of C")
-    return _lowest_weight(_scan_outside(C, D.H.data, enum_cap(cap))[1])
 
 
 def extend_by_codeword(C: LinearCode, Cprime: LinearCode, cap: Optional[int] = None) -> LinearCode:

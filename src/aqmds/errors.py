@@ -37,10 +37,6 @@ class ZeroCode(AqmdsError):
     pass
 
 
-class NotStrictSubcode(AqmdsError):
-    pass
-
-
 class PositionOutOfRange(AqmdsError):
     pass
 

@@ -10,6 +10,7 @@ import pytest
 
 from aqmds.catalog import (
     CatalogQuery,
+    CodeStore,
     FAMILY_TAGS,
     build_pair_from_recipe,
     certificate_from_dict,
@@ -22,10 +23,11 @@ from aqmds.catalog import (
     run_oracles,
     verify,
 )
+from aqmds.cli import main
 from aqmds.code import from_generator, full_space
 from aqmds.construct import GrsSpec, grs
 from aqmds.css import AqcParams, css_construct, make_pair
-from aqmds.errors import NotPrimePower, RecipeInvalid, VerificationFailed
+from aqmds.errors import InvalidSpec, NotPrimePower, RecipeInvalid, VerificationFailed
 from aqmds.gf import FIELD_CAP, make_field
 from aqmds.matrix import GfMatrix
 
@@ -400,3 +402,125 @@ class TestLengthBound:
             " '--n', '1000000', '--k', '1']))\n")
         assert result.returncode == 2, result.stderr
         assert "exceeds" in result.stderr
+
+
+def record_proven_matrices(monkeypatch) -> list:
+    """Record (q, shape, bytes) of every matrix the k-subset oracle proves."""
+    proven = []
+    for name, mod in list(sys.modules.items()):
+        fn = getattr(mod, "first_singular_k_subset", None)
+        if name.startswith("aqmds") and fn is not None:
+            def recorded(M, k, _fn=fn):
+                proven.append((M.field.q, M.data.shape, M.data.tobytes()))
+                return _fn(M, k)
+            monkeypatch.setattr(mod, "first_singular_k_subset", recorded)
+    return proven
+
+
+def verify_outcome(record, store=None):
+    """The refreshed record verify returns, or the name of the error it raises."""
+    try:
+        return certificate_to_dict(verify(certificate_from_dict(record), store=store))
+    except VerificationFailed as exc:
+        return ("VerificationFailed", str(exc))
+    except (RecipeInvalid, InvalidSpec) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def tampered_copies(record):
+    """Copies of a catalog record with one field edited: dz or dx moved by
+    one, the header q changed, one column multiplier scaled or zeroed, or the
+    evaluation points permuted or one repeated."""
+    def multipliers(r):  # the part of the recipe that holds v, if any
+        recipe = r["recipe"]
+        return next((d for d in (recipe, recipe.get("code"), recipe.get("source"))
+                     if d and "v" in d), None)
+
+    def scale_v(r, src):
+        src["v"][-1] = 2 * src["v"][-1] % r["q"]
+
+    def zero_v(r, src):
+        src["v"][0] = 0
+
+    def permute_alpha(r, src):
+        src["alpha"].reverse()
+
+    def repeat_alpha(r, src):
+        src["alpha"][-1] = src["alpha"][0]
+
+    edits = [lambda r, src: r.update(dz=r["dz"] + 1),
+             lambda r, src: r.update(dz=r["dz"] - 1, dx=r["dx"] + 1),
+             lambda r, src: r.update(q=12 - r["q"])]  # 5 <-> 7
+    src = multipliers(record)
+    if src is not None:
+        edits += [scale_v, zero_v] + ([permute_alpha, repeat_alpha] if "alpha" in src else [])
+    copies = []
+    for edit in edits:
+        copy = json.loads(json.dumps(record))
+        edit(copy, multipliers(copy))
+        copies.append(copy)
+    return copies
+
+
+class TestCodeStore:
+    """One store per run: each code built and each matrix proven MDS once,
+    nothing kept between calls, and no recipe trusted for another's code."""
+
+    @pytest.mark.parametrize("q", [4, 5, 7, 8])
+    def test_catalog_proves_each_matrix_once(self, monkeypatch, q):
+        proven = record_proven_matrices(monkeypatch)
+        enumerate_catalog(CatalogQuery(q=q))
+        assert proven and len(proven) == len(set(proven))
+
+    def test_no_cache_between_calls(self, monkeypatch):
+        proven = record_proven_matrices(monkeypatch)
+        cert = exists(7, 6, 1, 4, 3).certificate
+        counts = []
+        for call in (lambda: verify(cert), lambda: verify(cert),
+                     lambda: exists(7, 6, 1, 4, 3), lambda: exists(7, 6, 1, 4, 3)):
+            proven.clear()
+            call()
+            counts.append(len(proven))
+        assert counts == [2, 2, 2, 2]
+
+    def test_verdicts_keyed_by_matrix(self):
+        # two [4,2]_5 generators of one shape, one MDS and one not
+        f = make_field(5)
+        mds = grs(GrsSpec(f, 4, 2))
+        not_mds = from_generator(GfMatrix(f, np.array([[1, 0, 1, 0], [0, 1, 0, 1]], dtype=np.uint8)))
+        assert mds.G.data.shape == not_mds.G.data.shape
+        store = CodeStore()
+        assert [store.is_mds(C) for C in (mds, not_mds, mds, not_mds)] == [True, False, True, False]
+
+    def test_tampered_records_get_their_own_outcome(self):
+        # one record of each recipe layout at q = 5 and 7, interleaved, and
+        # tampered copies of each; through one store, in either order, every
+        # record gets the outcome it gets alone
+        layouts = {}
+        for q in (5, 7):
+            for cert in enumerate_catalog(CatalogQuery(q=q)):
+                r = cert.recipe
+                source = r.get("code", r.get("source", {})).get("type")
+                layouts.setdefault((q, r["construction"], source), certificate_to_dict(cert))
+        genuine = [layouts[key] for key in sorted(layouts, key=lambda key: (key[1:], key[0]))]
+        tampered = [t for r in genuine for t in tampered_copies(r)]
+        alone = {json.dumps(r): verify_outcome(r) for r in genuine + tampered}
+        assert sum(isinstance(o, dict) for o in alone.values()) > len(genuine)
+        assert sum(isinstance(o, tuple) for o in alone.values()) > len(genuine)
+        for records in (genuine + tampered, tampered + genuine):
+            store = CodeStore()
+            for r in records:
+                assert verify_outcome(r, store) == alone[json.dumps(r)], r
+
+    def test_verify_file_matches_record_by_record(self, tmp_path, capsys):
+        # the file's records share one store; the lines, the first failure
+        # and the exit code are those of verifying each record alone
+        records = [certificate_to_dict(c) for c in enumerate_catalog(CatalogQuery(q=5))]
+        bad = {**records[20], "dz": records[20]["dz"] + 1}
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(records[:30] + [bad] + records[30:]))
+        expected = [f"{verify(certificate_from_dict(r)).params}: verified" for r in records[:30]]
+        assert main(["verify", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out.splitlines() == expected
+        assert err == f"verification failed: {verify_outcome(bad)[1]}\n"

@@ -13,12 +13,11 @@ from aqmds.code import (
     from_generator,
     full_space,
     is_subcode,
-    weight_of_difference,
 )
 from aqmds.construct import GrsSpec, grs, q_plus_2_low
+from aqmds.css import _side_scan
 from aqmds.errors import (
     CapExceeded,
-    NotStrictSubcode,
     PositionOutOfRange,
     PreconditionFailed,
     ZeroCode,
@@ -135,32 +134,37 @@ class TestIsMds:
         assert q_plus_2_low(make_field(8)).is_mds()
 
 
+def weight_outside(C: LinearCode, D: LinearCode):
+    """min { wt(u) : u in C, u not in D }, or None when C lies inside D: the
+    outside weight of the CSS side scan of C against dual(D)."""
+    return _side_scan(C, D.dual(), enum_cap())[0]
+
+
 class TestWeightOfDifference:
     def test_full_space_vs_repetition_gf2(self):
         f = make_field(2)
         C = full_space(f, 2)
         D = from_generator(GfMatrix(f, [[1, 1]]))
-        assert weight_of_difference(C, D) == 1
+        assert weight_outside(C, D) == 1
 
     def test_nested_grs_gf5(self):
         f = make_field(5)
         C = grs(GrsSpec(f, 5, 3))
         D = grs(GrsSpec(f, 5, 2))
-        assert weight_of_difference(C, D) == 3
+        assert weight_outside(C, D) == 3
 
     def test_dual_repetition_vs_all_ones(self):
         f = make_field(2)
         C = from_generator(GfMatrix(f, np.ones((1, 4), dtype=np.uint8))).dual()
         D = from_generator(GfMatrix(f, np.ones((1, 4), dtype=np.uint8)))
-        assert weight_of_difference(C, D) == 2
+        assert weight_outside(C, D) == 2
 
     def test_not_strict_subcode(self):
+        # no word of C lies outside D when D is C or contains it
         f = make_field(5)
         C = grs(GrsSpec(f, 5, 2))
-        with pytest.raises(NotStrictSubcode):
-            weight_of_difference(C, C)
-        with pytest.raises(NotStrictSubcode):
-            weight_of_difference(C, grs(GrsSpec(f, 5, 3)))
+        assert weight_outside(C, C) is None
+        assert weight_outside(C, grs(GrsSpec(f, 5, 3))) is None
 
 
 class TestIsSubcode:
