@@ -18,9 +18,8 @@ f5 = make_field(5)
 print(f"\nGF(5): inverse of 3 is {f5.inv(3)}  (3*2 = 6 = 1 mod 5)")
 
 f9 = make_field(9)
-a, b = f9.element(5), f9.element(7)
-print(f"\nGF(9) wrapper arithmetic: 5+7 -> {(a + b).index}, 5*7 -> {(a * b).index}, "
-      f"5^-1 -> {a.inverse().index}")
+print(f"\nGF(9) index arithmetic: 5+7 -> {f9.add(5, 7)}, 5*7 -> {f9.mul(5, 7)}, "
+      f"5^-1 -> {f9.inv(5)}")
 
 print("\nsmallest monic irreducible polynomials (coefficients low degree first):")
 for q, deg in [(2, 2), (4, 2), (5, 1), (5, 3)]:

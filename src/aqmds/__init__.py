@@ -43,7 +43,7 @@ from .css import (
     pair_from_full_weight,
 )
 from .errors import AqmdsError, CapExceeded, VerificationFailed
-from .gf import FieldElement, FiniteField, find_irreducible, make_field
+from .gf import FiniteField, find_irreducible, make_field
 from .matrix import GfMatrix
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "Certificate",
     "DEFAULT_ENUM_CAP",
     "ExistsResult",
-    "FieldElement",
     "FiniteField",
     "GfMatrix",
     "GrsSpec",

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .gf import FiniteField
 from .matrix import (_CHUNK_TARGET, GfMatrix, _eliminate, first_singular_k_subset, mat_mul,
-                     mat_vec, nullspace, rref, transpose)
+                     nullspace, rref, transpose)
 
 DEFAULT_ENUM_CAP = 10 ** 7
 
@@ -106,7 +106,7 @@ class LinearCode:
 
     def codeword(self, message: np.ndarray) -> np.ndarray:
         """Encode one message vector (length k) against the canonical G."""
-        return mat_vec(transpose(self.G), np.asarray(message, dtype=np.uint8))
+        return mat_mul(GfMatrix(self.field, [message]), self.G).data[0]
 
     def min_distance(self, cap: Optional[int] = None) -> int:
         """Exact minimum weight by enumerating one codeword per scalar class."""
@@ -171,16 +171,16 @@ def is_subcode(D: LinearCode, C: LinearCode) -> bool:
 
 
 def first_row_outside(D: LinearCode, C: LinearCode) -> Optional[np.ndarray]:
-    """First row of D.G failing C's parity check, or None when D is a subcode of C."""
+    """First row of D.G failing C's parity check, or None when D is a subcode of C.
+
+    One product D.G C.H^T gives every row's syndrome at once.
+    """
     if D.field is not C.field:
         raise FieldMismatch("codes over different fields")
     if D.n != C.n:
         raise LengthMismatch(f"lengths differ: {D.n} != {C.n}")
-    if C.k < C.n:
-        for row in D.G.data:
-            if np.any(mat_vec(C.H, row)):
-                return row
-    return None
+    outside = np.flatnonzero(mat_mul(D.G, transpose(C.H)).data.any(axis=1))
+    return D.G.data[outside[0]] if outside.size else None
 
 
 def complement_rows(field: FiniteField, base: np.ndarray, full: np.ndarray) -> np.ndarray:

@@ -7,9 +7,10 @@ this default no separate code path is required.  Column multipliers
 default to all ones; custom nonzero multipliers are accepted everywhere.
 
 The builders construct and do not re-prove their output.  On the
-certificate paths, `css.make_pair` proves the nesting and
-`catalog.run_oracles` proves that both codes of the pair are MDS; the
-`construct` subcommand proves MDS of the code it prints.
+certificate paths each fact is proven once: the nesting when the
+`css.NestedPair` is made, and MDS of both codes by `catalog.run_oracles`,
+whose every verdict goes through the run's `CodeStore`; the `construct`
+subcommand proves MDS of the code it prints.
 """
 from __future__ import annotations
 
@@ -121,7 +122,11 @@ def grs_subcode_irreducible(
     """The [q+1, r, q-r+2]_q subcode of the extended GRS code of dimension k,
     generated by multiples of a monic irreducible polynomial of degree k-r.
 
-    Returns (code, irreducible polynomial used).
+    It is itself an extended GRS code: the span of x^i p(x), i < r,
+    evaluated with multipliers v_j p(alpha_j), which are nonzero since p
+    has degree k-r >= 2 and no root in GF(q).  Its infinity coordinate is
+    v_q times the x^(k-1) coefficient, which p monic puts on x^(r-1) p(x)
+    alone.  Returns (code, irreducible polynomial used).
     """
     q = f.q
     if not 1 <= k <= q:
@@ -130,14 +135,8 @@ def grs_subcode_irreducible(
         raise InvalidRange(f"r={r} must satisfy 1 <= r <= k-2 = {k - 2}")
     alpha, v = _extended_points(f, alpha, v)
     p_poly = find_irreducible(f, k - r)
-    # irreducible of degree k-r >= 2, so no root in GF(q): every p(alpha_j) != 0
-    p_at = [f.poly_eval(p_poly, a) for a in alpha]
-    scaled_v = tuple(f.mul(v[j], p_at[j]) for j in range(q))
-    G = _vandermonde_rows(f, alpha, scaled_v, r)
-    ext_col = np.zeros((r, 1), dtype=np.uint8)
-    ext_col[r - 1, 0] = v[q]
-    C = from_generator(GfMatrix(f, np.hstack([G, ext_col])))
-    return C, p_poly
+    scaled_v = tuple(f.mul(v[j], f.poly_eval(p_poly, alpha[j])) for j in range(q)) + v[q:]
+    return extended_grs(f, r, alpha, scaled_v), p_poly
 
 
 def _char_two_points(f: FiniteField, v: Optional[Sequence[int]]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

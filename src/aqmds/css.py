@@ -12,11 +12,16 @@ distances, and the AQMDS flag marking equality in the quantum Singleton
 bound k <= n - d_x - d_z + 2.  Set-difference weights are computed by
 exact enumeration; each enumeration pass also yields the classical
 minimum distance of the enumerated code, so one pass per side suffices.
+
+Each fact is proven once.  A NestedPair proves dual(C1) subseteq C2 when
+it is made, so holding one is the nesting proof.  Where a distance falls
+back on the MDS oracle, the verdict comes from the caller's `is_mds`,
+which the catalog's oracles take from the run's CodeStore.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .code import LinearCode, _lowest_weight, _scan_outside, enum_cap, first_row_outside
 from .errors import (
@@ -53,10 +58,21 @@ class AqcParams:
 
 @dataclass(frozen=True)
 class NestedPair:
-    """A classical pair (C1, C2) with dual(C1) verified inside C2."""
+    """A classical pair (C1, C2) with dual(C1) inside C2.
+
+    The nesting is proven when the pair is made, so no unproven pair
+    exists: NotNested names the first row of dual(C1)'s canonical
+    generator outside C2.  The reverse inclusion dual(C2) subseteq C1
+    follows, since taking duals reverses inclusion.
+    """
 
     c1: LinearCode
     c2: LinearCode
+
+    def __post_init__(self):
+        witness = first_row_outside(self.c1.dual(), self.c2)
+        if witness is not None:
+            raise NotNested(f"dual(C1) not contained in C2; witness row {witness.tolist()}")
 
     @property
     def quantum_k(self) -> int:
@@ -64,25 +80,17 @@ class NestedPair:
 
 
 def make_pair(C1: LinearCode, C2: LinearCode) -> NestedPair:
-    """Validate the nesting dual(C1) subseteq C2 and wrap the pair.
-
-    The reverse inclusion dual(C2) subseteq C1 follows, since taking duals
-    reverses inclusion.
-    """
-    witness = first_row_outside(C1.dual(), C2)
-    if witness is not None:
-        raise NotNested(f"dual(C1) not contained in C2; witness row {witness.tolist()}")
+    """The nested pair (C1, C2); raises NotNested unless dual(C1) subseteq C2."""
     return NestedPair(C1, C2)
 
 
-def _mds_backed_distance(C: LinearCode, cap: int, mds: Optional[bool] = None) -> int:
-    """Exact distance by enumeration, or via the MDS oracle when too large.
-
-    `mds` is the oracle's verdict on C when the caller already has it.
-    """
+def _mds_backed_distance(C: LinearCode, cap: int,
+                         is_mds: Callable[[LinearCode], bool] = LinearCode.is_mds) -> int:
+    """Exact distance by enumeration, or via the MDS verdict `is_mds(C)`
+    when the enumeration would exceed the cap."""
     if C.field.q ** C.k <= cap:
         return C.min_distance(cap)
-    if C.is_mds() if mds is None else mds:
+    if is_mds(C):
         return C.n - C.k + 1
     raise CapExceeded(
         f"cannot determine distance of [{C.n},{C.k}]_{C.field.q} within cap {cap}"

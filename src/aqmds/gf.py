@@ -16,14 +16,13 @@ and the irreducibility test's powers and Euclid steps all run on them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CapExceeded, DivisionByZero, FieldMismatch, NotPrimePower
+from .errors import CapExceeded, DivisionByZero, NotPrimePower
 
 FIELD_CAP = 64
 
@@ -112,9 +111,6 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         return int(self.add_table[a, b])
 
-    def sub(self, a: int, b: int) -> int:
-        return int(self.add_table[a, self.neg_table[b]])
-
     def neg(self, a: int) -> int:
         return int(self.neg_table[a])
 
@@ -134,9 +130,6 @@ class FiniteField:
             return 0 if e else 1
         # exp/log shortcut over the cyclic multiplicative group
         return int(self.exp_table[(int(self.log_table[a]) * e) % (self.q - 1)])
-
-    def element(self, index: int) -> "FieldElement":
-        return FieldElement(self, index)
 
     def elements(self) -> range:
         return range(self.q)
@@ -170,47 +163,6 @@ class FiniteField:
 
     def __repr__(self):
         return f"GF({self.q})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Value-type wrapper around an element index, for convenience use.
-
-    All bulk computation works on raw integer indices; this class exists
-    for readable scalar arithmetic in demos and tests.
-    """
-
-    field: FiniteField
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.field.q:
-            raise ValueError(f"index {self.index} out of range for {self.field}")
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.field is not self.field:
-            raise FieldMismatch("operands belong to different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.index, other.index))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.index, other.index))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.index, other.index))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.index))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.index, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.index))
 
 
 def _monic_polys(q: int, degree: int):

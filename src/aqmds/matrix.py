@@ -86,14 +86,6 @@ def mat_mul(A: GfMatrix, B: GfMatrix) -> GfMatrix:
     return GfMatrix(A.field, out)
 
 
-def mat_vec(A: GfMatrix, v: np.ndarray) -> np.ndarray:
-    f = A.field
-    out = np.zeros(A.rows, dtype=np.uint8)
-    for l in range(A.cols):
-        out = f.add_table[out, f.mul_table[A.data[:, l], v[l]]]
-    return out
-
-
 def _eliminate(field: FiniteField, A: np.ndarray, reduce_above: bool) -> List[int]:
     """Gaussian elimination of A in place; returns the pivot columns.
 

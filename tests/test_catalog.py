@@ -207,15 +207,16 @@ class TestOracles:
         assert seen == set(FAMILY_TAGS)
 
     def test_j0_full_oracle_proves_each_code_once(self, monkeypatch):
-        # q^k over the cap: the distances come from the MDS oracle, which has
-        # already proven C2 as mds_dual_c1; C1 = dual(C2) is proven once more
+        # q^k over the cap: the distances come from the store's MDS verdicts.
+        # The code is self-dual, C1 = dual(C1) = C2, so the one matrix that
+        # mds_dual_c1 proved serves mds_c2 and both distances
         calls = count_k_subset_calls(monkeypatch)
         r = exists(9, 10, 0, 6, 6, verify_level="full_oracle", cap=1000)
         assert r.certificate.verified
         assert r.certificate.oracle_log == [
             "nesting:pass", "mds_dual_c1:pass", "mds_c2:pass", "dimensions:pass",
             "singleton_equality:pass", "distances_exact:pass"]
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_non_mds_sides_fail(self):
         # [4,2]_3 with two zero columns; its dual is non-MDS too

@@ -221,6 +221,19 @@ class TestVerifyCommand:
         assert out == ("[[5,1,3/3]]_7 pure AQMDS: verified except skipped(cap): "
                        "distance_c2_side, distance_c1_side\n")
 
+    def test_unnested_recipe_exits_2_with_witness(self, capsys, tmp_path):
+        # TH7 with j = -1 pairs GRS [5,2] with GRS [5,1]: the rebuilt pair is
+        # refused when it is made, before any oracle runs
+        path = tmp_path / "th7.json"
+        run(capsys, "css", "--family", "th7", "--q", "7", "--n", "5",
+            "--k", "2", "--j", "1", "--emit-cert", str(path))
+        payload = json.loads(path.read_text())
+        payload["recipe"]["j"] = -1
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: dual(C1) not contained in C2; witness row [1, 0, 6, 5, 4]\n"
+
     # css certificates written before css took its recipes from the catalog:
     # other key order, and a TH12/COR10 "k" that the rebuild does not read
     OLD_CSS_RECORDS = [

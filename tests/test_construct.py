@@ -18,7 +18,7 @@ from aqmds.construct import (
 )
 from aqmds.errors import DegreeTooSmall, InvalidRange, InvalidSpec, NotCharTwo
 from aqmds.gf import make_field
-from aqmds.matrix import mat_mul, transpose
+from aqmds.matrix import GfMatrix, mat_mul, transpose
 
 
 class TestDefaults:
@@ -131,6 +131,31 @@ class TestGrsSubcodeIrreducible:
                 assert (C.n, C.k) == (q + 1, r)
                 assert C.is_mds()
                 assert is_subcode(C, extended_grs(f, k))
+
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+    def test_span_of_multiples_of_p(self, q):
+        # the code is the span of the words of x^i p(x), i < r: v_j g(alpha_j)
+        # at the q points, then v_q times g's x^(k-1) coefficient
+        f = make_field(q)
+        rng = random.Random(q)
+        for k in range(3, q + 1):
+            for r in range(1, k - 1):
+                alpha = tuple(rng.sample(range(q), q))
+                v = tuple(rng.randrange(1, q) for _ in range(q + 1))
+                C, p = grs_subcode_irreducible(f, k, r, alpha, v)
+                assert len(p) == k - r + 1 and p[-1] == 1
+                rows = []
+                for i in range(r):
+                    g = f.poly_mul((0,) * i + (1,), p)
+                    word = []
+                    for a, vj in zip(alpha, v):
+                        acc = 0
+                        for c in reversed(g):
+                            acc = f.add(f.mul(acc, a), c)
+                        word.append(f.mul(vj, acc))
+                    top = g[k - 1] if len(g) >= k else 0
+                    rows.append(word + [f.mul(v[q], top)])
+                assert C == from_generator(GfMatrix(f, rows))
 
 
 class TestLengthQPlus2:

@@ -7,6 +7,7 @@ import pytest
 from aqmds.code import from_generator, full_space
 from aqmds.construct import GrsSpec, grs, q_plus_2_high, q_plus_2_low
 from aqmds.css import (
+    NestedPair,
     css_construct,
     from_full_weight,
     make_pair,
@@ -34,6 +35,9 @@ class TestMakePair:
         f = make_field(5)
         with pytest.raises(NotNested):
             make_pair(grs(GrsSpec(f, 5, 3)).dual(), grs(GrsSpec(f, 5, 2)))
+        # the pair type itself proves the nesting: no unproven pair can be made
+        with pytest.raises(NotNested, match=r"witness row \[1, 0, 0, 1, 3\]"):
+            NestedPair(grs(GrsSpec(f, 5, 3)).dual(), grs(GrsSpec(f, 5, 2)))
 
     def test_binary_even_weight_pair(self):
         f = make_field(2)
