@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .code import LinearCode, enum_cap, from_generator, full_space
+from .code import LinearCode, from_generator, full_space
 from .css import AqcParams, NestedPair, _mds_backed_distance, _side_scan, make_pair, pair_from_full_weight
 from .errors import CapExceeded, NotPrimePower, RecipeInvalid, VerificationFailed
 from .gf import FIELD_CAP, FiniteField, _factor_prime_power, find_irreducible, make_field
@@ -331,7 +331,7 @@ def build_pair_from_recipe(recipe: Dict, *, store: Optional[CodeStore] = None) -
 # -- verification oracles -----------------------------------------------------
 
 
-def run_oracles(claimed: AqcParams, pair: NestedPair, level: str, cap: int,
+def run_oracles(claimed: AqcParams, pair: NestedPair, level: str,
                 *, store: Optional[CodeStore] = None):
     """Run verification oracles against the rebuilt pair.
 
@@ -360,8 +360,8 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str, cap: int,
             try:
                 # C1 = dual(C2); where C1 = C2, a self-dual code, the store
                 # already holds the verdict on their one matrix
-                d1 = _mds_backed_distance(pair.c1, cap, store.is_mds)
-                d2 = _mds_backed_distance(pair.c2, cap, store.is_mds)
+                d1 = _mds_backed_distance(pair.c1, store.is_mds)
+                d2 = _mds_backed_distance(pair.c2, store.is_mds)
                 record("distances_exact",
                        (max(d1, d2), min(d1, d2)) == (claimed.dz, claimed.dx))
             except CapExceeded:
@@ -369,12 +369,12 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str, cap: int,
         else:
             wt2 = wt1 = d1 = d2 = None
             try:
-                wt2, d2 = _side_scan(pair.c2, pair.c1, cap)
+                wt2, d2 = _side_scan(pair.c2, pair.c1)
                 record("distance_c2_side", wt2 in (claimed.dz, claimed.dx))
             except CapExceeded:
                 log.append("distance_c2_side:skipped(cap)")
             try:
-                wt1, d1 = _side_scan(pair.c1, pair.c2, cap)
+                wt1, d1 = _side_scan(pair.c1, pair.c2)
                 record("distance_c1_side", wt1 in (claimed.dz, claimed.dx))
             except CapExceeded:
                 log.append("distance_c1_side:skipped(cap)")
@@ -385,7 +385,7 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str, cap: int,
     return not any(e.endswith(":FAIL") for e in log), log
 
 
-def _failed_checks(claimed: AqcParams, recipe: Dict, level: str, cap: Optional[int],
+def _failed_checks(claimed: AqcParams, recipe: Dict, level: str,
                    store: CodeStore) -> Tuple[List[str], List[str]]:
     """Check a claimed header against the pair rebuilt from `recipe`.
 
@@ -403,7 +403,7 @@ def _failed_checks(claimed: AqcParams, recipe: Dict, level: str, cap: Optional[i
     failed = [f"header_{name}" for name, ok in header.items() if not ok]
     if failed:
         return failed, []
-    verified, log = run_oracles(claimed, pair, level, enum_cap(cap), store=store)
+    verified, log = run_oracles(claimed, pair, level, store=store)
     if not verified:
         return [e.split(":")[0] for e in log if e.endswith(":FAIL")], log
     d1, d2 = c1.n - c1.k + 1, c2.n - c2.k + 1
@@ -421,7 +421,6 @@ def make_certificate(
     tags: Iterable[str],
     recipe: Dict,
     verify_level: str = "closed_form",
-    cap: Optional[int] = None,
     *,
     store: Optional[CodeStore] = None,
 ) -> Certificate:
@@ -429,7 +428,7 @@ def make_certificate(
     pair `recipe` builds; `verified` when every check of verify passes at
     `verify_level`."""
     claimed = AqcParams(q=q, n=n, k=j, dz=dz, dx=dx, pure=True, aqmds=True)
-    failed, log = _failed_checks(claimed, recipe, verify_level, cap, store or CodeStore())
+    failed, log = _failed_checks(claimed, recipe, verify_level, store or CodeStore())
     return Certificate(
         params=claimed,
         family=sorted(tags, key=FAMILY_TAGS.index),
@@ -440,19 +439,19 @@ def make_certificate(
 
 
 def _certify(q: int, tags: Iterable[str], case: Tuple[str, int, int, int], verify_level: str,
-             cap: Optional[int] = None, *, store: Optional[CodeStore] = None) -> Certificate:
+             *, store: Optional[CodeStore] = None) -> Certificate:
     """make_certificate for the tuple that the (tag, n, k, j) case reaches,
     with that case's recipe."""
     tag, n, k, j = case
     _, _, dz, dx = _tuple_of(n, k, j)
     return make_certificate(q, n, j, dz, dx, tags, _designated_recipe(q, tag, n, k, j),
-                            verify_level, cap, store=store)
+                            verify_level, store=store)
 
 
 # -- public operations --------------------------------------------------------
 
 
-def enumerate_catalog(query: CatalogQuery, cap: Optional[int] = None) -> List[Certificate]:
+def enumerate_catalog(query: CatalogQuery) -> List[Certificate]:
     """All admissible pure CSS AQMDS tuples for q, one certificate each.
 
     A tuple reachable by several families carries all their tags; its
@@ -464,6 +463,7 @@ def enumerate_catalog(query: CatalogQuery, cap: Optional[int] = None) -> List[Ce
     q = query.q
     if not is_prime_power(q):
         raise NotPrimePower(f"{q} is not a prime power")
+    make_field(q)  # a q over the field cap is refused before any tuple is expanded
     rows = {}
     ns = [query.n] if query.n is not None else list(range(2, length_bound(q) + 1))
     for n in ns:
@@ -482,7 +482,7 @@ def enumerate_catalog(query: CatalogQuery, cap: Optional[int] = None) -> List[Ce
         if query.dx_min is not None and dx < query.dx_min:
             continue
         tags, case = rows[(n, j, dz, dx)]
-        out.append(_certify(q, tags, case, query.verify_level, cap, store=store))
+        out.append(_certify(q, tags, case, query.verify_level, store=store))
     return out
 
 
@@ -493,11 +493,11 @@ def exists(
     dz: int,
     dx: int,
     verify_level: str = "closed_form",
-    cap: Optional[int] = None,
 ) -> ExistsResult:
     """Decide whether a pure CSS AQMDS [[n, j, dz/dx]]_q exists; {dz, dx} is
     treated as unordered.  Positive answers carry a constructive certificate
-    when one can be built within the enumeration cap."""
+    unless building it exceeds a cap: AQMDS_MAX_ENUM bounds TH12's
+    full-weight search, and oracles over it are logged skipped(cap)."""
     if not is_prime_power(q):
         return ExistsResult(False, None, f"{q} is not a prime power")
     if min(dz, dx) < 1 or j < 0 or n < 1:
@@ -524,14 +524,13 @@ def exists(
         return ExistsResult(False, None, reason)
     tags, case = row
     try:
-        cert = _certify(q, tags, case, verify_level, cap)
+        cert = _certify(q, tags, case, verify_level)
     except CapExceeded as exc:
         return ExistsResult(True, None, f"exists; certificate construction skipped: {exc}")
     return ExistsResult(True, cert, "admitted by the classification")
 
 
-def verify(cert: Certificate, cap: Optional[int] = None, *,
-           store: Optional[CodeStore] = None) -> Certificate:
+def verify(cert: Certificate, *, store: Optional[CodeStore] = None) -> Certificate:
     """Rebuild the pair from the recipe and rerun every check at full_oracle.
 
     The checks are those of make_certificate: the header must agree with
@@ -543,8 +542,7 @@ def verify(cert: Certificate, cap: Optional[int] = None, *,
     that check.  Idempotent on valid certificates.  Certificates verified
     through one `store` share its codes and MDS verdicts.
     """
-    failed, log = _failed_checks(cert.params, cert.recipe, "full_oracle", cap,
-                                 store or CodeStore())
+    failed, log = _failed_checks(cert.params, cert.recipe, "full_oracle", store or CodeStore())
     if failed:
         raise VerificationFailed(failed[0])
     return replace(cert, family=list(cert.family), verified=True, oracle_log=log)

@@ -219,7 +219,10 @@ def cmd_exists(args) -> int:
 
 def cmd_verify(args) -> int:
     with open(args.certificate) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise RecipeInvalid("malformed certificate file: JSON nested too deeply") from None
     items = payload if isinstance(payload, list) else [payload]
     store = CodeStore()  # the file's records share their codes and MDS proofs
     for item in items:

@@ -35,10 +35,9 @@ from .matrix import (_CHUNK_TARGET, GfMatrix, _eliminate, first_singular_k_subse
 DEFAULT_ENUM_CAP = 10 ** 7
 
 
-def enum_cap(cap: Optional[int] = None) -> int:
-    """Effective enumeration cap: explicit arg, else AQMDS_MAX_ENUM, else default."""
-    if cap is not None:
-        return cap
+def enum_cap() -> int:
+    """The enumeration cap, AQMDS_MAX_ENUM or else the default, read where
+    codewords are enumerated; a malformed value raises InvalidSpec."""
     env = os.environ.get("AQMDS_MAX_ENUM")
     if not env:
         return DEFAULT_ENUM_CAP
@@ -108,9 +107,9 @@ class LinearCode:
         """Encode one message vector (length k) against the canonical G."""
         return mat_mul(GfMatrix(self.field, [message]), self.G).data[0]
 
-    def min_distance(self, cap: Optional[int] = None) -> int:
+    def min_distance(self) -> int:
         """Exact minimum weight by enumerating one codeword per scalar class."""
-        return self.weight_distribution(cap).min_weight
+        return self.weight_distribution().min_weight
 
     def is_mds(self) -> bool:
         """Every k columns of G independent; equivalent to d = n-k+1."""
@@ -118,17 +117,17 @@ class LinearCode:
             return False
         return first_singular_k_subset(self.G, self.k) is None
 
-    def weight_distribution(self, cap: Optional[int] = None) -> WeightReport:
+    def weight_distribution(self) -> WeightReport:
         if self.k == 0:
             raise ZeroCode("the zero code has no weight distribution")
-        dist, _, _ = _enumerate_scan(self.field, self.G.data, cap=enum_cap(cap))
+        dist, _, _ = _enumerate_scan(self.field, self.G.data)
         return WeightReport(min_weight=_lowest_weight(dist), distribution=dist)
 
-    def full_weight_codeword(self, cap: Optional[int] = None) -> Optional[np.ndarray]:
+    def full_weight_codeword(self) -> Optional[np.ndarray]:
         """First codeword of Hamming weight n in message order, if any."""
         if self.k == 0:
             return None
-        return _find_full_weight(self.field, self.G.data, cap=enum_cap(cap))
+        return _find_full_weight(self.field, self.G.data)
 
     # -- coordinate surgery ---------------------------------------------------
 
@@ -193,7 +192,7 @@ def complement_rows(field: FiniteField, base: np.ndarray, full: np.ndarray) -> n
     return full[[p - len(base) for p in pivots if p >= len(base)]]
 
 
-def _scan_outside(C: LinearCode, checks: np.ndarray, cap: int):
+def _scan_outside(C: LinearCode, checks: np.ndarray):
     """_enumerate_scan of C, with "outside" meaning outside the subcode
     {u in C : u orthogonal to every row of `checks`}.
 
@@ -201,7 +200,7 @@ def _scan_outside(C: LinearCode, checks: np.ndarray, cap: int):
     orthogonality to dual(C) is automatic for codewords of C.
     """
     syn = complement_rows(C.field, C.H.data, checks)
-    return _enumerate_scan(C.field, C.G.data, syn, cap)
+    return _enumerate_scan(C.field, C.G.data, syn)
 
 
 def _lowest_weight(dist: np.ndarray) -> Optional[int]:
@@ -210,7 +209,7 @@ def _lowest_weight(dist: np.ndarray) -> Optional[int]:
     return int(nonzero[0]) + 1 if nonzero.size else None
 
 
-def extend_by_codeword(C: LinearCode, Cprime: LinearCode, cap: Optional[int] = None) -> LinearCode:
+def extend_by_codeword(C: LinearCode, Cprime: LinearCode) -> LinearCode:
     """Length-(n+1) MDS extension of a nested MDS pair C strictly inside C'.
 
     Picks the first w in C' \\ C (message order) and returns the code with
@@ -228,7 +227,7 @@ def extend_by_codeword(C: LinearCode, Cprime: LinearCode, cap: Optional[int] = N
         raise PreconditionFailed(
             f"C' is not MDS [{Cprime.n},{Cprime.k},{Cprime.n - Cprime.k}]"
         )
-    _, _, w = _scan_outside(Cprime, C.H.data, enum_cap(cap))
+    _, _, w = _scan_outside(Cprime, C.H.data)
     f = C.field
     top = np.hstack([np.zeros((C.k, 1), dtype=np.uint8), C.G.data])
     bottom = np.hstack([np.array([[1]], dtype=np.uint8), w[None, :]])
@@ -275,8 +274,7 @@ def _iter_word_chunks(field: FiniteField, base: np.ndarray, rows: np.ndarray, di
         yield add[offset[None, :], E]
 
 
-def _enumerate_scan(field: FiniteField, gen: np.ndarray, syn_rows: Optional[np.ndarray] = None,
-                    cap: int = DEFAULT_ENUM_CAP):
+def _enumerate_scan(field: FiniteField, gen: np.ndarray, syn_rows: Optional[np.ndarray] = None):
     """Exact weight counts of the row space of `gen`, in a single pass.
 
     Returns (dist, dist_outside, first_outside): the weight distribution
@@ -290,11 +288,12 @@ def _enumerate_scan(field: FiniteField, gen: np.ndarray, syn_rows: Optional[np.n
     syn(lambda u) = lambda syn(u), so each count is q-1 times the
     representatives' count, plus the zero word.  If the first outside
     message has leading digit a, a^-1 times it is outside and no later, so
-    the first outside word is a representative.  The cap counts all q^k.
+    the first outside word is a representative.  The cap counts all q^k and
+    is checked before anything is allocated.
     """
     k, n = gen.shape
-    total = field.q ** k
-    if total > cap:
+    cap = enum_cap()
+    if field.q ** k > cap:
         raise CapExceeded(
             f"enumeration of {field.q}^{k} codewords exceeds cap {cap}; "
             "raise AQMDS_MAX_ENUM or use the MDS k-subset oracle"
@@ -323,7 +322,7 @@ def _enumerate_scan(field: FiniteField, gen: np.ndarray, syn_rows: Optional[np.n
     return counts[: n + 1] + counts[n + 1:], counts[n + 1:], first_outside
 
 
-def _find_full_weight(field: FiniteField, gen: np.ndarray, cap: int) -> Optional[np.ndarray]:
+def _find_full_weight(field: FiniteField, gen: np.ndarray) -> Optional[np.ndarray]:
     """First full-weight codeword in message order; early exit on hit.
 
     Requires `gen` in RREF: a full-weight word is then nonzero at every
@@ -335,6 +334,7 @@ def _find_full_weight(field: FiniteField, gen: np.ndarray, cap: int) -> Optional
     candidates; otherwise CapExceeded is raised.
     """
     k, n = gen.shape
+    cap = enum_cap()
     candidates = (field.q - 1) ** (k - 1)
     scanned = 0
     for chunk in _iter_word_chunks(field, gen[0], gen[1:], np.arange(1, field.q, dtype=np.uint8)):

@@ -14,6 +14,7 @@ subcommand proves MDS of the code it prints.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -63,6 +64,8 @@ def _points(f: FiniteField, alpha: Optional[Sequence[int]], v: Optional[Sequence
     to be n_alpha distinct field elements and n_v nonzero ones."""
     alpha = tuple(alpha) if alpha is not None else default_alpha(f, n_alpha)
     v = tuple(v) if v is not None else ones(n_v)
+    if any(t is bool or not issubclass(t, numbers.Integral) for t in set(map(type, alpha + v))):
+        raise InvalidSpec("alpha and v entries must be integer element indices")
     if len(alpha) != n_alpha or len(set(alpha)) != n_alpha:
         raise InvalidSpec(f"alpha must {alpha_rule}")
     if any(not 0 <= a < f.q for a in alpha):

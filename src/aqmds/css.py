@@ -23,14 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .code import LinearCode, _lowest_weight, _scan_outside, enum_cap, first_row_outside
-from .errors import (
-    CapExceeded,
-    DegenerateInput,
-    DimensionTooSmall,
-    NoFullWeightWord,
-    NotNested,
-)
+from .code import LinearCode, _lowest_weight, _scan_outside, first_row_outside
+from .errors import CapExceeded, DimensionTooSmall, NoFullWeightWord, NotNested
 from .matrix import GfMatrix
 
 
@@ -84,41 +78,38 @@ def make_pair(C1: LinearCode, C2: LinearCode) -> NestedPair:
     return NestedPair(C1, C2)
 
 
-def _mds_backed_distance(C: LinearCode, cap: int,
+def _mds_backed_distance(C: LinearCode,
                          is_mds: Callable[[LinearCode], bool] = LinearCode.is_mds) -> int:
-    """Exact distance by enumeration, or via the MDS verdict `is_mds(C)`
-    when the enumeration would exceed the cap."""
-    if C.field.q ** C.k <= cap:
-        return C.min_distance(cap)
-    if is_mds(C):
-        return C.n - C.k + 1
-    raise CapExceeded(
-        f"cannot determine distance of [{C.n},{C.k}]_{C.field.q} within cap {cap}"
-    )
+    """Exact distance by enumeration or, where the scan raises CapExceeded
+    (before it allocates anything), n-k+1 when `is_mds(C)` proves C MDS."""
+    try:
+        return C.min_distance()
+    except CapExceeded:
+        if is_mds(C):
+            return C.n - C.k + 1
+        raise
 
 
-def css_construct(pair: NestedPair, cap: Optional[int] = None) -> AqcParams:
-    """Exact quantum parameters of the pair, by brute-force enumeration."""
+def css_construct(pair: NestedPair) -> AqcParams:
+    """Exact quantum parameters of the pair, by brute-force enumeration;
+    k = k1 + k2 - n >= 0, as the pair proves dual(C1) subseteq C2."""
     C1, C2 = pair.c1, pair.c2
     f = C1.field
     n = C1.n
     k = pair.quantum_k
-    if k < 0:
-        raise DegenerateInput(f"k1 + k2 - n = {k} < 0")  # impossible for valid pairs
-    cap = enum_cap(cap)
 
     if k == 0:
         # C1^perp = C2: distances of the code and its dual, pure by convention
-        d1 = _mds_backed_distance(C1, cap)
-        d2 = _mds_backed_distance(C2, cap)
+        d1 = _mds_backed_distance(C1)
+        d2 = _mds_backed_distance(C2)
         dz, dx = max(d1, d2), min(d1, d2)
         return AqcParams(
             q=f.q, n=n, k=0, dz=dz, dx=dx, pure=True,
             aqmds=(0 == n - dx - dz + 2),
         )
 
-    wt2, d2 = _side_scan(C2, C1, cap)
-    wt1, d1 = _side_scan(C1, C2, cap)
+    wt2, d2 = _side_scan(C2, C1)
+    wt1, d1 = _side_scan(C1, C2)
     dz, dx = max(wt2, wt1), min(wt2, wt1)
     pure = {dz, dx} == {d1, d2}
     return AqcParams(
@@ -127,26 +118,26 @@ def css_construct(pair: NestedPair, cap: Optional[int] = None) -> AqcParams:
     )
 
 
-def _side_scan(code: LinearCode, other: LinearCode, cap: int) -> Tuple[Optional[int], int]:
+def _side_scan(code: LinearCode, other: LinearCode) -> Tuple[Optional[int], int]:
     """(min weight of code \\ dual(other), min distance of code) for one side
     of a nested pair, from a single enumeration pass over `code`; the first
     is None when code lies inside dual(other)."""
-    dist, dist_outside, _ = _scan_outside(code, other.G.data, cap)
+    dist, dist_outside, _ = _scan_outside(code, other.G.data)
     return _lowest_weight(dist_outside), _lowest_weight(dist)
 
 
-def pair_from_full_weight(C: LinearCode, cap: Optional[int] = None) -> NestedPair:
+def pair_from_full_weight(C: LinearCode) -> NestedPair:
     """The CSS pair realizing the full-weight-codeword construction:
     C1 = dual of the line spanned by the first full-weight codeword, C2 = C."""
     if C.k < 2:
         raise DimensionTooSmall(f"need k >= 2, got k={C.k}")
-    u = C.full_weight_codeword(cap)
+    u = C.full_weight_codeword()
     if u is None:
         raise NoFullWeightWord(f"[{C.n},{C.k}]_{C.field.q} has no full-weight codeword")
     line = LinearCode(GfMatrix(C.field, u[None, :]))
     return make_pair(line.dual(), C)
 
 
-def from_full_weight(C: LinearCode, cap: Optional[int] = None) -> AqcParams:
+def from_full_weight(C: LinearCode) -> AqcParams:
     """Quantum code [[n, k-1, d_z/2]] from a code with a full-weight codeword."""
-    return css_construct(pair_from_full_weight(C, cap), cap)
+    return css_construct(pair_from_full_weight(C))

@@ -65,10 +65,6 @@ class NotNested(AqmdsError):
     pass
 
 
-class DegenerateInput(AqmdsError):
-    pass
-
-
 class NoFullWeightWord(AqmdsError):
     pass
 

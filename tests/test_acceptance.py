@@ -1,13 +1,15 @@
 """Acceptance suite: nine end-to-end criteria, one pass/fail line each.
 
 Several criteria enumerate code spaces above the default 10^7-codeword
-cap (largest: 9^9 ~ 3.9e8 words); those calls pass an explicit cap, which
-is the documented override mechanism (equivalent to AQMDS_MAX_ENUM).
+cap (largest: 9^9 ~ 3.9e8 words); those calls run with AQMDS_MAX_ENUM
+raised to BIG_CAP, the one way to set the cap.
 """
 import json
+import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 
@@ -32,6 +34,11 @@ import th14_expansion
 BIG_CAP = 5 * 10 ** 8  # covers the largest acceptance-side enumeration, 9^9
 
 
+def big_cap():
+    """Context in which AQMDS_MAX_ENUM is BIG_CAP."""
+    return mock.patch.dict(os.environ, {"AQMDS_MAX_ENUM": str(BIG_CAP)})
+
+
 def report(num: int, desc: str, ok: bool, detail: str = ""):
     tail = f" ({detail})" if detail else ""
     print(f"\nacceptance criterion {num} [{desc}]: {'PASS' if ok else 'FAIL'}{tail}")
@@ -50,7 +57,8 @@ def test_criterion_1_nested_grs_sweep():
                         break
                     pair = make_pair(grs(GrsSpec(f, n, k)).dual(),
                                      grs(GrsSpec(f, n, k + j)))
-                    p = css_construct(pair, cap=BIG_CAP)
+                    with big_cap():
+                        p = css_construct(pair)
                     good = (p.k == j
                             and {p.dz, p.dx} == {n - k - j + 1, k + 1}
                             and p.pure
@@ -73,7 +81,8 @@ def test_criterion_2_subcode_sweep():
                 amb = extended_grs(f, k)
                 if not is_subcode(sub, amb):
                     ok = False
-                p = css_construct(make_pair(sub.dual(), amb), cap=BIG_CAP)
+                with big_cap():
+                    p = css_construct(make_pair(sub.dual(), amb))
                 good = (p.k == j and {p.dz, p.dx} == {q - k + 2, k - j + 1})
                 ok = ok and good
                 checked += 1
@@ -218,10 +227,12 @@ def test_criterion_7_dx_2_family_spot_checks():
             ok = ok and (p.n, p.k, p.dz, p.dx) == (n, n - 2, 2, 2) and p.aqmds
     for q in (4, 8):  # [[q+2, 2, q/2]] and [[q+2, q-2, 4/2]]
         f = make_field(q)
-        p_low = from_full_weight(q_plus_2_low(f), cap=BIG_CAP)
+        with big_cap():
+            p_low = from_full_weight(q_plus_2_low(f))
         ok = ok and (p_low.n, p_low.k, p_low.dz, p_low.dx) == (q + 2, 2, q, 2)
         ok = ok and p_low.aqmds
-        p_high = from_full_weight(q_plus_2_high(f), cap=BIG_CAP)
+        with big_cap():
+            p_high = from_full_weight(q_plus_2_high(f))
         ok = ok and (p_high.n, p_high.k, p_high.dz, p_high.dx) == (q + 2, q - 2, 4, 2)
         ok = ok and p_high.aqmds
     report(7, "d_x = 2 family spot checks", ok)

@@ -27,7 +27,7 @@ from aqmds.cli import main
 from aqmds.code import from_generator, full_space
 from aqmds.construct import GrsSpec, grs
 from aqmds.css import AqcParams, css_construct, make_pair
-from aqmds.errors import InvalidSpec, NotPrimePower, RecipeInvalid, VerificationFailed
+from aqmds.errors import CapExceeded, InvalidSpec, NotPrimePower, RecipeInvalid, VerificationFailed
 from aqmds.gf import FIELD_CAP, make_field
 from aqmds.matrix import GfMatrix
 
@@ -39,6 +39,11 @@ GOLDEN_COUNT_Q4 = th14_expansion.GOLDEN_COUNT_Q4  # frozen: 29
 
 
 class TestEnumerate:
+    def test_q_over_field_cap_refused_before_expansion(self):
+        # q = 1009 is prime: its ~10^8 TH7 triples are never expanded
+        with pytest.raises(CapExceeded, match="q=1009 exceeds the field cap 64"):
+            enumerate_catalog(CatalogQuery(q=1009))
+
     def test_q4_n5_j1_only_cor10_tuple(self):
         certs = enumerate_catalog(CatalogQuery(q=4, n=5, j=1))
         tuples = {(c.params.n, c.params.k, c.params.dz, c.params.dx) for c in certs}
@@ -166,10 +171,10 @@ class TestCertificates:
         b = certificates_to_json(enumerate_catalog(CatalogQuery(q=5)))
         assert a == b
 
-    def test_cap_skips_are_marked_not_passed(self):
+    def test_cap_skips_are_marked_not_passed(self, monkeypatch):
         cert = exists(8, 10, 4, 4, 4).certificate
-        _, log = run_oracles(
-            cert.params, build_pair_from_recipe(cert.recipe), "full_oracle", cap=100)
+        monkeypatch.setenv("AQMDS_MAX_ENUM", "100")
+        _, log = run_oracles(cert.params, build_pair_from_recipe(cert.recipe), "full_oracle")
         assert any(entry.endswith("skipped(cap)") for entry in log)
         assert not any("distance" in entry and entry.endswith("pass") for entry in log)
 
@@ -211,7 +216,8 @@ class TestOracles:
         # The code is self-dual, C1 = dual(C1) = C2, so the one matrix that
         # mds_dual_c1 proved serves mds_c2 and both distances
         calls = count_k_subset_calls(monkeypatch)
-        r = exists(9, 10, 0, 6, 6, verify_level="full_oracle", cap=1000)
+        monkeypatch.setenv("AQMDS_MAX_ENUM", "1000")
+        r = exists(9, 10, 0, 6, 6, verify_level="full_oracle")
         assert r.certificate.verified
         assert r.certificate.oracle_log == [
             "nesting:pass", "mds_dual_c1:pass", "mds_c2:pass", "dimensions:pass",
@@ -223,11 +229,11 @@ class TestOracles:
         f = make_field(3)
         C = from_generator(GfMatrix(f, np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.uint8)))
         claimed = AqcParams(q=3, n=4, k=0, dz=3, dx=3, pure=True, aqmds=True)
-        verified, log = run_oracles(claimed, make_pair(C.dual(), C), "closed_form", 10**7)
+        verified, log = run_oracles(claimed, make_pair(C.dual(), C), "closed_form")
         assert not verified
         assert "mds_dual_c1:FAIL" in log and "mds_c2:FAIL" in log
         claimed = AqcParams(q=3, n=4, k=2, dz=2, dx=2, pure=True, aqmds=True)
-        verified, log = run_oracles(claimed, make_pair(C, full_space(f, 4)), "closed_form", 10**7)
+        verified, log = run_oracles(claimed, make_pair(C, full_space(f, 4)), "closed_form")
         assert not verified
         assert "mds_dual_c1:FAIL" in log and "mds_c2:pass" in log
 
@@ -236,7 +242,7 @@ class TestOracles:
         f = make_field(5)
         claimed = AqcParams(q=5, n=4, k=2, dz=3, dx=1, pure=True, aqmds=True)
         _, log = run_oracles(claimed, make_pair(full_space(f, 4), grs(GrsSpec(f, 4, 2))),
-                             "closed_form", 10**7)
+                             "closed_form")
         assert log[0] == "nesting:pass"
 
 
@@ -264,11 +270,12 @@ class TestVerify:
         ({"pure": False}, "pure"),
         ({"aqmds": False}, "aqmds"),
     ])
-    def test_tampered_header_rejected(self, edit, field):
-        # cap=10 skips the distance oracles: the header check needs none
+    def test_tampered_header_rejected(self, edit, field, monkeypatch):
+        # a cap of 10 skips the distance oracles: the header check needs none
         d = certificate_to_dict(exists(7, 5, 1, 3, 3).certificate)
+        monkeypatch.setenv("AQMDS_MAX_ENUM", "10")
         with pytest.raises(VerificationFailed) as exc:
-            verify(certificate_from_dict({**d, **edit}), cap=10)
+            verify(certificate_from_dict({**d, **edit}))
         assert str(exc.value) == f"header_{field}"
 
     @pytest.mark.parametrize("n, dz, dx", [(5, 4, 3), (7, 5, 4)])
@@ -289,11 +296,13 @@ class TestVerify:
         assert str(exc.value) == "mds_distances"
 
     @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
-    def test_mds_distances_hold_on_catalog(self, q):
+    def test_mds_distances_hold_on_catalog(self, q, monkeypatch):
         # at cap 10 no distance oracle runs, so mds_distances is the only
         # check on the split of a genuine certificate
-        for cert in enumerate_catalog(CatalogQuery(q=q)):
-            verify(cert, cap=10)
+        certs = enumerate_catalog(CatalogQuery(q=q))
+        monkeypatch.setenv("AQMDS_MAX_ENUM", "10")
+        for cert in certs:
+            verify(cert)
 
     def test_tampered_j_on_j0_pair_fails_dimensions(self):
         # claimed j = 1 on a j = 0 pair: no codeword lies outside the other
@@ -324,14 +333,15 @@ class TestOneCheckPath:
         (5, 6, 1, 4, 3, "header_q"),
         (7, 6, 1, 5, 2, "mds_distances"),  # right sum, wrong split
     ])
-    def test_false_claims_not_verified(self, q, n, j, dz, dx, first_failed):
+    def test_false_claims_not_verified(self, q, n, j, dz, dx, first_failed, monkeypatch):
         # each claim rides on the recipe of [[6,1,4/3]]_7, whose oracles all
         # pass at closed_form; make_certificate and verify run the same checks
         source = exists(7, 6, 1, 4, 3).certificate
         cert = make_certificate(q, n, j, dz, dx, source.family, source.recipe)
         assert not cert.verified
+        monkeypatch.setenv("AQMDS_MAX_ENUM", "10")
         with pytest.raises(VerificationFailed) as exc:
-            verify(cert, cap=10)
+            verify(cert)
         assert str(exc.value) == first_failed
 
     @pytest.mark.parametrize("q", [3, 4, 5, 7, 8])

@@ -184,6 +184,11 @@ class TestEnumerate:
         assert code == 2
         assert "prime power" in err
 
+    def test_q_over_field_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--q", "1009")
+        assert (code, out) == (2, "")
+        assert err == "error: q=1009 exceeds the field cap 64\n"
+
 
 class TestExists:
     def test_negative_with_reason(self, capsys):
@@ -233,6 +238,29 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", str(path))
         assert (code, out) == (2, "")
         assert err == "error: dual(C1) not contained in C2; witness row [1, 0, 6, 5, 4]\n"
+
+    @pytest.mark.parametrize("key, value", [
+        ("v", [1, 1, 1, 1, 6.9]), ("v", [1, 1, 1, 1, True]), ("alpha", [1.0, 2, 3, 4, 5]),
+    ], ids=["v-float", "v-bool", "alpha-float"])
+    def test_non_integer_field_element_exits_2(self, capsys, tmp_path, key, value):
+        # an index of 6.9 would be truncated to 6, so the proven pair would
+        # not be the one the recipe names
+        path = tmp_path / "th7.json"
+        run(capsys, "css", "--family", "th7", "--q", "7", "--n", "5",
+            "--k", "2", "--j", "1", "--emit-cert", str(path))
+        payload = json.loads(path.read_text())
+        payload["recipe"][key] = value
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: alpha and v entries must be integer element indices\n"
+
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: malformed certificate file: JSON nested too deeply\n"
 
     # css certificates written before css took its recipes from the catalog:
     # other key order, and a TH12/COR10 "k" that the rebuild does not read

@@ -1,4 +1,5 @@
 """Linear-code layer: canonical form, duals, distances, surgery, searches."""
+import inspect
 import itertools
 import random
 
@@ -14,10 +15,12 @@ from aqmds.code import (
     full_space,
     is_subcode,
 )
+from aqmds.catalog import enumerate_catalog, exists, make_certificate, run_oracles, verify
 from aqmds.construct import GrsSpec, grs, q_plus_2_low
-from aqmds.css import _side_scan
+from aqmds.css import _side_scan, css_construct, from_full_weight, make_pair, pair_from_full_weight
 from aqmds.errors import (
     CapExceeded,
+    InvalidSpec,
     PositionOutOfRange,
     PreconditionFailed,
     ZeroCode,
@@ -106,18 +109,60 @@ class TestMinDistance:
         f = make_field(7)
         assert grs(GrsSpec(f, 6, 3)).min_distance() == 4
 
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
         C = full_space(make_field(5), 11)  # 5^11 > 10^7
         with pytest.raises(CapExceeded):
             C.min_distance()
-        assert C.min_distance(cap=5 ** 11) == 1
+        monkeypatch.setenv("AQMDS_MAX_ENUM", str(5 ** 11))
+        assert C.min_distance() == 1
 
-    def test_env_cap_override(self, monkeypatch):
-        monkeypatch.setenv("AQMDS_MAX_ENUM", "10")
-        assert enum_cap() == 10
-        C = full_space(make_field(2), 5)
+
+# every public entry point that enumerates codewords, each past a cap of 10
+# words: the first four raise, the certificate paths log the skipped oracles
+CAPPED_CALLS = {
+    "min_distance": lambda: full_space(make_field(2), 5).min_distance(),
+    # [I_5 | 0] over GF(3): no full-weight word among its 2^4 candidates
+    "full_weight_codeword": lambda: from_generator(
+        GfMatrix(make_field(3), np.eye(5, 6, dtype=np.uint8))).full_weight_codeword(),
+    "extend_by_codeword": lambda: extend_by_codeword(
+        grs(GrsSpec(make_field(5), 4, 1)), grs(GrsSpec(make_field(5), 4, 2))),
+    "css_construct": lambda: css_construct(
+        make_pair(grs(GrsSpec(make_field(5), 5, 2)).dual(), grs(GrsSpec(make_field(5), 5, 3)))),
+}
+LOGGED_CALLS = {
+    "verify": lambda: verify(exists(5, 5, 1, 3, 3).certificate).oracle_log,
+    "exists": lambda: exists(5, 5, 1, 3, 3, verify_level="full_oracle").certificate.oracle_log,
+}
+
+
+@pytest.mark.parametrize("entry", [*CAPPED_CALLS, *LOGGED_CALLS])
+def test_env_cap_override(monkeypatch, entry):
+    monkeypatch.setenv("AQMDS_MAX_ENUM", "10")
+    assert enum_cap() == 10
+    if entry in CAPPED_CALLS:
         with pytest.raises(CapExceeded):
-            C.min_distance()
+            CAPPED_CALLS[entry]()
+    else:
+        log = LOGGED_CALLS[entry]()
+        assert "distance_c2_side:skipped(cap)" in log
+        assert "distance_c1_side:skipped(cap)" in log
+
+
+def test_malformed_env_cap_raises_at_first_enumeration(monkeypatch):
+    monkeypatch.setenv("AQMDS_MAX_ENUM", "x")
+    # no oracle at closed_form enumerates codewords, so none reads the cap
+    assert exists(5, 5, 1, 3, 3).certificate.verified
+    with pytest.raises(InvalidSpec):
+        full_space(make_field(2), 3).min_distance()
+
+
+def test_no_public_function_takes_a_cap():
+    # AQMDS_MAX_ENUM is the one setting of the enumeration cap
+    functions = [LinearCode.min_distance, LinearCode.weight_distribution,
+                 LinearCode.full_weight_codeword, extend_by_codeword, css_construct,
+                 pair_from_full_weight, from_full_weight, make_certificate,
+                 enumerate_catalog, exists, verify, run_oracles]
+    assert [f.__name__ for f in functions if "cap" in inspect.signature(f).parameters] == []
 
 
 class TestIsMds:
@@ -137,7 +182,7 @@ class TestIsMds:
 def weight_outside(C: LinearCode, D: LinearCode):
     """min { wt(u) : u in C, u not in D }, or None when C lies inside D: the
     outside weight of the CSS side scan of C against dual(D)."""
-    return _side_scan(C, D.dual(), enum_cap())[0]
+    return _side_scan(C, D.dual())[0]
 
 
 class TestWeightOfDifference:
@@ -283,12 +328,13 @@ class TestFullWeightCodeword:
         assert expected is not None
         assert np.array_equal(got, expected)
 
-    def test_scan_budget_raises(self):
+    def test_scan_budget_raises(self, monkeypatch):
+        monkeypatch.setenv("AQMDS_MAX_ENUM", "1")
         f = make_field(2)
         # [9,8,2]_2 dual repetition: no full-weight word; absence needs the
         # full (q-1)^k = 1 candidate, which fits any budget
         C = from_generator(GfMatrix(f, np.ones((1, 9), dtype=np.uint8))).dual()
-        assert C.full_weight_codeword(cap=1) is None
+        assert C.full_weight_codeword() is None
 
 
 class TestEnumeratorWork:

@@ -1,4 +1,5 @@
 """Property-based checks over randomly drawn inputs (hypothesis)."""
+import os
 from itertools import combinations, product
 from unittest import mock
 
@@ -255,7 +256,7 @@ def test_scan_matches_naive_enumeration(pair, chunk_target):
 
     # small chunk targets split the scan into many chunks with nonzero offsets
     with mock.patch.object(aqmds.code, "_CHUNK_TARGET", chunk_target):
-        got_dist, got_out, got_first = _scan_outside(C, checks, cap=10 ** 7)
+        got_dist, got_out, got_first = _scan_outside(C, checks)
     assert got_dist.tolist() == dist
     assert got_out.tolist() == dist_out
     assert (None if got_first is None else got_first.tolist()) == first_out
@@ -288,11 +289,12 @@ def test_full_weight_search_matches_naive_list(C, chunk_target, cap):
     words = {m: C.codeword(np.array(m, dtype=np.uint8)) for m in messages}
     full = [m for m in messages if np.count_nonzero(words[m]) == n]
     candidates = [m for m in messages if m[0] == 1]
-    with mock.patch.object(aqmds.code, "_CHUNK_TARGET", chunk_target):
+    with mock.patch.object(aqmds.code, "_CHUNK_TARGET", chunk_target), \
+            mock.patch.dict(os.environ, {"AQMDS_MAX_ENUM": str(cap)}):
         if full and candidates.index(full[0]) < cap:
-            assert np.array_equal(C.full_weight_codeword(cap=cap), words[full[0]])
+            assert np.array_equal(C.full_weight_codeword(), words[full[0]])
         elif not full and len(candidates) <= cap:
-            assert C.full_weight_codeword(cap=cap) is None
+            assert C.full_weight_codeword() is None
         else:
             with pytest.raises(CapExceeded):
-                C.full_weight_codeword(cap=cap)
+                C.full_weight_codeword()
