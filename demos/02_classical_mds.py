@@ -8,6 +8,7 @@ all q^k codewords) and the k-column-subset rank oracle.
 from aqmds import (
     GrsSpec,
     extended_grs,
+    find_irreducible,
     grs,
     grs_subcode_irreducible,
     is_subcode,
@@ -27,7 +28,8 @@ for row in C.G.data:
 E = extended_grs(f5, 4)
 print(f"\nextended GRS over GF(5), k=4: [{E.n},{E.k},{E.min_distance()}]")
 
-sub, poly = grs_subcode_irreducible(f5, 4, 2)
+poly = find_irreducible(f5, 4 - 2)  # degree k - r
+sub = grs_subcode_irreducible(f5, 4, 2, poly)
 print(f"irreducible-polynomial subcode (k=4, r=2): [{sub.n},{sub.k},{sub.min_distance()}]")
 print(f"  multiplier polynomial (irreducible, degree k-r): {poly}")
 print(f"  contained in the extended code: {is_subcode(sub, E)}")

@@ -203,10 +203,9 @@ def _designated_recipe(q: int, tag: str, n: int, k: int, j: int) -> Dict:
                 "alpha": list(default_alpha(f, n)), "v": list(ones(n))}
     if tag == "TH8":
         kk = k + j  # dimension of the ambient extended GRS code
-        poly = find_irreducible(f, j)  # degree = k - r
         return {**base, "construction": "TH8", "k": kk, "r": kk - j,
                 "alpha": list(default_alpha(f, q)), "v": list(ones(q + 1)),
-                "irreducible": list(poly)}
+                "irreducible": list(find_irreducible(f, j))}  # degree j = k - r
     if tag == "COR10":
         return {**base, "construction": "COR10", "k": k, "v": list(ones(q + 2))}
     if tag == "TH11":
@@ -281,11 +280,21 @@ def _build_source(f: FiniteField, src: Dict, store: CodeStore) -> LinearCode:
     raise RecipeInvalid(f"unknown source type {kind!r}")
 
 
+def _integers(d: Dict, names: Tuple[str, ...], what: str):
+    """Refuse a number of `d` that is not an int: a float or a bool compares
+    equal to the int it stands for, so it would pass a check and be echoed."""
+    for name in names:
+        if name in d and type(d[name]) is not int:
+            raise RecipeInvalid(f"{what} {name} must be an integer, got {d[name]!r}")
+
+
 def build_pair_from_recipe(recipe: Dict, *, store: Optional[CodeStore] = None) -> NestedPair:
     """Rebuild the classical nested pair described by a certificate recipe,
     taking the codes the run already built from `store`."""
     store = store or CodeStore()
     try:
+        for part in (recipe, recipe.get("code"), recipe.get("source")):
+            _integers(part or {}, ("q", "n", "k", "j", "r"), "recipe")
         q = recipe["q"]
         construction = recipe["construction"]
         f = make_field(q)
@@ -302,16 +311,10 @@ def build_pair_from_recipe(recipe: Dict, *, store: Optional[CodeStore] = None) -
             c_high = store.code(grs, GrsSpec(f, n, k + j, alpha, v))
             return make_pair(c_low.dual(), c_high)
         if construction == "TH8":
-            k, r = recipe["k"], recipe["r"]
-            sub, poly = grs_subcode_irreducible(
-                f, k, r, tuple(recipe["alpha"]), tuple(recipe["v"]))
-            if "irreducible" in recipe and tuple(recipe["irreducible"]) != poly:
-                raise RecipeInvalid(
-                    f"stored irreducible {recipe['irreducible']} does not match {list(poly)}"
-                )
+            k, alpha, v = recipe["k"], recipe["alpha"], recipe["v"]
+            sub = store.code(grs_subcode_irreducible, f, k, recipe["r"], recipe["irreducible"], alpha, v)
             # the arguments an extended_grs source passes, so the two share a code
-            amb = store.code(extended_grs, f, k, recipe["alpha"], recipe["v"])
-            return make_pair(sub.dual(), amb)
+            return make_pair(sub.dual(), store.code(extended_grs, f, k, alpha, v))
         if construction == "COR10":
             d = store.code(q_plus_2_low, f, recipe["v"])
             shortened = d.shorten(d.n - 1)
@@ -324,7 +327,7 @@ def build_pair_from_recipe(recipe: Dict, *, store: Optional[CodeStore] = None) -
         if construction == "TH12":
             return pair_from_full_weight(_build_source(f, recipe["source"], store))
         raise RecipeInvalid(f"unknown construction {construction!r}")
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:  # a part of the wrong shape
         raise RecipeInvalid(f"malformed recipe: {exc}") from exc
 
 
@@ -570,6 +573,7 @@ def certificate_to_dict(cert: Certificate) -> Dict:
 
 def certificate_from_dict(d: Dict) -> Certificate:
     try:
+        _integers(d, ("q", "n", "j", "dz", "dx"), "certificate")
         params = AqcParams(
             q=d["q"], n=d["n"], k=d["j"], dz=d["dz"], dx=d["dx"],
             pure=d["pure"], aqmds=d["aqmds"],

@@ -50,7 +50,7 @@ from .construct import (
     q_plus_2_low,
 )
 from .errors import AqmdsError, RecipeInvalid, VerificationFailed
-from .gf import make_field
+from .gf import find_irreducible, make_field
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -95,7 +95,10 @@ def cmd_construct(args) -> int:
     elif which == "grs-subcode":
         if args.k is None or args.r is None:
             raise RecipeInvalid("grs-subcode requires --k and --r")
-        C, poly = grs_subcode_irreducible(f, args.k, args.r, alpha, v)
+        k, r = args.k, args.r
+        # the builder refuses a k or r out of range: no search runs for one
+        poly = find_irreducible(f, k - r) if 1 <= r <= k - 2 <= f.q - 2 else ()
+        C = grs_subcode_irreducible(f, k, r, poly, alpha, v)
         _print_code(C, "irreducible-polynomial subcode")
         print(f"irreducible polynomial coefficients (low degree first): {list(poly)}")
     elif which == "qplus2-high":

@@ -22,7 +22,7 @@ import numpy as np
 
 from .code import LinearCode, from_generator
 from .errors import DegreeTooSmall, InvalidRange, InvalidSpec, NotCharTwo
-from .gf import FiniteField, Poly, find_irreducible
+from .gf import FiniteField, _poly_is_irreducible
 from .matrix import GfMatrix
 
 
@@ -119,17 +119,18 @@ def grs_subcode_irreducible(
     f: FiniteField,
     k: int,
     r: int,
+    poly: Sequence[int],
     alpha: Optional[Sequence[int]] = None,
     v: Optional[Sequence[int]] = None,
-) -> Tuple[LinearCode, Poly]:
+) -> LinearCode:
     """The [q+1, r, q-r+2]_q subcode of the extended GRS code of dimension k,
-    generated by multiples of a monic irreducible polynomial of degree k-r.
+    generated by multiples of `poly`, a monic irreducible of degree k-r.
 
     It is itself an extended GRS code: the span of x^i p(x), i < r,
     evaluated with multipliers v_j p(alpha_j), which are nonzero since p
     has degree k-r >= 2 and no root in GF(q).  Its infinity coordinate is
     v_q times the x^(k-1) coefficient, which p monic puts on x^(r-1) p(x)
-    alone.  Returns (code, irreducible polynomial used).
+    alone.  `poly` is checked by one Ben-Or test, never searched for.
     """
     q = f.q
     if not 1 <= k <= q:
@@ -137,9 +138,12 @@ def grs_subcode_irreducible(
     if not 1 <= r <= k - 2:
         raise InvalidRange(f"r={r} must satisfy 1 <= r <= k-2 = {k - 2}")
     alpha, v = _extended_points(f, alpha, v)
-    p_poly = find_irreducible(f, k - r)
-    scaled_v = tuple(f.mul(v[j], f.poly_eval(p_poly, alpha[j])) for j in range(q)) + v[q:]
-    return extended_grs(f, r, alpha, scaled_v), p_poly
+    # element indices, low degree first: a float or bool entry is refused
+    if not (set(map(type, poly)) == {int} and len(poly) == k - r + 1 and poly[-1] == 1
+            and min(poly) >= 0 and max(poly) < q and _poly_is_irreducible(f._tables, poly)):
+        raise InvalidSpec(f"poly must be a monic irreducible of degree k-r = {k - r} over GF({q})")
+    scaled_v = tuple(f.mul(v[j], f.poly_eval(poly, alpha[j])) for j in range(q)) + v[q:]
+    return extended_grs(f, r, alpha, scaled_v)
 
 
 def _char_two_points(f: FiniteField, v: Optional[Sequence[int]]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

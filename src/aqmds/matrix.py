@@ -11,8 +11,8 @@ over the whole stack.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations, count, islice
-from typing import List, Optional, Tuple
+from itertools import chain, combinations, islice
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -168,8 +168,7 @@ def first_singular_k_subset(M: GfMatrix, k: int) -> Optional[Tuple[int, ...]]:
     # entry a * q + b of a flat table is a + b, resp. a * b; it fits uint16
     add, mul = f.add_table.ravel(), f.mul_table.ravel()
     size = max(1, _CHUNK_TARGET // (k * k))
-    for i in count():
-        subsets = _subset_chunk(M.cols, k, size, i)
+    for subsets in _subset_chunks(M.cols, k, size):
         # a matrix and its transpose are singular together, so row r of A[b]
         # is column subsets[b, r] of M
         A = M.data.T[subsets].astype(np.uint16)
@@ -192,18 +191,31 @@ def first_singular_k_subset(M: GfMatrix, k: int) -> Optional[Tuple[int, ...]]:
         hits = np.flatnonzero(singular)
         if hits.size:
             return tuple(int(col) for col in subsets[hits[0]])
-        if len(subsets) < size:  # the last chunk
-            return None
+    return None
+
+
+def _subset_chunks(n: int, k: int, size: int) -> Iterator[np.ndarray]:
+    """The k-subsets of range(n) in lexicographic order, `size` subsets a
+    chunk, as read-only (<= size, k) index arrays, from one walk.
+
+    The first chunk is cached: it holds every subset of most matrices.
+    """
+    chunk = _first_chunk(n, k, size)
+    yield chunk
+    if len(chunk) == size:
+        rest = islice(combinations(range(n), k), size, None)
+        while len(chunk := _index_array(islice(rest, size), n, k)):
+            yield chunk
 
 
 @lru_cache(maxsize=128)
-def _subset_chunk(n: int, k: int, size: int, i: int) -> np.ndarray:
-    """Chunk i of the k-subsets of range(n) in lexicographic order, `size`
-    subsets a chunk, as a read-only (<= size, k) index array.
+def _first_chunk(n: int, k: int, size: int) -> np.ndarray:
+    return _index_array(islice(combinations(range(n), k), size), n, k)
 
-    Entries take the smallest dtype that holds n: one byte while n <= 256.
-    """
-    subsets = islice(combinations(range(n), k), i * size, (i + 1) * size)
+
+def _index_array(subsets, n: int, k: int) -> np.ndarray:
+    """The subsets as a read-only (-1, k) array of the smallest dtype that
+    holds n: one byte while n <= 256."""
     chunk = np.fromiter(chain.from_iterable(subsets), dtype=np.min_scalar_type(n)).reshape(-1, k)
     chunk.setflags(write=False)
     return chunk

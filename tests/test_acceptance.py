@@ -26,7 +26,7 @@ from aqmds.construct import (
     _q_plus_2_check_matrix,
 )
 from aqmds.css import css_construct, from_full_weight, make_pair
-from aqmds.gf import make_field
+from aqmds.gf import find_irreducible, make_field
 from aqmds.matrix import GfMatrix, first_singular_k_subset, mat_mul, transpose
 
 import th14_expansion
@@ -77,7 +77,7 @@ def test_criterion_2_subcode_sweep():
             for j in range(2, k):
                 if q ** (k + j) > 10 ** 6:
                     break
-                sub, _ = grs_subcode_irreducible(f, k, k - j)
+                sub = grs_subcode_irreducible(f, k, k - j, find_irreducible(f, j))
                 amb = extended_grs(f, k)
                 if not is_subcode(sub, amb):
                     ok = False
@@ -174,7 +174,7 @@ def _dichotomy_code_pool():
                 pool.append(extended_grs(f, k))
             for r in range(1, k - 1):
                 if q ** r <= 10 ** 5:
-                    pool.append(grs_subcode_irreducible(f, k, r)[0])
+                    pool.append(grs_subcode_irreducible(f, k, r, find_irreducible(f, k - r)))
     for q in (4, 8, 16):
         f = make_field(q)
         if q ** 3 <= 10 ** 5:

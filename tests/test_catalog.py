@@ -440,8 +440,9 @@ def verify_outcome(record, store=None):
 
 def tampered_copies(record):
     """Copies of a catalog record with one field edited: dz or dx moved by
-    one, the header q changed, one column multiplier scaled or zeroed, or the
-    evaluation points permuted or one repeated."""
+    one, the header q changed, one column multiplier scaled or zeroed, the
+    evaluation points permuted or one repeated, or the constant term of the
+    TH8 polynomial shifted, which makes another irreducible or a reducible."""
     def multipliers(r):  # the part of the recipe that holds v, if any
         recipe = r["recipe"]
         return next((d for d in (recipe, recipe.get("code"), recipe.get("source"))
@@ -459,12 +460,18 @@ def tampered_copies(record):
     def repeat_alpha(r, src):
         src["alpha"][-1] = src["alpha"][0]
 
+    def shift_irreducible(r, src):
+        poly = r["recipe"]["irreducible"]
+        poly[0] = (poly[0] + 1) % r["q"]
+
     edits = [lambda r, src: r.update(dz=r["dz"] + 1),
              lambda r, src: r.update(dz=r["dz"] - 1, dx=r["dx"] + 1),
              lambda r, src: r.update(q=12 - r["q"])]  # 5 <-> 7
     src = multipliers(record)
     if src is not None:
         edits += [scale_v, zero_v] + ([permute_alpha, repeat_alpha] if "alpha" in src else [])
+    if "irreducible" in record["recipe"]:
+        edits.append(shift_irreducible)
     copies = []
     for edit in edits:
         copy = json.loads(json.dumps(record))

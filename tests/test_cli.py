@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, formats, exit codes, round trips."""
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def no_search(*args):
+    raise AssertionError("find_irreducible called")
+
+
+# the css options of the [[5,1,3/3]]_7 TH7 record
+TH7_Q7 = ("--family", "th7", "--q", "7", "--n", "5", "--k", "2", "--j", "1")
+
+
+def edited_record(capsys, tmp_path, edit, *css_args):
+    """The path of the record `css css_args --emit-cert` writes, after edit(record)."""
+    path = tmp_path / "cert.json"
+    run(capsys, "css", *css_args, "--emit-cert", str(path))
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
 
 
 class TestConstruct:
@@ -62,6 +81,14 @@ class TestConstruct:
         code, out, err = run(capsys, "construct", "grs", "--q", "5", "--n", "4", "--k", "2")
         assert (code, out) == (3, "")
         assert "not MDS [4,2]" in err
+
+    @pytest.mark.parametrize("k, r", [("10", "-100"), ("100", "4"), ("10", "9")])
+    def test_grs_subcode_bad_k_or_r_exits_2_before_any_search(self, capsys, monkeypatch, k, r):
+        # k - r = 110 or 96 would be a long search; the builder refuses the range first
+        monkeypatch.setattr(cli, "find_irreducible", no_search)
+        code, out, err = run(capsys, "construct", "grs-subcode", "--q", "16", "--k", k, "--r", r)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {'k=' + k if k == '100' else 'r=' + r} must satisfy")
 
     def test_malformed_alpha_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -229,12 +256,7 @@ class TestVerifyCommand:
     def test_unnested_recipe_exits_2_with_witness(self, capsys, tmp_path):
         # TH7 with j = -1 pairs GRS [5,2] with GRS [5,1]: the rebuilt pair is
         # refused when it is made, before any oracle runs
-        path = tmp_path / "th7.json"
-        run(capsys, "css", "--family", "th7", "--q", "7", "--n", "5",
-            "--k", "2", "--j", "1", "--emit-cert", str(path))
-        payload = json.loads(path.read_text())
-        payload["recipe"]["j"] = -1
-        path.write_text(json.dumps(payload))
+        path = edited_record(capsys, tmp_path, lambda d: d["recipe"].update(j=-1), *TH7_Q7)
         code, out, err = run(capsys, "verify", str(path))
         assert (code, out) == (2, "")
         assert err == "error: dual(C1) not contained in C2; witness row [1, 0, 6, 5, 4]\n"
@@ -245,15 +267,94 @@ class TestVerifyCommand:
     def test_non_integer_field_element_exits_2(self, capsys, tmp_path, key, value):
         # an index of 6.9 would be truncated to 6, so the proven pair would
         # not be the one the recipe names
-        path = tmp_path / "th7.json"
-        run(capsys, "css", "--family", "th7", "--q", "7", "--n", "5",
-            "--k", "2", "--j", "1", "--emit-cert", str(path))
-        payload = json.loads(path.read_text())
-        payload["recipe"][key] = value
-        path.write_text(json.dumps(payload))
+        path = edited_record(capsys, tmp_path, lambda d: d["recipe"].update({key: value}), *TH7_Q7)
         code, out, err = run(capsys, "verify", str(path))
         assert (code, out) == (2, "")
         assert err == "error: alpha and v entries must be integer element indices\n"
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(q=7.0), lambda d: d.update(dz=3.0), lambda d: d.update(j=True),
+        lambda d: d["recipe"].update(n=5.0), lambda d: d["recipe"].update(k=2.0),
+        lambda d: d["recipe"].update(j=False),
+    ], ids=["q-float", "dz-float", "j-bool", "recipe-n-float", "recipe-k-float", "recipe-j-bool"])
+    def test_non_integer_number_exits_2(self, capsys, tmp_path, edit):
+        # 7.0 == 7 and True == 1, so each of these passed every check and was echoed
+        path = edited_record(capsys, tmp_path, edit, *TH7_Q7)
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert "must be an integer" in err
+
+    @pytest.mark.parametrize("key", ["code", "source"])
+    def test_source_numbers_must_be_integers(self, capsys, tmp_path, key):
+        # a length of 6.0 built the [6, 3] code and verified
+        family = {"code": "prop6", "source": "th12"}[key]
+        path = edited_record(capsys, tmp_path, lambda d: d["recipe"][key].update(n=6.0),
+                             "--family", family, "--q", "7", "--n", "6", "--k", "3")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: recipe n must be an integer, got 6.0\n"
+
+    def test_source_of_wrong_shape_exits_2(self, capsys, tmp_path):
+        path = edited_record(capsys, tmp_path, lambda d: d["recipe"].update(code=[1]),
+                             "--family", "prop6", "--q", "7", "--n", "6", "--k", "3")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed recipe:")
+
+    # [[8,2,4/4]]_7 is built on x^2+1 and [[8,4,3/3]]_7 on an irreducible quartic
+    TH8_DEGREE_2 = ("--family", "th8", "--q", "7", "--k", "5", "--j", "2")
+    TH8_DEGREE_4 = ("--family", "th8", "--q", "7", "--k", "6", "--j", "4")
+
+    def test_th8_replays_another_irreducible(self, capsys, tmp_path):
+        path = edited_record(capsys, tmp_path, lambda d: None, *self.TH8_DEGREE_2)
+        assert json.loads(path.read_text())["recipe"]["irreducible"] == [1, 0, 1]
+        assert run(capsys, "verify", str(path)) == (0, "[[8,2,4/4]]_7 pure AQMDS: verified\n", "")
+        path = edited_record(capsys, tmp_path, lambda d: d["recipe"].update(irreducible=[2, 0, 1]),
+                             *self.TH8_DEGREE_2)
+        assert run(capsys, "verify", str(path)) == (0, "[[8,2,4/4]]_7 pure AQMDS: verified\n", "")
+
+    @pytest.mark.parametrize("poly", [
+        None, [1.0, 0.0, 1.0], [1, 0, 1.0], [True, 0, 1], [1, 0, True], [7, 0, 1], [-1, 0, 1],
+        [1, 0, 2], [1, 1], [1, 0, 0, 1], [6, 0, 1], "x^2+1", 5,
+    ], ids=["missing", "float", "float-lead", "bool", "bool-lead", "7", "-1", "non-monic",
+            "degree-1", "degree-3", "root", "string", "int"])
+    def test_th8_bad_irreducible_exits_2(self, capsys, tmp_path, poly):
+        def edit(d):
+            if poly is None:
+                del d["recipe"]["irreducible"]
+            else:
+                d["recipe"]["irreducible"] = poly
+        path = edited_record(capsys, tmp_path, edit, *self.TH8_DEGREE_2)
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_th8_reducible_without_root_exits_2(self, capsys, tmp_path):
+        # (x^2+1)(x^2+2) has no root in GF(7): Ben-Or's second step refuses it
+        path = edited_record(capsys, tmp_path, lambda d: None, *self.TH8_DEGREE_4)
+        assert len(json.loads(path.read_text())["recipe"]["irreducible"]) == 5
+        code, out, _ = run(capsys, "verify", str(path))
+        assert (code, out) == (0, "[[8,4,3/3]]_7 pure AQMDS: verified\n")
+        path = edited_record(capsys, tmp_path,
+                             lambda d: d["recipe"].update(irreducible=[2, 0, 3, 0, 1]),
+                             *self.TH8_DEGREE_4)
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: poly must be a monic irreducible of degree k-r = 4 over GF(7)\n"
+
+    def test_verify_never_searches_for_an_irreducible(self, capsys, tmp_path, monkeypatch):
+        _, out, _ = run(capsys, "enumerate", "--q", "8", "--format", "json")
+        th8 = [r for r in json.loads(out) if r["recipe"]["construction"] == "TH8"]
+        assert len({len(r["recipe"]["irreducible"]) for r in th8}) == 5  # degrees 2..6
+        path = tmp_path / "th8.json"
+        path.write_text(json.dumps(th8))
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "aqmds" and hasattr(module, "find_irreducible"):
+                monkeypatch.setattr(module, "find_irreducible", no_search)
+        code, report, _ = run(capsys, "verify", str(path))
+        lines = report.splitlines()
+        assert code == 0 and len(lines) == len(th8)
+        assert all(": verified" in line for line in lines)
 
     def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -17,7 +17,7 @@ from aqmds.construct import (
     _q_plus_2_check_matrix,
 )
 from aqmds.errors import DegreeTooSmall, InvalidRange, InvalidSpec, NotCharTwo
-from aqmds.gf import make_field
+from aqmds.gf import find_irreducible, make_field
 from aqmds.matrix import GfMatrix, mat_mul, transpose
 
 
@@ -100,34 +100,57 @@ class TestExtendedGrs:
         with pytest.raises(InvalidSpec):
             extended_grs(f, 2, alpha=(-1, 0, 1, 2, 3))
         with pytest.raises(InvalidSpec):
-            grs_subcode_irreducible(f, 4, 2, alpha=(0, 1, 2, 3, 5))
+            grs_subcode_irreducible(f, 4, 2, find_irreducible(f, 2), alpha=(0, 1, 2, 3, 5))
 
 
 class TestGrsSubcodeIrreducible:
     def test_gf4_k3_r1(self):
         f = make_field(4)
-        C, poly = grs_subcode_irreducible(f, 3, 1)
+        C = grs_subcode_irreducible(f, 3, 1, find_irreducible(f, 2))
         assert (C.n, C.k) == (5, 1) and C.min_distance() == 5
-        assert len(poly) == 3  # degree k - r = 2
         assert is_subcode(C, extended_grs(f, 3))
 
     def test_gf5_k4_r2(self):
         f = make_field(5)
-        C, _ = grs_subcode_irreducible(f, 4, 2)
+        C = grs_subcode_irreducible(f, 4, 2, find_irreducible(f, 2))
         assert (C.n, C.k) == (6, 2) and C.min_distance() == 5
         E = extended_grs(f, 4)
         assert (E.n, E.k) == (6, 4) and is_subcode(C, E)
 
     def test_r_out_of_range(self):
         with pytest.raises(InvalidRange):
-            grs_subcode_irreducible(make_field(4), 3, 2)
+            grs_subcode_irreducible(make_field(4), 3, 2, (1, 1))
+
+    @pytest.mark.parametrize("poly", [(1, 0, 1), (2, 0, 1), (3, 1, 1)])
+    def test_builds_the_polynomial_given(self, poly):
+        # three irreducible quadratics over GF(7), each with its own nested
+        # subcode, which holds the evaluations of poly itself
+        f = make_field(7)
+        C = grs_subcode_irreducible(f, 4, 2, poly)
+        assert (C.n, C.k) == (8, 2) and C.is_mds()
+        assert is_subcode(C, extended_grs(f, 4))
+        word = [f.poly_eval(poly, a) for a in default_alpha(f, 7)] + [0]
+        assert is_subcode(from_generator(GfMatrix(f, [word])), C)
+
+    @pytest.mark.parametrize("poly", [
+        [1.0, 0, 1], [1, 0, 1.0], [True, 0, 1], [1, 0, True], [7, 0, 1], [-1, 0, 1],
+        [1, 0, 2], [1, 1], [1, 0, 0, 1], [], [3, 0, 1], [6, 0, 1], [2, 0, 3, 0, 1],
+    ], ids=["float", "float-lead", "bool", "bool-lead", "7", "-1", "non-monic", "degree-1",
+            "degree-3", "empty", "root-2", "root-1", "reducible-no-root"])
+    def test_malformed_polynomial_refused(self, poly):
+        # [2, 0, 3, 0, 1] = (x^2+1)(x^2+2) has no root in GF(7); it is tried at
+        # k - r = 4, every other at 2
+        f = make_field(7)
+        k = 6 if len(poly) == 5 else 4
+        with pytest.raises(InvalidSpec):
+            grs_subcode_irreducible(f, k, 2, poly)
 
     @pytest.mark.parametrize("q", [4, 5, 7, 9])
     def test_subcode_relation_all_valid_k_r(self, q):
         f = make_field(q)
         for k in range(3, q + 1):
             for r in range(1, k - 1):
-                C, _ = grs_subcode_irreducible(f, k, r)
+                C = grs_subcode_irreducible(f, k, r, find_irreducible(f, k - r))
                 assert (C.n, C.k) == (q + 1, r)
                 assert C.is_mds()
                 assert is_subcode(C, extended_grs(f, k))
@@ -142,8 +165,8 @@ class TestGrsSubcodeIrreducible:
             for r in range(1, k - 1):
                 alpha = tuple(rng.sample(range(q), q))
                 v = tuple(rng.randrange(1, q) for _ in range(q + 1))
-                C, p = grs_subcode_irreducible(f, k, r, alpha, v)
-                assert len(p) == k - r + 1 and p[-1] == 1
+                p = find_irreducible(f, k - r)
+                C = grs_subcode_irreducible(f, k, r, p, alpha, v)
                 rows = []
                 for i in range(r):
                     g = f.poly_mul((0,) * i + (1,), p)

@@ -1,5 +1,6 @@
 """Dense linear algebra over GF(q): RREF, nullspace, products, MDS oracle."""
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -140,6 +141,16 @@ class TestKSubsetOracle:
         f = make_field(7)
         M = GfMatrix(f, [[1, 0, 1, 1, 1, 1, 2, 1], [0, 1, 1, 2, 3, 4, 1, 6]])
         assert first_singular_k_subset(M, 2) == (5, 6)
+
+    @pytest.mark.parametrize("n, k, size", [(8, 2, 16), (8, 2, 7), (6, 3, 5), (5, 5, 1), (4, 1, 9)])
+    def test_chunks_walk_the_subsets_once(self, n, k, size):
+        # chunks of `size` but the last, which is nonempty, in combinations order;
+        # C(8, 2) = 28 = 4 * 7 ends on a full chunk
+        chunks = list(matrix._subset_chunks(n, k, size))
+        assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
+        assert 0 < len(chunks[-1]) <= size
+        assert [tuple(int(x) for x in s) for c in chunks for s in c] == list(combinations(range(n), k))
+        assert not any(c.flags.writeable for c in chunks)
 
     def test_rank_deficient_rejected(self):
         f = make_field(3)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import aqmds.code
+import aqmds.matrix
 from aqmds.code import (LinearCode, _lowest_weight, _scan_outside, from_generator, full_space,
                         is_subcode)
 from aqmds.construct import GrsSpec, grs
@@ -198,12 +199,14 @@ def full_rank_matrix(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(full_rank_matrix())
-def test_first_singular_k_subset_matches_rank_loop(M):
+@given(full_rank_matrix(), st.sampled_from([1, 3, 16, 1 << 20]))
+def test_first_singular_k_subset_matches_rank_loop(M, chunk_target):
     k = M.rows
     expected = next((s for s in combinations(range(M.cols), k)
                      if rank(GfMatrix(M.field, M.data[:, s])) < k), None)
-    assert first_singular_k_subset(M, k) == expected
+    # small chunk targets walk the subsets in many chunks, the last one full or not
+    with mock.patch.object(aqmds.matrix, "_CHUNK_TARGET", chunk_target):
+        assert first_singular_k_subset(M, k) == expected
 
 
 def _random_full_rank(rng, f, k, n) -> np.ndarray:
