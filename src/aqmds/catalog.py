@@ -85,14 +85,6 @@ class ExistsResult:
     reason: str
 
 
-def is_prime_power(q: int) -> bool:
-    try:
-        _factor_prime_power(q)
-        return True
-    except NotPrimePower:
-        return False
-
-
 def length_bound(q: int) -> int:
     """Conjecture-conditional maximum length: q+1 for odd q, q+2 for even q."""
     return q + 2 if q % 2 == 0 else q + 1
@@ -388,11 +380,20 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str,
     return not any(e.endswith(":FAIL") for e in log), log
 
 
-def _failed_checks(claimed: AqcParams, recipe: Dict, level: str,
+def _family_holds(claimed: AqcParams, family: List[str], construction: str) -> bool:
+    """Whether `family` holds the construction and otherwise only tags of
+    the cases that reach the claimed tuple."""
+    others = set(family) - {construction}
+    key = (claimed.n, claimed.k, max(claimed.dz, claimed.dx), min(claimed.dz, claimed.dx))
+    return construction in family and (
+        not others or others <= _tuples(claimed.q, claimed.n, claimed.k).get(key, (set(),))[0])
+
+
+def _failed_checks(claimed: AqcParams, family: List[str], recipe: Dict, level: str,
                    store: CodeStore) -> Tuple[List[str], List[str]]:
     """Check a claimed header against the pair rebuilt from `recipe`.
 
-    In order: the header (q, n, pure, aqmds) against the pair, the oracles
+    In order: the header (q, n, pure, aqmds, family) against the pair, the oracles
     of run_oracles, and, once those pass, the ordered (dz, dx) against the
     distances n-k1+1 and n-k2+1 of the two proven MDS codes, which are the
     quantum distances for every j, even where the distance oracles skipped.
@@ -404,6 +405,8 @@ def _failed_checks(claimed: AqcParams, recipe: Dict, level: str,
     header = {"q": claimed.q == c1.field.q, "n": claimed.n == c1.n,
               "pure": claimed.pure is True, "aqmds": claimed.aqmds is True}
     failed = [f"header_{name}" for name, ok in header.items() if not ok]
+    if not failed and not _family_holds(claimed, family, recipe["construction"]):
+        failed.append("header_family")
     if failed:
         return failed, []
     verified, log = run_oracles(claimed, pair, level, store=store)
@@ -431,10 +434,11 @@ def make_certificate(
     pair `recipe` builds; `verified` when every check of verify passes at
     `verify_level`."""
     claimed = AqcParams(q=q, n=n, k=j, dz=dz, dx=dx, pure=True, aqmds=True)
-    failed, log = _failed_checks(claimed, recipe, verify_level, store or CodeStore())
+    family = sorted(tags, key=FAMILY_TAGS.index)
+    failed, log = _failed_checks(claimed, family, recipe, verify_level, store or CodeStore())
     return Certificate(
         params=claimed,
-        family=sorted(tags, key=FAMILY_TAGS.index),
+        family=family,
         recipe=recipe,
         verified=not failed,
         oracle_log=log,
@@ -464,9 +468,7 @@ def enumerate_catalog(query: CatalogQuery) -> List[Certificate]:
     generator matrix proven MDS, once.
     """
     q = query.q
-    if not is_prime_power(q):
-        raise NotPrimePower(f"{q} is not a prime power")
-    make_field(q)  # a q over the field cap is refused before any tuple is expanded
+    make_field(q)  # a q that is no prime power or over the cap is refused before any work
     rows = {}
     ns = [query.n] if query.n is not None else list(range(2, length_bound(q) + 1))
     for n in ns:
@@ -501,7 +503,9 @@ def exists(
     treated as unordered.  Positive answers carry a constructive certificate
     unless building it exceeds a cap: AQMDS_MAX_ENUM bounds TH12's
     full-weight search, and oracles over it are logged skipped(cap)."""
-    if not is_prime_power(q):
+    try:
+        _factor_prime_power(q)  # CapExceeded from 2^32 on: no "no" for a q never tested
+    except NotPrimePower:
         return ExistsResult(False, None, f"{q} is not a prime power")
     if min(dz, dx) < 1 or j < 0 or n < 1:
         return ExistsResult(False, None, "parameters out of range")
@@ -537,15 +541,17 @@ def verify(cert: Certificate, *, store: Optional[CodeStore] = None) -> Certifica
     """Rebuild the pair from the recipe and rerun every check at full_oracle.
 
     The checks are those of make_certificate: the header must agree with
-    the rebuilt pair (field size and length) and claim a pure AQMDS code,
-    as every certificate made here does; the oracles must pass; and the
+    the rebuilt pair (field size and length), claim a pure AQMDS code, as
+    every certificate made here does, and name the recipe's construction
+    in a family of tags that reach the tuple; the oracles must pass; and the
     claimed ordered (dz, dx) must equal the ordered distances of the two
     MDS codes ("mds_distances").  Returns a refreshed certificate; raises
     VerificationFailed naming the first failing header field, oracle or
     that check.  Idempotent on valid certificates.  Certificates verified
     through one `store` share its codes and MDS verdicts.
     """
-    failed, log = _failed_checks(cert.params, cert.recipe, "full_oracle", store or CodeStore())
+    failed, log = _failed_checks(cert.params, cert.family, cert.recipe, "full_oracle",
+                                 store or CodeStore())
     if failed:
         raise VerificationFailed(failed[0])
     return replace(cert, family=list(cert.family), verified=True, oracle_log=log)
@@ -574,13 +580,18 @@ def certificate_to_dict(cert: Certificate) -> Dict:
 def certificate_from_dict(d: Dict) -> Certificate:
     try:
         _integers(d, ("q", "n", "j", "dz", "dx"), "certificate")
+        family = d["family"]
+        if not (type(family) is list and family and all(type(t) is str for t in family)
+                and set(family) <= set(FAMILY_TAGS) and len(set(family)) == len(family)):
+            raise RecipeInvalid(f"certificate family must be a non-empty list of distinct"
+                                f" tags of {FAMILY_TAGS}, got {family!r}")
         params = AqcParams(
             q=d["q"], n=d["n"], k=d["j"], dz=d["dz"], dx=d["dx"],
             pure=d["pure"], aqmds=d["aqmds"],
         )
         return Certificate(
             params=params,
-            family=list(d["family"]),
+            family=list(family),
             recipe=dict(d["recipe"]),
             verified=bool(d["verified"]),
             oracle_log=list(d["oracle_log"]),

@@ -3,16 +3,16 @@
 Elements are encoded as integers in [0, q): the base-p digits of the index
 are the coefficients of the element in the polynomial basis, low degree
 first.  Index 0 is the additive identity and index 1 the multiplicative
-identity.  A :class:`FiniteField` carries dense lookup tables (add, mul,
-inv, neg, exp, log) so that matrix and enumeration code can run entirely
-on numpy fancy indexing.  The tables come from the array of every element's
+identity.  A :class:`FiniteField` carries four dense lookup tables (add,
+mul, neg, inv) so that matrix and enumeration code can run entirely on
+numpy fancy indexing.  The tables come from the array of every element's
 digits: addition and negation act digit-wise mod p, and multiplication by
 x is GF(p)-linear on digits, so a*b = sum_i a_i (x^i b) is one contraction.
 
 Polynomials over GF(q) are tuples of element indices, low degree first.
-Polynomial arithmetic has one product loop, `_poly_mul`, and one division
-loop, `_poly_divmod`, over nested-list tables: `poly_mul`, `poly_divmod`
-and the irreducibility test's powers and Euclid steps all run on them.
+The kernels `_poly_mul` and `_poly_divmod`, over nested-list copies of the
+tables, are the only polynomial loops: the irreducibility test's powers
+and Euclid steps run on them.
 """
 from __future__ import annotations
 
@@ -30,9 +30,12 @@ Poly = Tuple[int, ...]
 
 
 def _factor_prime_power(q: int) -> Tuple[int, int]:
-    """Return (p, m) with q = p^m, or raise NotPrimePower."""
+    """Return (p, m) with q = p^m, or raise NotPrimePower.  A q of 2^32 or
+    more raises CapExceeded untested: trial division stops below 2^16."""
     if q < 2:
         raise NotPrimePower(f"q must be >= 2, got {q}")
+    if q >= 1 << 32:
+        raise CapExceeded(f"q={q} is too large to test for a prime power")
     n = q
     p = None
     for cand in range(2, q + 1):
@@ -88,22 +91,7 @@ class FiniteField:
         # nested-list copies for the scalar loops of the polynomial code
         self._tables = tuple(t.tolist() for t in (self.add_table, self.mul_table,
                                                   self.neg_table, self.inv_table))
-
-        # the generator is the smallest element of order q - 1
-        mul = self._tables[1]
-        for g in range(1, q):
-            powers = [1]
-            while mul[powers[-1]][g] != 1:
-                powers.append(mul[powers[-1]][g])
-            if len(powers) == q - 1:
-                break
-        self.generator = g
-        self.exp_table = np.array(powers, dtype=np.uint8)
-        self.log_table = np.zeros(q, dtype=np.int64)
-        self.log_table[self.exp_table] = np.arange(q - 1)
-
-        for t in (self.add_table, self.neg_table, self.mul_table, self.inv_table,
-                  self.exp_table, self.log_table):
+        for t in (self.add_table, self.neg_table, self.mul_table, self.inv_table):
             t.setflags(write=False)
 
     # -- element operations ---------------------------------------------------
@@ -121,38 +109,6 @@ class FiniteField:
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
         return int(self.inv_table[a])
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        if a == 0:
-            return 0 if e else 1
-        # exp/log shortcut over the cyclic multiplicative group
-        return int(self.exp_table[(int(self.log_table[a]) * e) % (self.q - 1)])
-
-    def elements(self) -> range:
-        return range(self.q)
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.q)
-
-    # -- polynomials over GF(q), tuples of indices, low degree first ----------
-
-    def poly_trim(self, f: Sequence[int]) -> Poly:
-        # the zero polynomial is (0,), except that an empty f stays empty
-        return tuple(_trim(list(f))) or (0,)[:len(f)]
-
-    def poly_mul(self, f: Sequence[int], g: Sequence[int]) -> Poly:
-        return self.poly_trim(_poly_mul(f, g, self._tables))
-
-    def poly_divmod(self, f: Sequence[int], g: Sequence[int]) -> Tuple[Poly, Poly]:
-        g = _trim(list(g))
-        if not g:
-            raise DivisionByZero("polynomial division by zero")
-        quot, rem = _poly_divmod(f, g, self._tables)
-        # the zero polynomial is (0,), except that an empty f leaves rem empty
-        return tuple(quot) or (0,), tuple(rem) or (0,)[:len(f)]
 
     def poly_eval(self, f: Sequence[int], x: int) -> int:
         add, mul = self._tables[:2]
@@ -273,17 +229,3 @@ def _poly_divmod(a: list, b: list, tables) -> Tuple[list, list]:
                 a[s + i] = add[a[s + i]][scale[b[i]]]
         a.pop()  # its coefficient is now zero
     return _trim(quot), _trim(a)
-
-
-def element_sums(field: FiniteField) -> Tuple[int, int, int]:
-    """Sums over all nonzero elements: (sum a, sum a^-1, sum a^2).
-
-    Backs the GH^T = 0 argument for the length-(q+2) nested pair, which
-    needs all three sums to vanish in characteristic 2 with q > 2.
-    """
-    s1 = s_inv = s2 = 0
-    for a in field.nonzero_elements():
-        s1 = field.add(s1, a)
-        s_inv = field.add(s_inv, field.inv(a))
-        s2 = field.add(s2, field.mul(a, a))
-    return s1, s_inv, s2

@@ -124,6 +124,12 @@ class TestExists:
         r = exists(6, 5, 1, 3, 3)
         assert not r.exists and "prime power" in r.reason
 
+    def test_largest_testable_prime(self):
+        # the largest prime below 2^32, where the prime-power test stops
+        r = exists(4294967291, 5, 1, 3, 3)
+        assert r.exists and r.certificate is None
+        assert r.reason.startswith("exists; certificate construction skipped")
+
     def test_unordered_query(self):
         assert exists(16, 17, 1, 15, 3).exists
         assert exists(16, 17, 1, 3, 15).exists

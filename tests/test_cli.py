@@ -2,6 +2,7 @@
 import hashlib
 import json
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -217,6 +218,17 @@ class TestEnumerate:
         assert err == "error: q=1009 exceeds the field cap 64\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate",), ("exists", "--n", "4", "--j", "0", "--dz", "3", "--dx", "3")],
+    ids=["enumerate", "exists"])
+def test_mersenne_61_exits_2_at_once(capsys, argv):
+    # 2^61 - 1 is prime: trial division would take hours before any answer
+    start = time.perf_counter()
+    code, out, _ = run(capsys, argv[0], "--q", str((1 << 61) - 1), *argv[1:])
+    assert (code, out) == (2, "")
+    assert time.perf_counter() - start < 1
+
+
 class TestExists:
     def test_negative_with_reason(self, capsys):
         code, out, _ = run(capsys, "exists", "--q", "5", "--n", "7", "--j", "1",
@@ -389,6 +401,20 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", str(path))
         label = f"[[{record['n']},{record['j']},{record['dz']}/{record['dx']}]]_{record['q']}"
         assert (code, out) == (0, f"{label} pure AQMDS: verified\n")
+
+    @pytest.mark.parametrize("css_args, family, expected", [
+        (TH7_Q7, ["TH11", "COR10"], 3),  # not the recipe's construction
+        (TH7_Q7, "TH7", 2),  # a string, not a list of tags
+        (TH7_Q7, ["TH7", "TH8"], 3),  # no TH8 case reaches [[5,1,3/3]]_7
+        # [[5,2,3/2]]_7 is a TH7 tuple; a css record names its own construction
+        (("--family", "th12", "--q", "7", "--n", "5", "--k", "3"), ["TH12"], 0),
+    ], ids=["without-construction", "string", "foreign-tag", "css-th12"])
+    def test_family_checked(self, capsys, tmp_path, css_args, family, expected):
+        path = edited_record(capsys, tmp_path, lambda d: d.update(family=family), *css_args)
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == expected, err
+        if expected == 3:
+            assert err == "verification failed: header_family\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))

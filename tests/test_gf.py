@@ -1,4 +1,4 @@
-"""Finite-field layer: construction, arithmetic, irreducibles, sums."""
+"""Finite-field layer: construction, arithmetic, irreducibles, polynomial kernels."""
 import random
 
 import numpy as np
@@ -6,12 +6,32 @@ import pytest
 
 import aqmds.gf as gf
 from aqmds.errors import CapExceeded, DivisionByZero, NotPrimePower
-from aqmds.gf import FIELD_CAP, FiniteField, element_sums, find_irreducible, make_field
+from aqmds.gf import FIELD_CAP, FiniteField, find_irreducible, make_field
 
 import irreducible_reference
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 LARGE_Q = [25, 27, 32, 49, 64]
+
+
+def primitive_powers(f):
+    """g^0, ..., g^(q-2) by the mul table, for the smallest g of order q - 1."""
+    for g in range(1, f.q):
+        powers = [1]
+        while f.mul(powers[-1], g) != 1 and len(powers) < f.q:
+            powers.append(f.mul(powers[-1], g))
+        if len(powers) == f.q - 1:
+            return powers
+    raise AssertionError(f"GF({f.q}) has no element of order q - 1")
+
+
+def element_sums(f):
+    """(sum a, sum a^-1, sum a^2) over the nonzero elements, by the tables."""
+    sums = [0, 0, 0]
+    for a in range(1, f.q):
+        for i, x in enumerate((a, f.inv(a), f.mul(a, a))):
+            sums[i] = f.add(sums[i], x)
+    return tuple(sums)
 
 
 class TestMakeField:
@@ -28,6 +48,14 @@ class TestMakeField:
         with pytest.raises(NotPrimePower):
             make_field(6)
 
+    def test_prime_power_test_bounded(self):
+        # 2^32 is a prime power and 2^61 - 1 a prime: neither is trial-divided,
+        # and neither is called "not a prime power"
+        for q in (1 << 32, (1 << 61) - 1):
+            with pytest.raises(CapExceeded):
+                gf._factor_prime_power(q)
+        assert gf._factor_prime_power(4294967291) == (4294967291, 1)
+
     def test_field_cap(self):
         with pytest.raises(CapExceeded):
             make_field(128)
@@ -38,8 +66,6 @@ class TestMakeField:
         assert a.modulus == b.modulus
         assert np.array_equal(a.add_table, b.add_table)
         assert np.array_equal(a.mul_table, b.mul_table)
-        assert np.array_equal(a.exp_table, b.exp_table)
-        assert a.generator == b.generator
 
     @pytest.mark.parametrize("q", SMALL_Q + LARGE_Q)
     def test_modulus_monic_right_degree(self, q):
@@ -50,9 +76,11 @@ class TestMakeField:
 
 class TestArithmetic:
     def test_gf4_cubic_roots_of_unity(self):
-        # omega + omega^2 = 1 because 1 + omega + omega^2 = 0
+        # omega + omega^2 = 1 because 1 + omega + omega^2 = 0; omega is x,
+        # index 2, and omega^2 = x + 1 is index 3
         f = make_field(4)
-        w = f.generator
+        w = 2
+        assert f.mul(w, w) == 3
         assert f.add(w, f.mul(w, w)) == 1
 
     def test_gf5_inverse(self):
@@ -60,7 +88,7 @@ class TestArithmetic:
 
     def test_gf8_all_inverses(self):
         f = make_field(8)
-        for a in f.nonzero_elements():
+        for a in range(1, 8):
             assert f.mul(a, f.inv(a)) == 1
 
     def test_inv_zero(self):
@@ -97,22 +125,18 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("q", SMALL_Q + LARGE_Q)
     def test_multiplicative_group_cyclic(self, q):
-        f = make_field(q)
-        order = q - 1
-        assert f.pow(f.generator, order) == 1
-        for d in range(1, order):
-            if order % d == 0:
-                assert f.pow(f.generator, d) != 1
+        assert sorted(primitive_powers(make_field(q))) == list(range(1, q))
 
     @pytest.mark.parametrize("q", SMALL_Q)
     def test_exp_log_tables(self, q):
+        # with exp/log tables of a primitive element, built here from the mul
+        # table, a product is the power at the sum of the logarithms
         f = make_field(q)
-        for x in f.nonzero_elements():
-            assert f.exp_table[f.log_table[x]] == x
-        if q > 2:
-            assert f.exp_table[0] == 1
-            # period q-1: generator^(q-1) wraps to 1
-            assert f.mul(int(f.exp_table[q - 2]), f.generator) == 1
+        exp = primitive_powers(f)
+        log = {x: i for i, x in enumerate(exp)}
+        for a in range(1, q):
+            for b in range(1, q):
+                assert f.mul(a, b) == exp[(log[a] + log[b]) % (q - 1)]
 
 
 class TestFindIrreducible:
@@ -123,7 +147,7 @@ class TestFindIrreducible:
         f = make_field(4)
         poly = find_irreducible(f, 2)
         assert len(poly) == 3 and poly[-1] == 1
-        assert all(f.poly_eval(poly, x) != 0 for x in f.elements())
+        assert all(f.poly_eval(poly, x) != 0 for x in range(4))
 
     def test_gf5_degree1(self):
         assert find_irreducible(make_field(5), 1) == (0, 1)
@@ -133,7 +157,7 @@ class TestFindIrreducible:
         f = make_field(q)
         poly = find_irreducible(f, deg)
         assert len(poly) == deg + 1 and poly[-1] == 1
-        assert all(f.poly_eval(poly, x) != 0 for x in f.elements())
+        assert all(f.poly_eval(poly, x) != 0 for x in range(q))
 
     def test_degree4_no_low_degree_factor(self):
         f = make_field(3)
@@ -146,8 +170,8 @@ class TestFindIrreducible:
                     coeffs.append(tt % f.q)
                     tt //= f.q
                 divisor = tuple(coeffs) + (1,)
-                _, rem = f.poly_divmod(poly, divisor)
-                assert rem != (0,)
+                _, rem = gf._poly_divmod(poly, divisor, f._tables)
+                assert rem != []
 
     @pytest.mark.parametrize("q", SMALL_Q)
     def test_matches_trial_division(self, q):
@@ -180,8 +204,8 @@ class TestFindIrreducible:
         if len(quadratics) > 1:  # GF(2) has a single irreducible quadratic
             products.append((quadratics[0], quadratics[1]))
         for a, b in products:
-            poly = f.poly_mul(a, b)
-            assert all(f.poly_eval(poly, x) != 0 for x in f.elements()), poly
+            poly = tuple(gf._poly_mul(a, b, f._tables))
+            assert all(f.poly_eval(poly, x) != 0 for x in range(q)), poly
             assert not gf._poly_is_irreducible(f._tables, poly), poly
         assert gf._poly_is_irreducible(f._tables, quadratics[0])
         assert gf._poly_is_irreducible(f._tables, cubic)
@@ -229,26 +253,10 @@ def test_tables_match_reference(q):
     assert f.add_table.tolist() == ref.add
     assert f.mul_table.tolist() == ref.mul
     assert f.neg_table.tolist() == ref.neg
-    for name in ("add_table", "mul_table", "neg_table", "inv_table", "exp_table"):
+    for name in ("add_table", "mul_table", "neg_table", "inv_table"):
         assert getattr(f, name).dtype == np.uint8, name
-    assert f.log_table.dtype == np.int64
     assert f.inv_table[0] == 0
     assert all(ref.mul[a][f.inv_table[a]] == 1 for a in range(1, q))
-
-    def order(g):
-        e, x = 1, g
-        while x != 1:
-            x, e = ref.mul[x][g], e + 1
-        return e
-
-    # the generator is the smallest element of order q - 1 ...
-    assert order(f.generator) == q - 1
-    assert all(order(g) < q - 1 for g in range(1, f.generator))
-    # ... and exp_table lists its powers, which log_table inverts
-    x = 1
-    for i in range(q - 1):
-        assert f.exp_table[i] == x and f.log_table[x] == i
-        x = ref.mul[x][f.generator]
 
 
 class TestElementSums:
@@ -273,22 +281,17 @@ class TestPolynomials:
         f = make_field(q)
         rng = random.Random(q)
         for _ in range(50):
-            a = tuple(rng.randrange(q) for _ in range(5))
-            b = tuple(rng.randrange(q) for _ in range(3))
-            if f.poly_trim(b) == (0,):
+            a = [rng.randrange(q) for _ in range(5)]
+            b = gf._trim([rng.randrange(q) for _ in range(3)])
+            if not b:
                 continue
-            quot, rem = f.poly_divmod(a, b)
-            recon = f.poly_mul(quot, b)
-            recon = list(recon) + [0] * (max(len(a), len(rem)) - len(recon))
+            quot, rem = gf._poly_divmod(a, b, f._tables)
+            assert len(rem) < len(b)
+            recon = gf._poly_mul(quot, b, f._tables)
+            recon += [0] * (max(len(a), len(rem)) - len(recon))
             for i, r in enumerate(rem):
                 recon[i] = f.add(recon[i], r)
-            assert f.poly_trim(recon) == f.poly_trim(a)
-
-    def test_divmod_by_zero(self):
-        f = make_field(9)
-        for g in [(0,), (0, 0), ()]:
-            with pytest.raises(DivisionByZero):
-                f.poly_divmod((1, 2, 3), g)
+            assert gf._trim(recon) == gf._trim(list(a))
 
     def test_poly_eval_horner(self):
         f = make_field(5)
