@@ -1,20 +1,29 @@
 """Linear codes over GF(q): duals, distances, set-difference weights,
 shortening/puncturing/extension, full-weight codeword search.
 
-All exact weight computations enumerate codewords.  Enumeration runs in
-numpy chunks over lookup tables, in a fixed "message order": messages are
-coefficient vectors (m_0, ..., m_{k-1}) against the canonical generator
-rows, ordered lexicographically with m_0 most significant.  Every
-"first found" witness refers to this order, so results are reproducible.
+All exact weight computations enumerate codewords, in a fixed "message
+order": messages are coefficient vectors (m_0, ..., m_{k-1}) against the
+canonical generator rows, ordered lexicographically with m_0 most
+significant.  Every "first found" witness refers to this order, so results
+are reproducible.
 
-The scans visit one word per scalar class {lambda*u}: the messages whose
-first nonzero digit is 1.  Weight and subcode membership are class
-invariants, and the first witness in message order is always such a word.
+The weight scans visit one word per scalar class {lambda*u}: the messages
+whose first nonzero digit is 1, since weight and subcode membership are
+class invariants.  They never form a word.  A canonical word's pivot
+coordinates are its message digits, so its weight is the message weight
+plus its nonzero count on the other columns, found by comparing a
+precomputed block of partial sums against each prefix's offset.  The
+weights outside a subcode D are those of C minus those of D, so such a
+scan visits (q^k-1)/(q-1) words of C and (q^(k-s)-1)/(q-1) of D, with
+s = k - dim D; the cap still counts all q^k words of C.  The full-weight
+search forms its candidate words in chunks over lookup tables and stops
+at the first hit.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -194,13 +203,8 @@ def complement_rows(field: FiniteField, base: np.ndarray, full: np.ndarray) -> n
 
 def _scan_outside(C: LinearCode, checks: np.ndarray):
     """_enumerate_scan of C, with "outside" meaning outside the subcode
-    {u in C : u orthogonal to every row of `checks`}.
-
-    Only the rows of `checks` that extend dual(C) become syndrome columns:
-    orthogonality to dual(C) is automatic for codewords of C.
-    """
-    syn = complement_rows(C.field, C.H.data, checks)
-    return _enumerate_scan(C.field, C.G.data, syn)
+    {u in C : u orthogonal to every row of `checks`}."""
+    return _enumerate_scan(C.field, C.G.data, checks)
 
 
 def _lowest_weight(dist: np.ndarray) -> Optional[int]:
@@ -274,22 +278,91 @@ def _iter_word_chunks(field: FiniteField, base: np.ndarray, rows: np.ndarray, di
         yield add[offset[None, :], E]
 
 
+def _iter_weight_blocks(field: FiniteField, gen: np.ndarray):
+    """Yield, block by block and in message order, the weights of one word
+    per scalar class of rowspace(gen): the (q^k-1)/(q-1) messages whose
+    first nonzero digit is 1.
+
+    The pivot columns of `gen` must be the identity, so a word's pivot
+    coordinates are its message digits and its weight is the message weight
+    plus its nonzero count on the r = n-k other columns, whose rows form A.
+    The words led by row l are A[l] plus the span of the rows after it.  A
+    coordinate-major block E (r x q^t, suffixes in message order) holds the
+    span of the last t < k rows, with message weights wE, and q^t r is at
+    most _CHUNK_TARGET.  It is grown from the zero word one row at a time,
+    and each row l >= k-t shifts the block as it stands before l joins it.
+    Each row l < k-t, plus every combination of the rows between l and the
+    block, shifts the whole block.  A word E[:, s] + o is nonzero at j iff
+    E[j, s] != -o_j, so no word is ever formed.
+    """
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
+    q = field.q
+    k, n = gen.shape
+    pivots = np.argmax(gen != 0, axis=1)
+    if (gen[:, pivots] != np.eye(k, dtype=np.uint8)).any():
+        raise PreconditionFailed("the pivot columns of the generator are not the identity")
+    others = np.ones(n, dtype=bool)
+    others[pivots] = False
+    A = gen[:, others]
+    r = n - k
+    t = 0
+    while t + 1 < k and q ** (t + 1) * max(r, 1) <= _CHUNK_TARGET:
+        t += 1
+
+    def weights(E, wE, shift, base):
+        wts = wE + base
+        for row, v in zip(E, neg[shift]):
+            wts += row != v
+        return wts
+
+    digits = np.arange(q, dtype=np.uint8)
+    E = np.zeros((r, 1), dtype=np.uint8)
+    wE = np.zeros(1, dtype=np.min_scalar_type(n))
+    for l in range(k - 1, k - 1 - t, -1):
+        yield weights(E, wE, A[l], 1)
+        # row l joins as the most significant digit: E becomes [d A[l] + E for d in digits]
+        scaled = mul[A[l][:, None], digits]
+        E = add[scaled[:, :, None], E[:, None, :]].reshape(r, q * E.shape[1])
+        wE = np.add.outer(digits != 0, wE).ravel()
+    for l in range(k - 1 - t, -1, -1):
+        for tail in product(range(q), repeat=k - 1 - t - l):
+            shift = A[l]
+            for d, row in zip(tail, A[l + 1:]):
+                if d:
+                    shift = add[shift, mul[d, row]]
+            yield weights(E, wE, shift, 1 + len(tail) - tail.count(0))
+
+
+def _count_weights(field: FiniteField, gen: np.ndarray) -> np.ndarray:
+    """Weight distribution A_0..A_n of rowspace(gen): q-1 words for each
+    representative that _iter_weight_blocks yields, plus the zero word."""
+    n = gen.shape[1]
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for wts in _iter_weight_blocks(field, gen):
+        counts += np.bincount(wts, minlength=n + 1)
+    counts *= field.q - 1
+    counts[0] += 1
+    return counts
+
+
 def _enumerate_scan(field: FiniteField, gen: np.ndarray, syn_rows: Optional[np.ndarray] = None):
-    """Exact weight counts of the row space of `gen`, in a single pass.
+    """Exact weight counts of C = rowspace(gen), whose pivot columns must be
+    the identity (a canonical generator).
 
     Returns (dist, dist_outside, first_outside): the weight distribution
-    A_0..A_n of all codewords, that of the codewords outside the subcode cut
-    out by `syn_rows` (rows orthogonal to the subcode but not the code), and
-    the first such codeword in message order, or None.
+    A_0..A_n of C, that of the codewords outside the subcode
+    D = {u in C : u orthogonal to every row of `syn_rows`}, and the first
+    codeword outside D in message order, or None.
 
-    It visits one word per scalar class, the (q^k-1)/(q-1) messages whose
-    first nonzero digit is 1: in message order, row i plus every combination
-    of rows i+1..k-1, for i = k-1 down to 0.  wt(lambda u) = wt(u) and
-    syn(lambda u) = lambda syn(u), so each count is q-1 times the
-    representatives' count, plus the zero word.  If the first outside
-    message has leading digit a, a^-1 times it is outside and no later, so
-    the first outside word is a representative.  The cap counts all q^k and
-    is checked before anything is allocated.
+    dist_outside = dist(C) - dist(D).  With T = gen syn_rows^T, D is the
+    image of the messages m with mT = 0, the kernel N of T^T, so rows of
+    `syn_rows` that are zero, repeated or orthogonal to C change nothing.
+    Each count visits one word per scalar class, (q^k-1)/(q-1) of C and
+    (q^(k-s)-1)/(q-1) of D, s = rank T.
+    If row i is the last row of `gen` with a nonzero syndrome, the messages
+    before the unit message e_i combine later rows only and lie in D, so
+    row i is the first outside word.  The cap counts all q^k of C and is
+    checked before anything is allocated.
     """
     k, n = gen.shape
     cap = enum_cap()
@@ -298,28 +371,18 @@ def _enumerate_scan(field: FiniteField, gen: np.ndarray, syn_rows: Optional[np.n
             f"enumeration of {field.q}^{k} codewords exceeds cap {cap}; "
             "raise AQMDS_MAX_ENUM or use the MDS k-subset oracle"
         )
-    work = gen
-    if syn_rows is not None and syn_rows.shape[0] > 0:
-        # T[i, t] = <gen_i, syn_t>: the syndrome is linear in the message,
-        # so append syndrome columns and enumerate the augmented rows.
+    dist = _count_weights(field, gen)
+    if syn_rows is not None:
         T = mat_mul(GfMatrix(field, gen), GfMatrix(field, syn_rows.T))
-        work = np.hstack([gen, T.data])
-
-    # counts[w] for words inside the subcode, counts[n + 1 + w] outside it
-    counts = np.zeros(2 * (n + 1), dtype=np.int64)
-    first_outside = None
-    digits = np.arange(field.q, dtype=np.uint8)
-    for i in range(k - 1, -1, -1):
-        for chunk in _iter_word_chunks(field, work[i], work[i + 1:], digits):
-            wts = np.count_nonzero(chunk[:, :n], axis=1)
-            outside = chunk[:, n:].any(axis=1)
-            np.add(wts, n + 1, out=wts, where=outside)  # in place: no chunk-sized temporary
-            counts += np.bincount(wts, minlength=2 * (n + 1))
-            if first_outside is None and outside.any():
-                first_outside = chunk[np.argmax(outside), :n].copy()
-    counts *= field.q - 1
-    counts[0] += 1  # the zero word
-    return counts[: n + 1] + counts[n + 1:], counts[n + 1:], first_outside
+        outside = np.flatnonzero(T.data.any(axis=1))
+        if outside.size:
+            N = nullspace(transpose(T))
+            inside = np.zeros_like(dist)
+            inside[0] = 1  # D = {0} when T has rank k
+            if N.rows:
+                inside = _count_weights(field, rref(mat_mul(N, GfMatrix(field, gen)))[0].data)
+            return dist, dist - inside, gen[outside[-1]].copy()
+    return dist, np.zeros_like(dist), None
 
 
 def _find_full_weight(field: FiniteField, gen: np.ndarray) -> Optional[np.ndarray]:

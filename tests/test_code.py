@@ -338,28 +338,76 @@ class TestFullWeightCodeword:
 
 
 class TestEnumeratorWork:
-    """Words the one enumerator yields, counted by wrapping it."""
+    """Words the scan's weight blocks and the full-weight search's word
+    chunks yield, counted by wrapping the generator that yields them."""
 
-    @pytest.fixture
-    def yielded(self, monkeypatch):
+    @staticmethod
+    def _count(monkeypatch, name):
         sizes = []
-        inner = aqmds.code._iter_word_chunks
+        inner = getattr(aqmds.code, name)
 
         def counting(*args):
             for chunk in inner(*args):
                 sizes.append(len(chunk))
                 yield chunk
 
-        monkeypatch.setattr(aqmds.code, "_iter_word_chunks", counting)
+        monkeypatch.setattr(aqmds.code, name, counting)
         return sizes
 
-    def test_scan_visits_one_word_per_scalar_class(self, yielded):
+    @pytest.fixture
+    def yielded(self, monkeypatch):
+        return self._count(monkeypatch, "_iter_word_chunks")
+
+    @pytest.fixture
+    def weighed(self, monkeypatch):
+        return self._count(monkeypatch, "_iter_weight_blocks")
+
+    def test_scan_visits_one_word_per_scalar_class(self, weighed):
         grs(GrsSpec(make_field(7), 7, 5)).weight_distribution()
-        assert sum(yielded) == (7 ** 5 - 1) // 6  # 2,801 of the 16,807 codewords
+        assert sum(weighed) == (7 ** 5 - 1) // 6  # 2,801 of the 16,807 codewords
+
+    def test_outside_count_visits_the_subcode_once(self, weighed):
+        # dist(C \ D) = dist(C) - dist(D): one pass over C, one over D
+        f = make_field(7)
+        C, D = grs(GrsSpec(f, 7, 5)), grs(GrsSpec(f, 7, 3))
+        _side_scan(C, D.dual())
+        assert sum(weighed) == (7 ** 5 - 1) // 6 + (7 ** 3 - 1) // 6
 
     def test_full_weight_search_looks_before_it_builds(self, yielded):
         assert grs(GrsSpec(make_field(16), 16, 6)).full_weight_codeword() is not None
         assert sum(yielded) < 100  # a whole first chunk is 15^5 = 759,375 words
+
+
+class TestScanPreconditions:
+    def test_non_canonical_generator_is_refused(self):
+        f = make_field(3)
+        for gen in ([[1, 1, 0], [1, 0, 1]],  # both rows lead in column 0
+                    [[2, 1, 0]],  # pivot entry 2, not 1
+                    [[1, 1, 0], [0, 1, 2]],  # column 1 is a pivot, not a unit column
+                    [[1, 0, 2], [0, 0, 0]]):  # a zero row
+            with pytest.raises(PreconditionFailed, match="pivot columns"):
+                aqmds.code._enumerate_scan(f, np.array(gen, dtype=np.uint8))
+
+    def test_pivot_identity_suffices(self):
+        # rows out of echelon order still have unit pivot columns: the counts
+        # are those of the canonical generator, and the witness is the first
+        # outside word in this generator's message order
+        f = make_field(3)
+        gen = np.array([[0, 1, 0, 2], [1, 0, 1, 1]], dtype=np.uint8)
+        checks = np.array([[1, 1, 0, 0]], dtype=np.uint8)  # D is spanned by row 0 + 2 row 1
+        dist, out, first = aqmds.code._enumerate_scan(f, gen, checks)
+        canonical = aqmds.code._scan_outside(from_generator(GfMatrix(f, gen)), checks)
+        assert dist.tolist() == canonical[0].tolist() == [1, 0, 2, 4, 2]
+        assert out.tolist() == canonical[1].tolist() == [0, 0, 2, 4, 0]
+        assert first.tolist() == [1, 0, 1, 1]  # message (0, 1)
+
+    def test_cap_is_decided_before_the_checks_are_read(self, monkeypatch):
+        monkeypatch.setenv("AQMDS_MAX_ENUM", "1000")
+        f = make_field(7)
+        C, other = full_space(f, 7), grs(GrsSpec(f, 7, 3))
+        with pytest.raises(CapExceeded):
+            _side_scan(C, other)
+        assert C._H is None  # no parity check was computed for the scan
 
 
 class TestWeightDistribution:

@@ -268,6 +268,60 @@ def test_scan_matches_naive_enumeration(pair, chunk_target):
     assert C.min_distance() == next(w for w in range(1, n + 1) if dist[w])
 
 
+def _naive_scan(C, checks):
+    """(dist, dist_outside, first_outside) of C against `checks`, from every
+    word of C formed in message order by field arithmetic."""
+    f, n = C.field, C.n
+    dist, dist_out, first_out = [0] * (n + 1), [0] * (n + 1), None
+    for msg in product(range(f.q), repeat=C.k):
+        word = [0] * n
+        for m, row in zip(msg, C.G.data):
+            word = [f.add(w, f.mul(m, int(x))) for w, x in zip(word, row)]
+        wt = sum(1 for w in word if w)
+        dist[wt] += 1
+        syndrome = [0] * len(checks)
+        for i, h in enumerate(checks):
+            for a, b in zip(word, h):
+                syndrome[i] = f.add(syndrome[i], f.mul(a, int(b)))
+        if any(syndrome):
+            dist_out[wt] += 1
+            if first_out is None:
+                first_out = word
+    return dist, dist_out, first_out
+
+
+@st.composite
+def code_and_redundant_checks(draw):
+    """A code C and checks that cut out the zero code, a strict subcode or C
+    itself, padded in a shuffled order with redundant rows: zero rows,
+    repeats of check rows, and rows of dual(C)."""
+    C, checks = draw(code_and_subcode_checks())
+    f, n = C.field, C.n
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = [checks]
+    if draw(st.booleans()):
+        rows.append(np.zeros((draw(st.integers(1, 2)), n), dtype=np.uint8))
+    if len(checks) and draw(st.booleans()):
+        rows.append(checks[rng.integers(0, len(checks), size=draw(st.integers(1, 3)))])
+    if C.k < n and draw(st.booleans()):
+        R = rng.integers(0, f.q, size=(draw(st.integers(1, 3)), n - C.k)).astype(np.uint8)
+        rows.append(mat_mul(GfMatrix(f, R), C.H).data)
+    rows = np.vstack(rows)
+    return C, rows[rng.permutation(len(rows))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(code_and_redundant_checks(), st.sampled_from([1, 3, 16, 1 << 20]))
+def test_scan_ignores_redundant_checks(pair, chunk_target):
+    C, checks = pair
+    dist, dist_out, first_out = _naive_scan(C, checks)
+    with mock.patch.object(aqmds.code, "_CHUNK_TARGET", chunk_target):
+        got_dist, got_out, got_first = aqmds.code._enumerate_scan(C.field, C.G.data, checks)
+    assert got_dist.tolist() == dist
+    assert got_out.tolist() == dist_out
+    assert (None if got_first is None else got_first.tolist()) == first_out
+
+
 @st.composite
 def code_maybe_zero_column(draw):
     """A code over GF(q), q <= 7, k <= 4; with a drawn flag, one generator
