@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from .code import LinearCode, from_generator, full_space
-from .css import AqcParams, NestedPair, _mds_backed_distance, _side_scan, make_pair, pair_from_full_weight
+from .css import AqcParams, NestedPair, make_pair, pair_from_full_weight, pair_sides
 from .errors import CapExceeded, NotPrimePower, RecipeInvalid, VerificationFailed
 from .gf import FIELD_CAP, FiniteField, _factor_prime_power, find_irreducible, make_field
 from .matrix import GfMatrix
@@ -351,32 +351,26 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str,
            claimed.k == claimed.n - claimed.dx - claimed.dz + 2)
 
     if level == "full_oracle":
+        # at j = 0, C1 = dual(C2); where C1 = C2, a self-dual code, the store
+        # already holds the verdict on their one matrix
+        sides = pair_sides(pair, store.is_mds)
+        exact = [side for side in sides if not isinstance(side, CapExceeded)]
         if claimed.k == 0:
-            try:
-                # C1 = dual(C2); where C1 = C2, a self-dual code, the store
-                # already holds the verdict on their one matrix
-                d1 = _mds_backed_distance(pair.c1, store.is_mds)
-                d2 = _mds_backed_distance(pair.c2, store.is_mds)
-                record("distances_exact",
-                       (max(d1, d2), min(d1, d2)) == (claimed.dz, claimed.dx))
-            except CapExceeded:
+            if len(exact) < 2:
                 log.append("distances_exact:skipped(cap)")
+            else:
+                ds = [d for _, d in exact]
+                record("distances_exact", (max(ds), min(ds)) == (claimed.dz, claimed.dx))
         else:
-            wt2 = wt1 = d1 = d2 = None
-            try:
-                wt2, d2 = _side_scan(pair.c2, pair.c1)
-                record("distance_c2_side", wt2 in (claimed.dz, claimed.dx))
-            except CapExceeded:
-                log.append("distance_c2_side:skipped(cap)")
-            try:
-                wt1, d1 = _side_scan(pair.c1, pair.c2)
-                record("distance_c1_side", wt1 in (claimed.dz, claimed.dx))
-            except CapExceeded:
-                log.append("distance_c1_side:skipped(cap)")
-            if wt2 is not None and wt1 is not None:
-                record("distances_exact",
-                       (max(wt2, wt1), min(wt2, wt1)) == (claimed.dz, claimed.dx))
-                record("purity", {max(wt2, wt1), min(wt2, wt1)} == {d1, d2})
+            for name, side in zip(("distance_c2_side", "distance_c1_side"), sides):
+                if isinstance(side, CapExceeded):
+                    log.append(f"{name}:skipped(cap)")
+                else:
+                    record(name, side[0] in (claimed.dz, claimed.dx))
+            wts = [wt for wt, _ in exact if wt is not None]
+            if len(wts) == 2:
+                record("distances_exact", (max(wts), min(wts)) == (claimed.dz, claimed.dx))
+                record("purity", set(wts) == {d for _, d in exact})
     return not any(e.endswith(":FAIL") for e in log), log
 
 

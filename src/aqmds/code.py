@@ -201,12 +201,6 @@ def complement_rows(field: FiniteField, base: np.ndarray, full: np.ndarray) -> n
     return full[[p - len(base) for p in pivots if p >= len(base)]]
 
 
-def _scan_outside(C: LinearCode, checks: np.ndarray):
-    """_enumerate_scan of C, with "outside" meaning outside the subcode
-    {u in C : u orthogonal to every row of `checks`}."""
-    return _enumerate_scan(C.field, C.G.data, checks)
-
-
 def _lowest_weight(dist: np.ndarray) -> Optional[int]:
     """Smallest positive weight counted in a weight distribution, or None."""
     nonzero = np.flatnonzero(dist[1:])
@@ -231,7 +225,9 @@ def extend_by_codeword(C: LinearCode, Cprime: LinearCode) -> LinearCode:
         raise PreconditionFailed(
             f"C' is not MDS [{Cprime.n},{Cprime.k},{Cprime.n - Cprime.k}]"
         )
-    _, _, w = _scan_outside(Cprime, C.H.data)
+    # the last row of C'.G outside C is the first such word: see _enumerate_scan
+    outside = np.flatnonzero(mat_mul(Cprime.G, transpose(C.H)).data.any(axis=1))
+    w = Cprime.G.data[outside[-1]]
     f = C.field
     top = np.hstack([np.zeros((C.k, 1), dtype=np.uint8), C.G.data])
     bottom = np.hstack([np.array([[1]], dtype=np.uint8), w[None, :]])

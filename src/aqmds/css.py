@@ -9,21 +9,27 @@ quantum parameters are
 
 with purity meaning {d_z, d_x} equals the pair of classical minimum
 distances, and the AQMDS flag marking equality in the quantum Singleton
-bound k <= n - d_x - d_z + 2.  Set-difference weights are computed by
-exact enumeration; each enumeration pass also yields the classical
-minimum distance of the enumerated code, so one pass per side suffices.
+bound k <= n - d_x - d_z + 2.
+
+One function, pair_sides, computes these numbers for a pair: for each
+side, its set-difference weight and its classical minimum distance, from
+one exact enumeration pass over the side's code.  css_construct and the
+catalog's full_oracle distance oracles both read it.  At k = 0,
+C1^perp = C2, so no word lies outside and d_z, d_x are the two classical
+distances, pure by convention; where a scan there exceeds the cap, an MDS
+proof gives the distance n - k + 1 instead.
 
 Each fact is proven once.  A NestedPair proves dual(C1) subseteq C2 when
-it is made, so holding one is the nesting proof.  Where a distance falls
-back on the MDS oracle, the verdict comes from the caller's `is_mds`,
-which the catalog's oracles take from the run's CodeStore.
+it is made, so holding one is the nesting proof.  The MDS verdicts behind
+the k = 0 distances come from the caller's `is_mds`, which the catalog's
+oracles take from the run's CodeStore.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
-from .code import LinearCode, _lowest_weight, _scan_outside, first_row_outside
+from .code import LinearCode, _enumerate_scan, _lowest_weight, first_row_outside
 from .errors import CapExceeded, DimensionTooSmall, NoFullWeightWord, NotNested
 from .matrix import GfMatrix
 
@@ -78,51 +84,49 @@ def make_pair(C1: LinearCode, C2: LinearCode) -> NestedPair:
     return NestedPair(C1, C2)
 
 
-def _mds_backed_distance(C: LinearCode,
-                         is_mds: Callable[[LinearCode], bool] = LinearCode.is_mds) -> int:
-    """Exact distance by enumeration or, where the scan raises CapExceeded
-    (before it allocates anything), n-k+1 when `is_mds(C)` proves C MDS."""
-    try:
-        return C.min_distance()
-    except CapExceeded:
-        if is_mds(C):
-            return C.n - C.k + 1
-        raise
+Side = Union[Tuple[Optional[int], int], CapExceeded]
+
+
+def pair_sides(pair: NestedPair,
+               is_mds: Callable[[LinearCode], bool] = LinearCode.is_mds) -> Tuple[Side, Side]:
+    """The C2 side and then the C1 side of the pair: (min weight of the
+    side's code outside the other's dual, or None, min distance of the
+    side's code), or the CapExceeded that the side's scan raised.
+
+    At k = 0 no word lies outside, and a capped distance is n-k+1 of the
+    side's code when `is_mds` proves it MDS.
+    """
+    sides = []
+    for code, other in ((pair.c2, pair.c1), (pair.c1, pair.c2)):
+        try:
+            sides.append(_side_scan(code, other) if pair.quantum_k else (None, code.min_distance()))
+        except CapExceeded as capped:
+            proven = pair.quantum_k == 0 and is_mds(code)
+            sides.append((None, code.n - code.k + 1) if proven else capped)
+    return sides[0], sides[1]
 
 
 def css_construct(pair: NestedPair) -> AqcParams:
-    """Exact quantum parameters of the pair, by brute-force enumeration;
-    k = k1 + k2 - n >= 0, as the pair proves dual(C1) subseteq C2."""
-    C1, C2 = pair.c1, pair.c2
-    f = C1.field
-    n = C1.n
-    k = pair.quantum_k
-
-    if k == 0:
-        # C1^perp = C2: distances of the code and its dual, pure by convention
-        d1 = _mds_backed_distance(C1)
-        d2 = _mds_backed_distance(C2)
-        dz, dx = max(d1, d2), min(d1, d2)
-        return AqcParams(
-            q=f.q, n=n, k=0, dz=dz, dx=dx, pure=True,
-            aqmds=(0 == n - dx - dz + 2),
-        )
-
-    wt2, d2 = _side_scan(C2, C1)
-    wt1, d1 = _side_scan(C1, C2)
-    dz, dx = max(wt2, wt1), min(wt2, wt1)
-    pure = {dz, dx} == {d1, d2}
-    return AqcParams(
-        q=f.q, n=n, k=k, dz=dz, dx=dx, pure=pure,
-        aqmds=(k == n - dx - dz + 2),
-    )
+    """Exact quantum parameters of the pair from pair_sides, raising the
+    first side's CapExceeded; k = k1 + k2 - n >= 0, as the pair proves
+    dual(C1) subseteq C2."""
+    sides = pair_sides(pair)
+    for side in sides:
+        if isinstance(side, CapExceeded):
+            raise side
+    (wt2, d2), (wt1, d1) = sides
+    n, k = pair.c1.n, pair.quantum_k
+    a, b = (wt2, wt1) if k else (d2, d1)
+    dz, dx = max(a, b), min(a, b)
+    return AqcParams(q=pair.c1.field.q, n=n, k=k, dz=dz, dx=dx, pure={dz, dx} == {d1, d2},
+                     aqmds=(k == n - dx - dz + 2))
 
 
 def _side_scan(code: LinearCode, other: LinearCode) -> Tuple[Optional[int], int]:
     """(min weight of code \\ dual(other), min distance of code) for one side
     of a nested pair, from a single enumeration pass over `code`; the first
     is None when code lies inside dual(other)."""
-    dist, dist_outside, _ = _scan_outside(code, other.G.data)
+    dist, dist_outside, _ = _enumerate_scan(code.field, code.G.data, other.G.data)
     return _lowest_weight(dist_outside), _lowest_weight(dist)
 
 

@@ -118,14 +118,12 @@ class TestMinDistance:
 
 
 # every public entry point that enumerates codewords, each past a cap of 10
-# words: the first four raise, the certificate paths log the skipped oracles
+# words: the first three raise, the certificate paths log the skipped oracles
 CAPPED_CALLS = {
     "min_distance": lambda: full_space(make_field(2), 5).min_distance(),
     # [I_5 | 0] over GF(3): no full-weight word among its 2^4 candidates
     "full_weight_codeword": lambda: from_generator(
         GfMatrix(make_field(3), np.eye(5, 6, dtype=np.uint8))).full_weight_codeword(),
-    "extend_by_codeword": lambda: extend_by_codeword(
-        grs(GrsSpec(make_field(5), 4, 1)), grs(GrsSpec(make_field(5), 4, 2))),
     "css_construct": lambda: css_construct(
         make_pair(grs(GrsSpec(make_field(5), 5, 2)).dual(), grs(GrsSpec(make_field(5), 5, 3)))),
 }
@@ -146,6 +144,15 @@ def test_env_cap_override(monkeypatch, entry):
         log = LOGGED_CALLS[entry]()
         assert "distance_c2_side:skipped(cap)" in log
         assert "distance_c1_side:skipped(cap)" in log
+
+
+def test_extension_reads_no_cap(monkeypatch):
+    # the witness is one syndrome product, not a scan: 5^2 words exceed the cap
+    f = make_field(5)
+    C, Cp = grs(GrsSpec(f, 4, 1)), grs(GrsSpec(f, 4, 2))
+    uncapped = extend_by_codeword(C, Cp)
+    monkeypatch.setenv("AQMDS_MAX_ENUM", "10")
+    assert extend_by_codeword(C, Cp) == uncapped
 
 
 def test_malformed_env_cap_raises_at_first_enumeration(monkeypatch):
@@ -396,7 +403,8 @@ class TestScanPreconditions:
         gen = np.array([[0, 1, 0, 2], [1, 0, 1, 1]], dtype=np.uint8)
         checks = np.array([[1, 1, 0, 0]], dtype=np.uint8)  # D is spanned by row 0 + 2 row 1
         dist, out, first = aqmds.code._enumerate_scan(f, gen, checks)
-        canonical = aqmds.code._scan_outside(from_generator(GfMatrix(f, gen)), checks)
+        C = from_generator(GfMatrix(f, gen))
+        canonical = aqmds.code._enumerate_scan(C.field, C.G.data, checks)
         assert dist.tolist() == canonical[0].tolist() == [1, 0, 2, 4, 2]
         assert out.tolist() == canonical[1].tolist() == [0, 0, 2, 4, 0]
         assert first.tolist() == [1, 0, 1, 1]  # message (0, 1)

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from aqmds.catalog import build_pair_from_recipe, exists
 from aqmds.code import from_generator, full_space
 from aqmds.construct import GrsSpec, grs, q_plus_2_high, q_plus_2_low
 from aqmds.css import (
@@ -14,6 +15,7 @@ from aqmds.css import (
     pair_from_full_weight,
 )
 from aqmds.errors import (
+    CapExceeded,
     DimensionTooSmall,
     LengthMismatch,
     NoFullWeightWord,
@@ -74,6 +76,19 @@ class TestCssConstruct:
         assert (p.n, p.k) == (5, 0)
         assert {p.dz, p.dx} == {4, 3}
         assert p.pure and p.aqmds
+
+    def test_zero_dimensional_distances_over_the_cap(self, monkeypatch):
+        # 9^5 words exceed the cap, so the distances of the self-dual
+        # [10,5]_9 code come from its MDS proof, and equal the scanned ones
+        pair = build_pair_from_recipe(exists(9, 10, 0, 6, 6).certificate.recipe)
+        scanned = css_construct(pair)
+        monkeypatch.setenv("AQMDS_MAX_ENUM", "1000")
+        assert css_construct(pair) == scanned
+        assert str(scanned) == "[[10,0,6/6]]_9 pure AQMDS"
+        # [I | I] over GF(3) has weight-2 words: 3^7 words, and no MDS proof
+        C = from_generator(GfMatrix(make_field(3), np.hstack([np.eye(7, dtype=np.uint8)] * 2)))
+        with pytest.raises(CapExceeded):
+            css_construct(make_pair(C.dual(), C))
 
     def test_dz_at_least_dx(self):
         rng = random.Random(41)

@@ -9,9 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import aqmds.code
 import aqmds.matrix
-from aqmds.code import (LinearCode, _lowest_weight, _scan_outside, from_generator, full_space,
+from aqmds.catalog import run_oracles
+from aqmds.code import (LinearCode, _enumerate_scan, _lowest_weight, from_generator, full_space,
                         is_subcode)
 from aqmds.construct import GrsSpec, grs
+from aqmds.css import AqcParams, css_construct, make_pair
 from aqmds.errors import CapExceeded, ZeroCode
 from aqmds.gf import _poly_is_irreducible, make_field
 from aqmds.matrix import (GfMatrix, _eliminate, first_singular_k_subset, mat_mul, nullspace, rank,
@@ -259,7 +261,7 @@ def test_scan_matches_naive_enumeration(pair, chunk_target):
 
     # small chunk targets split the scan into many chunks with nonzero offsets
     with mock.patch.object(aqmds.code, "_CHUNK_TARGET", chunk_target):
-        got_dist, got_out, got_first = _scan_outside(C, checks)
+        got_dist, got_out, got_first = _enumerate_scan(C.field, C.G.data, checks)
     assert got_dist.tolist() == dist
     assert got_out.tolist() == dist_out
     assert (None if got_first is None else got_first.tolist()) == first_out
@@ -355,3 +357,43 @@ def test_full_weight_search_matches_naive_list(C, chunk_target, cap):
         else:
             with pytest.raises(CapExceeded):
                 C.full_weight_codeword()
+
+
+@st.composite
+def nested_pair(draw):
+    """A nested pair over GF(q), q <= 5, n <= 7: a random C2 and C1 the dual
+    of a random subcode D of C2, so k = dim C2 - dim D, 0 when D = C2.
+    D is never the whole space, which would make C1 the zero code."""
+    f = make_field(draw(st.sampled_from([2, 3, 4, 5])))
+    n = draw(st.integers(1, 7))
+    k2 = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    C2 = from_generator(GfMatrix(f, _random_full_rank(rng, f, k2, n)))
+    r = draw(st.integers(0, min(k2, n - 1)))
+    if r == 0:
+        return make_pair(full_space(f, n), C2)
+    D = from_generator(mat_mul(GfMatrix(f, _random_full_rank(rng, f, r, k2)), C2.G))
+    return make_pair(D.dual(), C2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(nested_pair(), st.sampled_from(["", "10"]))
+def test_css_construct_agrees_with_full_oracle(pair, cap):
+    # both read pair_sides: the constructed parameters pass every distance
+    # oracle, and css_construct is capped exactly where an oracle skips
+    n = pair.c1.n
+    with mock.patch.dict(os.environ, {"AQMDS_MAX_ENUM": cap}):
+        try:
+            params = css_construct(pair)
+        except CapExceeded:
+            params = None
+        claimed = params or AqcParams(q=pair.c1.field.q, n=n, k=pair.quantum_k, dz=n, dx=n,
+                                      pure=True, aqmds=True)
+        _, log = run_oracles(claimed, pair, "full_oracle")
+    skipped = [e for e in log if e.endswith(":skipped(cap)")]
+    assert (params is None) == bool(skipped)
+    if params is not None:
+        assert [e for e in log if "distance" in e and not e.endswith(":pass")] == []
+        assert any(e.startswith("distances_exact") for e in log)
+        if params.k:
+            assert f"purity:{'pass' if params.pure else 'FAIL'}" in log
