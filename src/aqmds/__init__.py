@@ -3,7 +3,8 @@
 Layers:
     gf         finite-field arithmetic via lookup tables (q <= 64)
     matrix     dense linear algebra over GF(q)
-    code       linear codes, duals, brute-force weight enumeration
+    code       linear codes, duals, exact weights by a scan of one word per
+               scalar class
     construct  GRS / extended GRS / length-(q+2) MDS builders
     css        nested classical pair -> asymmetric quantum parameters, and the
                full-weight-codeword construction

@@ -30,7 +30,7 @@ import numpy as np
 
 from .code import LinearCode, from_generator, full_space
 from .css import AqcParams, NestedPair, make_pair, pair_from_full_weight, pair_sides
-from .errors import CapExceeded, NotPrimePower, RecipeInvalid, VerificationFailed
+from .errors import AqmdsError, CapExceeded, NotPrimePower, VerificationFailed
 from .gf import FIELD_CAP, FiniteField, _factor_prime_power, find_irreducible, make_field
 from .matrix import GfMatrix
 from .construct import (
@@ -71,11 +71,11 @@ class CatalogQuery:
 
     def __post_init__(self):
         if self.verify_level not in VERIFY_LEVELS:
-            raise ValueError(f"verify_level must be one of {VERIFY_LEVELS}")
+            raise AqmdsError(f"verify_level must be one of {VERIFY_LEVELS}")
         for name in ("n", "j", "dz", "dx"):
             val = getattr(self, name)
             if val is not None and not 0 <= val <= self.q + 2:
-                raise ValueError(f"filter {name}={val} outside [0, q+2]")
+                raise AqmdsError(f"filter {name}={val} outside [0, q+2]")
 
 
 @dataclass
@@ -161,7 +161,7 @@ def _tuples(q: int, n: int, j: Optional[int] = None
 def _mds_source(q: int, n: int, k: int) -> Dict:
     """Canonical construction recipe for an MDS [n, k, n-k+1]_q code."""
     if not 1 <= k <= n:
-        raise RecipeInvalid(f"no MDS code with k={k}, n={n}")
+        raise AqmdsError(f"no MDS code with k={k}, n={n}")
     if k == n:
         return {"type": "full", "n": n}
     if k == 1:
@@ -178,7 +178,7 @@ def _mds_source(q: int, n: int, k: int) -> Dict:
         return {"type": "qplus2_low", "v": list(ones(q + 2))}
     if n == q + 2 and q % 2 == 0 and k == q - 1:
         return {"type": "qplus2_high", "v": list(ones(q + 2))}
-    raise RecipeInvalid(f"no known MDS construction for [{n},{k}]_{q}")
+    raise AqmdsError(f"no known MDS construction for [{n},{k}]_{q}")
 
 
 def _designated_recipe(q: int, tag: str, n: int, k: int, j: int) -> Dict:
@@ -269,7 +269,7 @@ def _build_source(f: FiniteField, src: Dict, store: CodeStore) -> LinearCode:
         return store.code(q_plus_2_low, f, src["v"])
     if kind == "qplus2_high":
         return store.code(q_plus_2_high, f, src["v"])
-    raise RecipeInvalid(f"unknown source type {kind!r}")
+    raise AqmdsError(f"unknown source type {kind!r}")
 
 
 def _integers(d: Dict, names: Tuple[str, ...], what: str):
@@ -277,7 +277,7 @@ def _integers(d: Dict, names: Tuple[str, ...], what: str):
     equal to the int it stands for, so it would pass a check and be echoed."""
     for name in names:
         if name in d and type(d[name]) is not int:
-            raise RecipeInvalid(f"{what} {name} must be an integer, got {d[name]!r}")
+            raise AqmdsError(f"{what} {name} must be an integer, got {d[name]!r}")
 
 
 def build_pair_from_recipe(recipe: Dict, *, store: Optional[CodeStore] = None) -> NestedPair:
@@ -318,9 +318,9 @@ def build_pair_from_recipe(recipe: Dict, *, store: Optional[CodeStore] = None) -
             return make_pair(low.dual(), high)
         if construction == "TH12":
             return pair_from_full_weight(_build_source(f, recipe["source"], store))
-        raise RecipeInvalid(f"unknown construction {construction!r}")
+        raise AqmdsError(f"unknown construction {construction!r}")
     except (AttributeError, KeyError, TypeError) as exc:  # a part of the wrong shape
-        raise RecipeInvalid(f"malformed recipe: {exc}") from exc
+        raise AqmdsError(f"malformed recipe: {exc}") from exc
 
 
 # -- verification oracles -----------------------------------------------------
@@ -577,8 +577,8 @@ def certificate_from_dict(d: Dict) -> Certificate:
         family = d["family"]
         if not (type(family) is list and family and all(type(t) is str for t in family)
                 and set(family) <= set(FAMILY_TAGS) and len(set(family)) == len(family)):
-            raise RecipeInvalid(f"certificate family must be a non-empty list of distinct"
-                                f" tags of {FAMILY_TAGS}, got {family!r}")
+            raise AqmdsError(f"certificate family must be a non-empty list of distinct"
+                             f" tags of {FAMILY_TAGS}, got {family!r}")
         params = AqcParams(
             q=d["q"], n=d["n"], k=d["j"], dz=d["dz"], dx=d["dx"],
             pure=d["pure"], aqmds=d["aqmds"],
@@ -591,7 +591,7 @@ def certificate_from_dict(d: Dict) -> Certificate:
             oracle_log=list(d["oracle_log"]),
         )
     except (KeyError, TypeError) as exc:
-        raise RecipeInvalid(f"malformed certificate: {exc}") from exc
+        raise AqmdsError(f"malformed certificate: {exc}") from exc
 
 
 def certificates_to_json(certs: List[Certificate]) -> str:

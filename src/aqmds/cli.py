@@ -49,7 +49,7 @@ from .construct import (
     q_plus_2_high,
     q_plus_2_low,
 )
-from .errors import AqmdsError, RecipeInvalid, VerificationFailed
+from .errors import AqmdsError, VerificationFailed
 from .gf import find_irreducible, make_field
 
 EXIT_OK = 0
@@ -81,20 +81,20 @@ def cmd_construct(args) -> int:
     which = args.builder
     if which == "grs":
         if args.n is None or args.k is None:
-            raise RecipeInvalid("grs requires --n and --k")
+            raise AqmdsError("grs requires --n and --k")
         if args.n > args.q:
-            raise RecipeInvalid("n exceeds q")
+            raise AqmdsError("n exceeds q")
         C = grs(GrsSpec(f, args.n, args.k,
                         tuple(alpha) if alpha else (), tuple(v) if v else ()))
         _print_code(C, "GRS")
     elif which == "extended-grs":
         if args.k is None:
-            raise RecipeInvalid("extended-grs requires --k")
+            raise AqmdsError("extended-grs requires --k")
         C = extended_grs(f, args.k, alpha, v)
         _print_code(C, "extended GRS")
     elif which == "grs-subcode":
         if args.k is None or args.r is None:
-            raise RecipeInvalid("grs-subcode requires --k and --r")
+            raise AqmdsError("grs-subcode requires --k and --r")
         k, r = args.k, args.r
         # the builder refuses a k or r out of range: no search runs for one
         poly = find_irreducible(f, k - r) if 1 <= r <= k - 2 <= f.q - 2 else ()
@@ -106,7 +106,7 @@ def cmd_construct(args) -> int:
     elif which == "qplus2-low":
         _print_code(q_plus_2_low(f, v), "length q+2, dimension 3")
     else:  # unreachable via argparse choices
-        raise RecipeInvalid(f"unknown builder {which!r}")
+        raise AqmdsError(f"unknown builder {which!r}")
     return EXIT_OK
 
 
@@ -121,33 +121,31 @@ def _css_construction(args) -> Tuple[str, int, int, int]:
     def need(*names):
         missing = [m for m in names if getattr(args, m) is None]
         if missing:
-            raise RecipeInvalid(
-                f"--family {fam} requires {', '.join('--' + m for m in missing)}")
+            raise AqmdsError(f"--family {fam} requires {', '.join('--' + m for m in missing)}")
 
     if fam == "th7":
         need("n", "k", "j")
         n, k, j = args.n, args.k, args.j
         if not (1 <= k and j >= 1 and k + j <= n - 1 and n <= q):
-            raise RecipeInvalid(
-                "th7 requires 1 <= k, j >= 1, k+j <= n-1, n <= q")
+            raise AqmdsError("th7 requires 1 <= k, j >= 1, k+j <= n-1, n <= q")
         return "TH7", n, k, j
     if fam == "th8":
         need("k", "j")
         k, j = args.k, args.j  # k is the dimension of the ambient extended GRS code
         if not 2 <= j <= k - 1:
-            raise RecipeInvalid("th8 requires 2 <= j <= k-1")
+            raise AqmdsError("th8 requires 2 <= j <= k-1")
         if not 3 <= k <= q:
-            raise RecipeInvalid("th8 requires 3 <= k <= q")
+            raise AqmdsError("th8 requires 3 <= k <= q")
         return "TH8", q + 1, k - j, j
     if fam in ("th11", "cor10"):
         if q % 2 == 1 or q < 4:
-            raise RecipeInvalid(f"{fam} requires q = 2^m with m >= 2")
+            raise AqmdsError(f"{fam} requires q = 2^m with m >= 2")
         return ("TH11", q + 2, 3, q - 4) if fam == "th11" else ("COR10", q + 1, 2, 1)
     need("n", "k")  # th12, prop5, prop6: k is the dimension of the MDS code given
     n, k = args.n, args.k
     low = 2 if fam == "th12" else 1
     if not low <= k <= n - 1:
-        raise RecipeInvalid(f"{fam} requires {low} <= k <= n-1")
+        raise AqmdsError(f"{fam} requires {low} <= k <= n-1")
     return {"th12": ("TH12", n, 1, k - 1), "prop5": ("PROP5", n, n - k, k),
             "prop6": ("PROP6", n, k, 0)}[fam]
 
@@ -225,7 +223,7 @@ def cmd_verify(args) -> int:
         try:
             payload = json.load(fh)
         except RecursionError:
-            raise RecipeInvalid("malformed certificate file: JSON nested too deeply") from None
+            raise AqmdsError("malformed certificate file: JSON nested too deeply") from None
     items = payload if isinstance(payload, list) else [payload]
     store = CodeStore()  # the file's records share their codes and MDS proofs
     for item in items:

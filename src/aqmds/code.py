@@ -28,15 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    FieldMismatch,
-    InvalidSpec,
-    LengthMismatch,
-    PositionOutOfRange,
-    PreconditionFailed,
-    ZeroCode,
-)
+from .errors import AqmdsError, CapExceeded
 from .gf import FiniteField
 from .matrix import (_CHUNK_TARGET, GfMatrix, _eliminate, first_singular_k_subset, mat_mul,
                      nullspace, rref, transpose)
@@ -46,7 +38,7 @@ DEFAULT_ENUM_CAP = 10 ** 7
 
 def enum_cap() -> int:
     """The enumeration cap, AQMDS_MAX_ENUM or else the default, read where
-    codewords are enumerated; a malformed value raises InvalidSpec."""
+    codewords are enumerated; a malformed value raises AqmdsError."""
     env = os.environ.get("AQMDS_MAX_ENUM")
     if not env:
         return DEFAULT_ENUM_CAP
@@ -55,7 +47,7 @@ def enum_cap() -> int:
     except ValueError:
         cap = 0
     if cap < 1:
-        raise InvalidSpec(f"AQMDS_MAX_ENUM must be a positive integer, got {env!r}")
+        raise AqmdsError(f"AQMDS_MAX_ENUM must be a positive integer, got {env!r}")
     return cap
 
 
@@ -128,7 +120,7 @@ class LinearCode:
 
     def weight_distribution(self) -> WeightReport:
         if self.k == 0:
-            raise ZeroCode("the zero code has no weight distribution")
+            raise AqmdsError("the zero code has no weight distribution")
         dist, _, _ = _enumerate_scan(self.field, self.G.data)
         return WeightReport(min_weight=_lowest_weight(dist), distribution=dist)
 
@@ -143,20 +135,20 @@ class LinearCode:
     def shorten(self, pos: int) -> "LinearCode":
         """Restrict to codewords vanishing at pos, then delete the coordinate."""
         if not 0 <= pos < self.n:
-            raise PositionOutOfRange(f"position {pos} not in [0, {self.n})")
+            raise AqmdsError(f"position {pos} not in [0, {self.n})")
         # with column pos eliminated first, the rows below its pivot span
         # exactly the codewords that vanish at pos
         A = np.hstack([self.G.data[:, [pos]], np.delete(self.G.data, pos, axis=1)])
         pivots = _eliminate(self.field, A, reduce_above=False)
         rows = A[1:, 1:] if pivots[:1] == [0] else A[:, 1:]
         if rows.shape[0] == 0:
-            raise ZeroCode("shortening leaves only the zero codeword")
+            raise AqmdsError("shortening leaves only the zero codeword")
         return from_generator(GfMatrix(self.field, rows))
 
     def puncture(self, pos: int) -> "LinearCode":
         """Delete coordinate pos from all codewords."""
         if not 0 <= pos < self.n:
-            raise PositionOutOfRange(f"position {pos} not in [0, {self.n})")
+            raise AqmdsError(f"position {pos} not in [0, {self.n})")
         rows = np.delete(self.G.data, pos, axis=1)
         return from_generator(GfMatrix(self.field, rows))
 
@@ -165,7 +157,7 @@ def from_generator(M: GfMatrix) -> LinearCode:
     """Canonicalize a generator matrix into a LinearCode; rank must be > 0."""
     C = LinearCode(M)
     if C.k == 0:
-        raise ZeroCode("generator matrix has rank 0")
+        raise AqmdsError("generator matrix has rank 0")
     return C
 
 
@@ -184,9 +176,9 @@ def first_row_outside(D: LinearCode, C: LinearCode) -> Optional[np.ndarray]:
     One product D.G C.H^T gives every row's syndrome at once.
     """
     if D.field is not C.field:
-        raise FieldMismatch("codes over different fields")
+        raise AqmdsError("codes over different fields")
     if D.n != C.n:
-        raise LengthMismatch(f"lengths differ: {D.n} != {C.n}")
+        raise AqmdsError(f"lengths differ: {D.n} != {C.n}")
     outside = np.flatnonzero(mat_mul(D.G, transpose(C.H)).data.any(axis=1))
     return D.G.data[outside[0]] if outside.size else None
 
@@ -214,17 +206,15 @@ def extend_by_codeword(C: LinearCode, Cprime: LinearCode) -> LinearCode:
     generator [[0 | G], [1 | w]]; the result is verified MDS.
     """
     if C.field is not Cprime.field or C.n != Cprime.n:
-        raise PreconditionFailed("codes must share field and length")
+        raise AqmdsError("codes must share field and length")
     if not is_subcode(C, Cprime):
-        raise PreconditionFailed("C is not a subcode of C'")
+        raise AqmdsError("C is not a subcode of C'")
     if Cprime.k != C.k + 1:
-        raise PreconditionFailed(f"dim C' = {Cprime.k} != dim C + 1 = {C.k + 1}")
+        raise AqmdsError(f"dim C' = {Cprime.k} != dim C + 1 = {C.k + 1}")
     if not C.is_mds():
-        raise PreconditionFailed(f"C is not MDS [{C.n},{C.k},{C.n - C.k + 1}]")
+        raise AqmdsError(f"C is not MDS [{C.n},{C.k},{C.n - C.k + 1}]")
     if not Cprime.is_mds():
-        raise PreconditionFailed(
-            f"C' is not MDS [{Cprime.n},{Cprime.k},{Cprime.n - Cprime.k}]"
-        )
+        raise AqmdsError(f"C' is not MDS [{Cprime.n},{Cprime.k},{Cprime.n - Cprime.k + 1}]")
     # the last row of C'.G outside C is the first such word: see _enumerate_scan
     outside = np.flatnonzero(mat_mul(Cprime.G, transpose(C.H)).data.any(axis=1))
     w = Cprime.G.data[outside[-1]]
@@ -233,7 +223,7 @@ def extend_by_codeword(C: LinearCode, Cprime: LinearCode) -> LinearCode:
     bottom = np.hstack([np.array([[1]], dtype=np.uint8), w[None, :]])
     ext = from_generator(GfMatrix(f, np.vstack([top, bottom])))
     if ext.k != C.k + 1 or not ext.is_mds():
-        raise PreconditionFailed("extension did not produce an MDS code")
+        raise AqmdsError("extension did not produce an MDS code")
     return ext
 
 
@@ -296,7 +286,7 @@ def _iter_weight_blocks(field: FiniteField, gen: np.ndarray):
     k, n = gen.shape
     pivots = np.argmax(gen != 0, axis=1)
     if (gen[:, pivots] != np.eye(k, dtype=np.uint8)).any():
-        raise PreconditionFailed("the pivot columns of the generator are not the identity")
+        raise AqmdsError("the pivot columns of the generator are not the identity")
     others = np.ones(n, dtype=bool)
     others[pivots] = False
     A = gen[:, others]

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .code import LinearCode, from_generator
-from .errors import DegreeTooSmall, InvalidRange, InvalidSpec, NotCharTwo
+from .errors import AqmdsError
 from .gf import FiniteField, _poly_is_irreducible
 from .matrix import GfMatrix
 
@@ -49,9 +49,9 @@ class GrsSpec:
     def __post_init__(self):
         f = self.field
         if not 1 <= self.n <= f.q:
-            raise InvalidSpec(f"n={self.n} must satisfy 1 <= n <= q={f.q}")
+            raise AqmdsError(f"n={self.n} must satisfy 1 <= n <= q={f.q}")
         if not 1 <= self.k <= self.n:
-            raise InvalidSpec(f"k={self.k} must satisfy 1 <= k <= n={self.n}")
+            raise AqmdsError(f"k={self.k} must satisfy 1 <= k <= n={self.n}")
         alpha, v = _points(f, self.alpha or None, self.v or None, self.n, self.n,
                            "be n pairwise distinct elements", "n nonzero field elements")
         object.__setattr__(self, "alpha", alpha)
@@ -65,13 +65,13 @@ def _points(f: FiniteField, alpha: Optional[Sequence[int]], v: Optional[Sequence
     alpha = tuple(alpha) if alpha is not None else default_alpha(f, n_alpha)
     v = tuple(v) if v is not None else ones(n_v)
     if any(t is bool or not issubclass(t, numbers.Integral) for t in set(map(type, alpha + v))):
-        raise InvalidSpec("alpha and v entries must be integer element indices")
+        raise AqmdsError("alpha and v entries must be integer element indices")
     if len(alpha) != n_alpha or len(set(alpha)) != n_alpha:
-        raise InvalidSpec(f"alpha must {alpha_rule}")
+        raise AqmdsError(f"alpha must {alpha_rule}")
     if any(not 0 <= a < f.q for a in alpha):
-        raise InvalidSpec("alpha entries out of field range")
+        raise AqmdsError("alpha entries out of field range")
     if len(v) != n_v or any(not 1 <= x < f.q for x in v):
-        raise InvalidSpec(f"v must be {v_rule}")
+        raise AqmdsError(f"v must be {v_rule}")
     return alpha, v
 
 
@@ -107,7 +107,7 @@ def extended_grs(
     top coefficient f_{k-1} scaled by v_{q+1}."""
     q = f.q
     if not 1 <= k <= q:
-        raise InvalidSpec(f"k={k} must satisfy 1 <= k <= q={q}")
+        raise AqmdsError(f"k={k} must satisfy 1 <= k <= q={q}")
     alpha, v = _extended_points(f, alpha, v)
     G = _vandermonde_rows(f, alpha, v[:q], k)
     ext_col = np.zeros((k, 1), dtype=np.uint8)
@@ -134,23 +134,23 @@ def grs_subcode_irreducible(
     """
     q = f.q
     if not 1 <= k <= q:
-        raise InvalidSpec(f"k={k} must satisfy 1 <= k <= q={q}")
+        raise AqmdsError(f"k={k} must satisfy 1 <= k <= q={q}")
     if not 1 <= r <= k - 2:
-        raise InvalidRange(f"r={r} must satisfy 1 <= r <= k-2 = {k - 2}")
+        raise AqmdsError(f"r={r} must satisfy 1 <= r <= k-2 = {k - 2}")
     alpha, v = _extended_points(f, alpha, v)
     # element indices, low degree first: a float or bool entry is refused
     if not (set(map(type, poly)) == {int} and len(poly) == k - r + 1 and poly[-1] == 1
             and min(poly) >= 0 and max(poly) < q and _poly_is_irreducible(f._tables, poly)):
-        raise InvalidSpec(f"poly must be a monic irreducible of degree k-r = {k - r} over GF({q})")
+        raise AqmdsError(f"poly must be a monic irreducible of degree k-r = {k - r} over GF({q})")
     scaled_v = tuple(f.mul(v[j], f.poly_eval(poly, alpha[j])) for j in range(q)) + v[q:]
     return extended_grs(f, r, alpha, scaled_v)
 
 
 def _char_two_points(f: FiniteField, v: Optional[Sequence[int]]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     if f.p != 2:
-        raise NotCharTwo(f"construction requires characteristic 2, got p={f.p}")
+        raise AqmdsError(f"construction requires characteristic 2, got p={f.p}")
     if f.m < 2:
-        raise DegreeTooSmall("construction requires q = 2^m with m >= 2")
+        raise AqmdsError("construction requires q = 2^m with m >= 2")
     # the default alpha: alpha_q = 0, first q-1 points invertible
     return _points(f, None, v, f.q, f.q + 2, "cover q distinct points", "q+2 nonzero elements")
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 from .code import LinearCode, _enumerate_scan, _lowest_weight, first_row_outside
-from .errors import CapExceeded, DimensionTooSmall, NoFullWeightWord, NotNested
+from .errors import AqmdsError, CapExceeded
 from .matrix import GfMatrix
 
 
@@ -61,18 +61,22 @@ class NestedPair:
     """A classical pair (C1, C2) with dual(C1) inside C2.
 
     The nesting is proven when the pair is made, so no unproven pair
-    exists: NotNested names the first row of dual(C1)'s canonical
+    exists: the AqmdsError names the first row of dual(C1)'s canonical
     generator outside C2.  The reverse inclusion dual(C2) subseteq C1
-    follows, since taking duals reverses inclusion.
+    follows, since taking duals reverses inclusion.  A zero C1 or C2 is
+    refused first, as it has no minimum distance.
     """
 
     c1: LinearCode
     c2: LinearCode
 
     def __post_init__(self):
+        for name, code in (("C1", self.c1), ("C2", self.c2)):
+            if code.k == 0:
+                raise AqmdsError(f"{name} is the zero code, which has no minimum distance")
         witness = first_row_outside(self.c1.dual(), self.c2)
         if witness is not None:
-            raise NotNested(f"dual(C1) not contained in C2; witness row {witness.tolist()}")
+            raise AqmdsError(f"dual(C1) not contained in C2; witness row {witness.tolist()}")
 
     @property
     def quantum_k(self) -> int:
@@ -80,7 +84,8 @@ class NestedPair:
 
 
 def make_pair(C1: LinearCode, C2: LinearCode) -> NestedPair:
-    """The nested pair (C1, C2); raises NotNested unless dual(C1) subseteq C2."""
+    """The nested pair (C1, C2); raises AqmdsError unless both are nonzero
+    and dual(C1) subseteq C2."""
     return NestedPair(C1, C2)
 
 
@@ -134,10 +139,10 @@ def pair_from_full_weight(C: LinearCode) -> NestedPair:
     """The CSS pair realizing the full-weight-codeword construction:
     C1 = dual of the line spanned by the first full-weight codeword, C2 = C."""
     if C.k < 2:
-        raise DimensionTooSmall(f"need k >= 2, got k={C.k}")
+        raise AqmdsError(f"need k >= 2, got k={C.k}")
     u = C.full_weight_codeword()
     if u is None:
-        raise NoFullWeightWord(f"[{C.n},{C.k}]_{C.field.q} has no full-weight codeword")
+        raise AqmdsError(f"[{C.n},{C.k}]_{C.field.q} has no full-weight codeword")
     line = LinearCode(GfMatrix(C.field, u[None, :]))
     return make_pair(line.dual(), C)
 

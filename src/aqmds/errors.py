@@ -1,4 +1,12 @@
-"""Exception hierarchy shared by all modules."""
+"""The package's four exception classes, and where each is caught.
+
+AqmdsError          bad input or a failed precondition; `cli.main` exits 2
+NotPrimePower       q is not a prime power; `catalog.exists` answers no
+CapExceeded         an enumeration would pass its size cap; `css.pair_sides`
+                    returns it for `catalog.run_oracles` to log skipped(cap),
+                    and `catalog.exists` answers yes without a certificate
+VerificationFailed  a built code or a certificate fails a check; exit 3
+"""
 
 
 class AqmdsError(Exception):
@@ -11,70 +19,6 @@ class NotPrimePower(AqmdsError):
 
 class CapExceeded(AqmdsError):
     """An enumeration or construction exceeded its configured size cap."""
-
-
-class DivisionByZero(AqmdsError):
-    pass
-
-
-class FieldMismatch(AqmdsError):
-    pass
-
-
-class DimensionMismatch(AqmdsError):
-    pass
-
-
-class LengthMismatch(AqmdsError):
-    pass
-
-
-class RankDeficient(AqmdsError):
-    pass
-
-
-class ZeroCode(AqmdsError):
-    pass
-
-
-class PositionOutOfRange(AqmdsError):
-    pass
-
-
-class PreconditionFailed(AqmdsError):
-    pass
-
-
-class InvalidSpec(AqmdsError):
-    pass
-
-
-class InvalidRange(AqmdsError):
-    pass
-
-
-class NotCharTwo(AqmdsError):
-    pass
-
-
-class DegreeTooSmall(AqmdsError):
-    pass
-
-
-class NotNested(AqmdsError):
-    pass
-
-
-class NoFullWeightWord(AqmdsError):
-    pass
-
-
-class DimensionTooSmall(AqmdsError):
-    pass
-
-
-class RecipeInvalid(AqmdsError):
-    pass
 
 
 class VerificationFailed(AqmdsError):

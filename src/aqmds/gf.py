@@ -22,7 +22,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CapExceeded, DivisionByZero, NotPrimePower
+from .errors import AqmdsError, CapExceeded, NotPrimePower
 
 FIELD_CAP = 64
 
@@ -107,7 +107,7 @@ class FiniteField:
 
     def inv(self, a: int) -> int:
         if a == 0:
-            raise DivisionByZero("0 has no multiplicative inverse")
+            raise AqmdsError("0 has no multiplicative inverse")
         return int(self.inv_table[a])
 
     def poly_eval(self, f: Sequence[int], x: int) -> int:
@@ -146,7 +146,7 @@ def find_irreducible(field: FiniteField, degree: int) -> Poly:
     `_poly_is_irreducible`).  The result is memoized per (q, degree).
     """
     if degree < 1:
-        raise ValueError("degree must be >= 1")
+        raise AqmdsError("degree must be >= 1")
     key = (field.q, degree)
     if key not in _IRREDUCIBLE:
         _IRREDUCIBLE[key] = next(poly for poly in _monic_polys(field.q, degree)

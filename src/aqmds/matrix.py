@@ -16,7 +16,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, FieldMismatch, RankDeficient
+from .errors import AqmdsError
 from .gf import FiniteField
 
 # elements per numpy chunk, for the k-subset oracle here and the codeword scan
@@ -29,9 +29,9 @@ class GfMatrix:
     def __init__(self, field: FiniteField, entries):
         data = np.asarray(entries, dtype=np.uint8)
         if data.ndim != 2:
-            raise DimensionMismatch(f"expected 2-d entries, got shape {data.shape}")
+            raise AqmdsError(f"expected 2-d entries, got shape {data.shape}")
         if data.size and int(data.max()) >= field.q:
-            raise ValueError(f"entry {int(data.max())} out of range for {field}")
+            raise AqmdsError(f"entry {int(data.max())} out of range for {field}")
         self.field = field
         self.data = data
         self.data.setflags(write=False)
@@ -74,9 +74,9 @@ def transpose(M: GfMatrix) -> GfMatrix:
 def mat_mul(A: GfMatrix, B: GfMatrix) -> GfMatrix:
     """Matrix product over GF(q)."""
     if A.field is not B.field:
-        raise FieldMismatch("matrices over different fields")
+        raise AqmdsError("matrices over different fields")
     if A.cols != B.rows:
-        raise DimensionMismatch(f"inner dimensions {A.cols} != {B.rows}")
+        raise AqmdsError(f"inner dimensions {A.cols} != {B.rows}")
     f = A.field
     out = np.zeros((A.rows, B.cols), dtype=np.uint8)
     for l in range(A.cols):
@@ -160,7 +160,7 @@ def first_singular_k_subset(M: GfMatrix, k: int) -> Optional[Tuple[int, ...]]:
     eliminated in lockstep.
     """
     if M.rows != k or rank(M) < k:
-        raise RankDeficient(f"matrix must have k={k} independent rows")
+        raise AqmdsError(f"matrix must have k={k} independent rows")
     if k == 0:
         return None  # the empty subset: a 0 x 0 matrix is nonsingular
     f = M.field

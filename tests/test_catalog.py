@@ -27,11 +27,19 @@ from aqmds.cli import main
 from aqmds.code import from_generator, full_space
 from aqmds.construct import GrsSpec, grs
 from aqmds.css import AqcParams, css_construct, make_pair
-from aqmds.errors import CapExceeded, InvalidSpec, NotPrimePower, RecipeInvalid, VerificationFailed
+from aqmds.errors import AqmdsError, CapExceeded, NotPrimePower, VerificationFailed
 from aqmds.gf import FIELD_CAP, make_field
 from aqmds.matrix import GfMatrix
 
 import th14_expansion
+
+# a PROP6 record on the [3,3]_3 full space, whose pair has a zero C1
+ZERO_CODE_RECORD = {
+    "q": 3, "n": 3, "j": 0, "dz": 4, "dx": 1, "pure": True, "aqmds": True, "family": ["PROP6"],
+    "recipe": {"q": 3, "n": 3, "j": 0, "alpha_convention": "zero_last", "construction": "PROP6",
+               "k": 3, "code": {"type": "full", "n": 3}},
+    "verified": True, "oracle_log": [],
+}
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -167,9 +175,9 @@ class TestCertificates:
         assert (p.n, p.k, p.dz, p.dx) == (5, 1, 3, 3)
 
     def test_malformed_recipe(self):
-        with pytest.raises(RecipeInvalid):
+        with pytest.raises(AqmdsError, match="unknown construction 'NOPE'"):
             build_pair_from_recipe({"q": 5, "construction": "NOPE"})
-        with pytest.raises(RecipeInvalid):
+        with pytest.raises(AqmdsError, match="malformed recipe: 'construction'"):
             build_pair_from_recipe({"q": 5})
 
     def test_determinism_bytes(self):
@@ -350,6 +358,14 @@ class TestOneCheckPath:
             verify(cert)
         assert str(exc.value) == first_failed
 
+    @pytest.mark.parametrize("level", ["closed_form", "full_oracle"])
+    def test_zero_code_pair_refused(self, level):
+        # PROP6 on the full space pairs it with its zero dual; the claim
+        # dz = 4 at length 3 must be refused, never verified
+        with pytest.raises(AqmdsError, match="^C1 is the zero code"):
+            make_certificate(3, 3, 0, 4, 1, ZERO_CODE_RECORD["family"],
+                             ZERO_CODE_RECORD["recipe"], level)
+
     @pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
     def test_exists_certificate_is_the_catalog_record(self, q):
         for cert in enumerate_catalog(CatalogQuery(q=q)):
@@ -440,7 +456,7 @@ def verify_outcome(record, store=None):
         return certificate_to_dict(verify(certificate_from_dict(record), store=store))
     except VerificationFailed as exc:
         return ("VerificationFailed", str(exc))
-    except (RecipeInvalid, InvalidSpec) as exc:
+    except AqmdsError as exc:
         return (type(exc).__name__, str(exc))
 
 

@@ -13,6 +13,8 @@ from aqmds.code import from_generator
 from aqmds.gf import make_field
 from aqmds.matrix import GfMatrix
 
+from test_catalog import ZERO_CODE_RECORD
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -272,6 +274,13 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", str(path))
         assert (code, out) == (2, "")
         assert err == "error: dual(C1) not contained in C2; witness row [1, 0, 6, 5, 4]\n"
+
+    def test_zero_code_pair_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(ZERO_CODE_RECORD))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: C1 is the zero code, which has no minimum distance\n"
 
     @pytest.mark.parametrize("key, value", [
         ("v", [1, 1, 1, 1, 6.9]), ("v", [1, 1, 1, 1, True]), ("alpha", [1.0, 2, 3, 4, 5]),

@@ -18,13 +18,7 @@ from aqmds.code import (
 from aqmds.catalog import enumerate_catalog, exists, make_certificate, run_oracles, verify
 from aqmds.construct import GrsSpec, grs, q_plus_2_low
 from aqmds.css import _side_scan, css_construct, from_full_weight, make_pair, pair_from_full_weight
-from aqmds.errors import (
-    CapExceeded,
-    InvalidSpec,
-    PositionOutOfRange,
-    PreconditionFailed,
-    ZeroCode,
-)
+from aqmds.errors import AqmdsError, CapExceeded
 from aqmds.gf import make_field
 from aqmds.matrix import GfMatrix
 
@@ -38,11 +32,9 @@ def simplex_5_2_gf4() -> LinearCode:
 def random_code(rng, q, n, k) -> LinearCode:
     f = make_field(q)
     while True:
-        data = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
-        try:
-            return from_generator(GfMatrix(f, data))
-        except ZeroCode:
-            continue
+        C = LinearCode(GfMatrix(f, [[rng.randrange(q) for _ in range(n)] for _ in range(k)]))
+        if C.k:
+            return C
 
 
 class TestFromGenerator:
@@ -62,7 +54,7 @@ class TestFromGenerator:
         assert (C.n, C.k) == (5, 2)
 
     def test_zero_rejected(self):
-        with pytest.raises(ZeroCode):
+        with pytest.raises(AqmdsError, match="generator matrix has rank 0"):
             from_generator(GfMatrix.zeros(make_field(3), 2, 4))
 
     def test_canonical_equality(self):
@@ -159,7 +151,7 @@ def test_malformed_env_cap_raises_at_first_enumeration(monkeypatch):
     monkeypatch.setenv("AQMDS_MAX_ENUM", "x")
     # no oracle at closed_form enumerates codewords, so none reads the cap
     assert exists(5, 5, 1, 3, 3).certificate.verified
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(AqmdsError, match="AQMDS_MAX_ENUM must be a positive integer, got 'x'"):
         full_space(make_field(2), 3).min_distance()
 
 
@@ -255,15 +247,15 @@ class TestShortenPuncture:
 
     def test_position_out_of_range(self):
         C = q_plus_2_low(make_field(4))
-        with pytest.raises(PositionOutOfRange):
+        with pytest.raises(AqmdsError, match=r"position 6 not in \[0, 6\)"):
             C.shorten(6)
-        with pytest.raises(PositionOutOfRange):
+        with pytest.raises(AqmdsError, match=r"position -1 not in \[0, 6\)"):
             C.puncture(-1)
 
     def test_shorten_to_zero_rejected(self):
         f = make_field(2)
         C = from_generator(GfMatrix(f, [[1, 1]]))
-        with pytest.raises(ZeroCode):
+        with pytest.raises(AqmdsError, match="shortening leaves only the zero codeword"):
             C.shorten(0)
 
 
@@ -293,15 +285,23 @@ class TestExtendByCodeword:
 
     def test_precondition_failures(self):
         f = make_field(5)
-        with pytest.raises(PreconditionFailed):
+        with pytest.raises(AqmdsError, match=r"dim C' = 3 != dim C \+ 1 = 2"):
             extend_by_codeword(grs(GrsSpec(f, 4, 1)), grs(GrsSpec(f, 4, 3)))
-        with pytest.raises(PreconditionFailed):
+        with pytest.raises(AqmdsError, match="C is not a subcode of C'"):
             extend_by_codeword(grs(GrsSpec(f, 4, 2)), grs(GrsSpec(f, 4, 1)))
         non_mds = from_generator(GfMatrix(f, [[1, 0, 1, 0], [0, 1, 0, 1]]))
         bigger = from_generator(
             GfMatrix(f, [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]))
-        with pytest.raises(PreconditionFailed):
+        with pytest.raises(AqmdsError, match=r"C is not MDS \[4,2,3\]"):
             extend_by_codeword(non_mds, bigger)
+
+    def test_non_mds_extension_named_with_its_singleton_distance(self):
+        # C = the [4,1,4] repetition code is MDS; C' adds e_0, a weight-1 word
+        f = make_field(5)
+        C = grs(GrsSpec(f, 4, 1))
+        Cp = from_generator(GfMatrix(f, [[1, 1, 1, 1], [1, 0, 0, 0]]))
+        with pytest.raises(AqmdsError, match=r"C' is not MDS \[4,2,3\]"):
+            extend_by_codeword(C, Cp)
 
 
 class TestFullWeightCodeword:
@@ -392,7 +392,7 @@ class TestScanPreconditions:
                     [[2, 1, 0]],  # pivot entry 2, not 1
                     [[1, 1, 0], [0, 1, 2]],  # column 1 is a pivot, not a unit column
                     [[1, 0, 2], [0, 0, 0]]):  # a zero row
-            with pytest.raises(PreconditionFailed, match="pivot columns"):
+            with pytest.raises(AqmdsError, match="the pivot columns of the generator are not the identity"):
                 aqmds.code._enumerate_scan(f, np.array(gen, dtype=np.uint8))
 
     def test_pivot_identity_suffices(self):

@@ -16,7 +16,7 @@ from aqmds.construct import (
     q_plus_2_low,
     _q_plus_2_check_matrix,
 )
-from aqmds.errors import DegreeTooSmall, InvalidRange, InvalidSpec, NotCharTwo
+from aqmds.errors import AqmdsError
 from aqmds.gf import _poly_mul, find_irreducible, make_field
 from aqmds.matrix import GfMatrix, mat_mul, transpose
 
@@ -49,13 +49,13 @@ class TestGrs:
 
     def test_invalid_specs(self):
         f = make_field(5)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(AqmdsError, match="n=6 must satisfy 1 <= n <= q=5"):
             GrsSpec(f, 6, 2)  # n > q
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(AqmdsError, match="k=5 must satisfy 1 <= k <= n=4"):
             GrsSpec(f, 4, 5)  # k > n
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(AqmdsError, match="alpha must be n pairwise distinct elements"):
             GrsSpec(f, 3, 2, alpha=(1, 1, 2))  # duplicate points
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(AqmdsError, match="v must be n nonzero field elements"):
             GrsSpec(f, 3, 2, v=(1, 0, 1))  # zero multiplier
 
     def test_custom_alpha_v_still_mds(self):
@@ -97,9 +97,9 @@ class TestExtendedGrs:
     def test_alpha_out_of_field_range(self):
         # -1 must not wrap around to the last element as a table index
         f = make_field(5)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(AqmdsError, match="alpha entries out of field range"):
             extended_grs(f, 2, alpha=(-1, 0, 1, 2, 3))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(AqmdsError, match="alpha entries out of field range"):
             grs_subcode_irreducible(f, 4, 2, find_irreducible(f, 2), alpha=(0, 1, 2, 3, 5))
 
 
@@ -118,7 +118,7 @@ class TestGrsSubcodeIrreducible:
         assert (E.n, E.k) == (6, 4) and is_subcode(C, E)
 
     def test_r_out_of_range(self):
-        with pytest.raises(InvalidRange):
+        with pytest.raises(AqmdsError, match="r=2 must satisfy 1 <= r <= k-2 = 1"):
             grs_subcode_irreducible(make_field(4), 3, 2, (1, 1))
 
     @pytest.mark.parametrize("poly", [(1, 0, 1), (2, 0, 1), (3, 1, 1)])
@@ -142,7 +142,7 @@ class TestGrsSubcodeIrreducible:
         # k - r = 4, every other at 2
         f = make_field(7)
         k = 6 if len(poly) == 5 else 4
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(AqmdsError, match="poly must be a monic irreducible of degree k-r"):
             grs_subcode_irreducible(f, k, 2, poly)
 
     @pytest.mark.parametrize("q", [4, 5, 7, 9])
@@ -195,13 +195,13 @@ class TestLengthQPlus2:
         assert (C.n, C.k) == (10, 3) and C.min_distance() == 8
 
     def test_odd_characteristic_rejected(self):
-        with pytest.raises(NotCharTwo):
+        with pytest.raises(AqmdsError, match="requires characteristic 2, got p=5"):
             q_plus_2_high(make_field(5))
-        with pytest.raises(NotCharTwo):
+        with pytest.raises(AqmdsError, match="requires characteristic 2, got p=3"):
             q_plus_2_low(make_field(3))
 
     def test_gf2_rejected(self):
-        with pytest.raises(DegreeTooSmall):
+        with pytest.raises(AqmdsError, match=r"requires q = 2\^m with m >= 2"):
             q_plus_2_low(make_field(2))
 
     def test_pair_orthogonal_gf4(self):

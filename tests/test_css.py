@@ -14,13 +14,7 @@ from aqmds.css import (
     make_pair,
     pair_from_full_weight,
 )
-from aqmds.errors import (
-    CapExceeded,
-    DimensionTooSmall,
-    LengthMismatch,
-    NoFullWeightWord,
-    NotNested,
-)
+from aqmds.errors import AqmdsError, CapExceeded
 from aqmds.gf import make_field
 from aqmds.matrix import GfMatrix
 
@@ -35,11 +29,20 @@ class TestMakePair:
 
     def test_not_nested(self):
         f = make_field(5)
-        with pytest.raises(NotNested):
+        with pytest.raises(AqmdsError, match=r"dual\(C1\) not contained in C2"):
             make_pair(grs(GrsSpec(f, 5, 3)).dual(), grs(GrsSpec(f, 5, 2)))
         # the pair type itself proves the nesting: no unproven pair can be made
-        with pytest.raises(NotNested, match=r"witness row \[1, 0, 0, 1, 3\]"):
+        with pytest.raises(AqmdsError, match=r"witness row \[1, 0, 0, 1, 3\]"):
             NestedPair(grs(GrsSpec(f, 5, 3)).dual(), grs(GrsSpec(f, 5, 2)))
+
+    @pytest.mark.parametrize("zero_side", ["C1", "C2"])
+    def test_zero_code_refused(self, zero_side):
+        # (zero, full space) and (full space, zero) are nested k = 0 pairs, but
+        # the zero code has no minimum distance
+        full = full_space(make_field(3), 3)
+        c1, c2 = (full.dual(), full) if zero_side == "C1" else (full, full.dual())
+        with pytest.raises(AqmdsError, match=f"^{zero_side} is the zero code"):
+            make_pair(c1, c2)
 
     def test_binary_even_weight_pair(self):
         f = make_field(2)
@@ -50,7 +53,7 @@ class TestMakePair:
 
     def test_length_mismatch(self):
         f = make_field(5)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(AqmdsError, match="lengths differ: 5 != 4"):
             make_pair(grs(GrsSpec(f, 5, 2)), grs(GrsSpec(f, 4, 2)))
 
 
@@ -100,10 +103,9 @@ class TestCssConstruct:
             # C1 = dual of a random subcode of C2 -> dual(C1) inside C2
             rows = C2.G.data[: rng.randrange(1, k2 + 1)]
             C1 = from_generator(GfMatrix(C2.field, rows)).dual()
-            pair = make_pair(C1, C2)
-            if pair.quantum_k == 0 and C1.k == 0:
+            if C1.k == 0:  # rows span C2 = the full space: a pair refuses it
                 continue
-            p = css_construct(pair)
+            p = css_construct(make_pair(C1, C2))
             assert p.dz >= p.dx
             # quantum Singleton bound with <=, not just equality
             assert p.k <= p.n - p.dx - p.dz + 2
@@ -122,12 +124,12 @@ class TestFromFullWeight:
         assert p.aqmds
 
     def test_simplex_has_no_witness(self):
-        with pytest.raises(NoFullWeightWord):
+        with pytest.raises(AqmdsError, match=r"\[5,2\]_4 has no full-weight codeword"):
             from_full_weight(simplex_5_2_gf4())
 
     def test_dimension_too_small(self):
         f = make_field(5)
-        with pytest.raises(DimensionTooSmall):
+        with pytest.raises(AqmdsError, match="need k >= 2, got k=1"):
             from_full_weight(grs(GrsSpec(f, 5, 1)))
 
     def test_pair_shape(self):

@@ -14,7 +14,7 @@ from aqmds.code import (LinearCode, _enumerate_scan, _lowest_weight, from_genera
                         is_subcode)
 from aqmds.construct import GrsSpec, grs
 from aqmds.css import AqcParams, css_construct, make_pair
-from aqmds.errors import CapExceeded, ZeroCode
+from aqmds.errors import CapExceeded
 from aqmds.gf import _poly_is_irreducible, make_field
 from aqmds.matrix import (GfMatrix, _eliminate, first_singular_k_subset, mat_mul, nullspace, rank,
                           transpose)
@@ -77,9 +77,8 @@ def test_eliminate_rank_with_and_without_reduce_above(M):
 @settings(max_examples=60)
 @given(small_matrix())
 def test_dual_involution_and_dimension(M):
-    try:
-        C = from_generator(M)
-    except ZeroCode:
+    C = LinearCode(M)
+    if C.k == 0:
         return
     D = C.dual()
     assert C.k + D.k == C.n
@@ -128,9 +127,8 @@ def test_ben_or_matches_trial_division(q_poly):
 @settings(max_examples=60)
 @given(small_matrix())
 def test_singleton_bound(M):
-    try:
-        C = from_generator(M)
-    except ZeroCode:
+    C = LinearCode(M)
+    if C.k == 0:
         return
     assert C.min_distance() <= C.n - C.k + 1
 
