@@ -2,8 +2,9 @@
 """Building the classical MDS ingredients.
 
 The builders construct and do not re-prove their output; this walkthrough
-checks it two independent ways: brute-force minimum distance (enumerate
-all q^k codewords) and the k-column-subset rank oracle.
+checks it two independent ways: exact minimum distance from the weight
+distribution (counted on the smaller of the code and its dual) and the
+k-column-subset rank oracle.
 """
 from aqmds import (
     GrsSpec,

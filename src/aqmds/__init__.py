@@ -4,7 +4,7 @@ Layers:
     gf         finite-field arithmetic via lookup tables (q <= 64)
     matrix     dense linear algebra over GF(q)
     code       linear codes, duals, exact weights by a scan of one word per
-               scalar class
+               scalar class of the code or its smaller dual (MacWilliams)
     construct  GRS / extended GRS / length-(q+2) MDS builders
     css        nested classical pair -> asymmetric quantum parameters, and the
                full-weight-codeword construction

@@ -12,18 +12,21 @@ whose first nonzero digit is 1, since weight and subcode membership are
 class invariants.  They never form a word.  A canonical word's pivot
 coordinates are its message digits, so its weight is the message weight
 plus its nonzero count on the other columns, found by comparing a
-precomputed block of partial sums against each prefix's offset.  The
-weights outside a subcode D are those of C minus those of D, so such a
-scan visits (q^k-1)/(q-1) words of C and (q^(k-s)-1)/(q-1) of D, with
-s = k - dim D; the cap still counts all q^k words of C.  The full-weight
-search forms its candidate words in chunks over lookup tables and stops
-at the first hit.
+precomputed block of partial sums against each prefix's offset.  A code
+with 2k > n is counted through its dual: the MacWilliams identity gives
+A(C) exactly from A(C-perp), so a count visits (q^min(k, n-k)-1)/(q-1)
+words.  The weights outside a subcode D are those of C minus those of D,
+each counted the same way; the cap still counts all q^k words of C.  The
+full-weight search forms its candidate words in chunks over lookup tables
+and stops at the first hit.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -109,7 +112,8 @@ class LinearCode:
         return mat_mul(GfMatrix(self.field, [message]), self.G).data[0]
 
     def min_distance(self) -> int:
-        """Exact minimum weight by enumerating one codeword per scalar class."""
+        """Exact minimum weight from the weight distribution, counted on one
+        word per scalar class of C, or of C-perp when 2k > n."""
         return self.weight_distribution().min_weight
 
     def is_mds(self) -> bool:
@@ -264,6 +268,18 @@ def _iter_word_chunks(field: FiniteField, base: np.ndarray, rows: np.ndarray, di
         yield add[offset[None, :], E]
 
 
+def _non_pivot_columns(gen: np.ndarray) -> np.ndarray:
+    """The k x (n-k) columns of `gen` off its pivots, once the pivot columns
+    (each row's first nonzero) are checked to be the identity."""
+    k, n = gen.shape
+    pivots = np.argmax(gen != 0, axis=1)
+    if (gen[:, pivots] != np.eye(k, dtype=np.uint8)).any():
+        raise AqmdsError("the pivot columns of the generator are not the identity")
+    others = np.ones(n, dtype=bool)
+    others[pivots] = False
+    return gen[:, others]
+
+
 def _iter_weight_blocks(field: FiniteField, gen: np.ndarray):
     """Yield, block by block and in message order, the weights of one word
     per scalar class of rowspace(gen): the (q^k-1)/(q-1) messages whose
@@ -284,12 +300,7 @@ def _iter_weight_blocks(field: FiniteField, gen: np.ndarray):
     add, mul, neg = field.add_table, field.mul_table, field.neg_table
     q = field.q
     k, n = gen.shape
-    pivots = np.argmax(gen != 0, axis=1)
-    if (gen[:, pivots] != np.eye(k, dtype=np.uint8)).any():
-        raise AqmdsError("the pivot columns of the generator are not the identity")
-    others = np.ones(n, dtype=bool)
-    others[pivots] = False
-    A = gen[:, others]
+    A = _non_pivot_columns(gen)
     r = n - k
     t = 0
     while t + 1 < k and q ** (t + 1) * max(r, 1) <= _CHUNK_TARGET:
@@ -320,15 +331,50 @@ def _iter_weight_blocks(field: FiniteField, gen: np.ndarray):
 
 
 def _count_weights(field: FiniteField, gen: np.ndarray) -> np.ndarray:
-    """Weight distribution A_0..A_n of rowspace(gen): q-1 words for each
-    representative that _iter_weight_blocks yields, plus the zero word."""
-    n = gen.shape[1]
+    """Weight distribution A_0..A_n of rowspace(gen), whose pivot columns
+    must be the identity.
+
+    When 2k <= n: q-1 words for each representative that _iter_weight_blocks
+    yields, plus the zero word.  When 2k > n the dual is smaller: with A the
+    non-pivot columns, [I_(n-k) | -A^T] generates C-perp up to a column
+    permutation, and [I_(n-k) | A^T] differs from it by negating columns.
+    Neither map changes a weight, so the count of [I_(n-k) | A^T] is
+    transformed by the MacWilliams identity.  At k = n the dual is {0}.
+    """
+    k, n = gen.shape
+    if 2 * k > n:
+        dual = np.hstack([np.eye(n - k, dtype=np.uint8), _non_pivot_columns(gen).T])
+        return _macwilliams(field.q, _count_weights(field, dual), n - k)
     counts = np.zeros(n + 1, dtype=np.int64)
     for wts in _iter_weight_blocks(field, gen):
         counts += np.bincount(wts, minlength=n + 1)
     counts *= field.q - 1
     counts[0] += 1
     return counts
+
+
+@lru_cache(maxsize=None)
+def _krawtchouk(q: int, n: int) -> tuple:
+    """K[w][i] = sum_j (-1)^j (q-1)^(w-j) C(i, j) C(n-i, w-j), as Python ints."""
+    return tuple(
+        tuple(sum((-1) ** j * (q - 1) ** (w - j) * comb(i, j) * comb(n - i, w - j) for j in range(w + 1))
+              for i in range(n + 1))
+        for w in range(n + 1))
+
+
+def _macwilliams(q: int, dual_counts: np.ndarray, r: int) -> np.ndarray:
+    """Weight distribution of C from that of its r-dimensional dual:
+    A_w = q^-r sum_i B_i K_w(i) (MacWilliams-Sloane, Ch. 5), in exact
+    integers.  A remainder means `dual_counts` is no dual's distribution."""
+    n = len(dual_counts) - 1
+    support = [(i, int(b)) for i, b in enumerate(dual_counts) if b]
+    counts = []
+    for row in _krawtchouk(q, n):
+        a, rem = divmod(sum(b * row[i] for i, b in support), q ** r)
+        if rem:
+            raise AqmdsError(f"MacWilliams transform not divisible by {q}^{r}")
+        counts.append(a)
+    return np.array(counts, dtype=np.int64)
 
 
 def _enumerate_scan(field: FiniteField, gen: np.ndarray, syn_rows: Optional[np.ndarray] = None):
@@ -343,12 +389,14 @@ def _enumerate_scan(field: FiniteField, gen: np.ndarray, syn_rows: Optional[np.n
     dist_outside = dist(C) - dist(D).  With T = gen syn_rows^T, D is the
     image of the messages m with mT = 0, the kernel N of T^T, so rows of
     `syn_rows` that are zero, repeated or orthogonal to C change nothing.
-    Each count visits one word per scalar class, (q^k-1)/(q-1) of C and
-    (q^(k-s)-1)/(q-1) of D, s = rank T.
+    Each count visits one word per scalar class of the smaller of the code
+    and its dual: (q^min(k, n-k)-1)/(q-1) for C, and the same with dim D =
+    k - s, s = rank T, for D (see _count_weights).
     If row i is the last row of `gen` with a nonzero syndrome, the messages
     before the unit message e_i combine later rows only and lie in D, so
     row i is the first outside word.  The cap counts all q^k of C and is
-    checked before anything is allocated.
+    checked before anything is allocated; q^k >= 2^63 is refused even when
+    the cap admits it, since the counts are int64.
     """
     k, n = gen.shape
     cap = enum_cap()
@@ -356,6 +404,11 @@ def _enumerate_scan(field: FiniteField, gen: np.ndarray, syn_rows: Optional[np.n
         raise CapExceeded(
             f"enumeration of {field.q}^{k} codewords exceeds cap {cap}; "
             "raise AQMDS_MAX_ENUM or use the MDS k-subset oracle"
+        )
+    if field.q ** k >= 2 ** 63:
+        raise CapExceeded(
+            f"{field.q}^{k} codewords overflow the int64 weight counts; "
+            "use the MDS k-subset oracle"
         )
     dist = _count_weights(field, gen)
     if syn_rows is not None:

@@ -1,6 +1,7 @@
 """Linear-code layer: canonical form, duals, distances, surgery, searches."""
 import inspect
 import itertools
+import math
 import random
 
 import numpy as np
@@ -107,6 +108,15 @@ class TestMinDistance:
             C.min_distance()
         monkeypatch.setenv("AQMDS_MAX_ENUM", str(5 ** 11))
         assert C.min_distance() == 1
+
+    def test_counts_past_int64_are_refused(self, monkeypatch):
+        # the counts are int64, so no cap admits 2^63 words or more
+        monkeypatch.setenv("AQMDS_MAX_ENUM", str(10 ** 20))
+        with pytest.raises(CapExceeded, match="64\\^11 codewords overflow the int64 weight counts"):
+            full_space(make_field(64), 11).weight_distribution()  # 2^66 words
+        with pytest.raises(CapExceeded, match="2\\^63 codewords overflow"):
+            full_space(make_field(2), 63).weight_distribution()
+        assert full_space(make_field(2), 62).weight_distribution().distribution[31] == math.comb(62, 31)
 
 
 # every public entry point that enumerates codewords, each past a cap of 10
@@ -370,15 +380,27 @@ class TestEnumeratorWork:
         return self._count(monkeypatch, "_iter_weight_blocks")
 
     def test_scan_visits_one_word_per_scalar_class(self, weighed):
+        # 2k > n: the count is of the [7,2] dual, transformed by MacWilliams
         grs(GrsSpec(make_field(7), 7, 5)).weight_distribution()
-        assert sum(weighed) == (7 ** 5 - 1) // 6  # 2,801 of the 16,807 codewords
+        assert sum(weighed) == (7 ** 2 - 1) // 6  # 8, not the 2,801 classes of C
+
+    @pytest.mark.parametrize("q, n, k", [(7, 7, 3), (8, 8, 4)])
+    def test_low_rate_scan_visits_every_class_of_the_code(self, weighed, q, n, k):
+        grs(GrsSpec(make_field(q), n, k)).weight_distribution()
+        assert sum(weighed) == (q ** k - 1) // (q - 1)
+
+    def test_full_space_visits_no_word(self, weighed):
+        # the dual of GF(q)^n is {0}
+        assert full_space(make_field(7), 8).weight_distribution().distribution[8] == 6 ** 8
+        assert weighed == []
 
     def test_outside_count_visits_the_subcode_once(self, weighed):
-        # dist(C \ D) = dist(C) - dist(D): one pass over C, one over D
+        # dist(C \ D) = dist(C) - dist(D): one count for C, through its [7,2]
+        # dual, and one for the [7,3] subcode D
         f = make_field(7)
         C, D = grs(GrsSpec(f, 7, 5)), grs(GrsSpec(f, 7, 3))
         _side_scan(C, D.dual())
-        assert sum(weighed) == (7 ** 5 - 1) // 6 + (7 ** 3 - 1) // 6
+        assert sum(weighed) == (7 ** 2 - 1) // 6 + (7 ** 3 - 1) // 6
 
     def test_full_weight_search_looks_before_it_builds(self, yielded):
         assert grs(GrsSpec(make_field(16), 16, 6)).full_weight_codeword() is not None
@@ -443,6 +465,18 @@ class TestWeightDistribution:
             rep = C.weight_distribution()
             assert int(rep.distribution.sum()) == q ** C.k
             assert rep.distribution[0] == 1
+
+    @pytest.mark.parametrize("q, n", [(2, 1), (7, 8), (16, 10), (64, 10)])
+    def test_transform_of_the_zero_code_is_the_full_space(self, q, n):
+        zero = np.zeros(n + 1, dtype=np.int64)
+        zero[0] = 1
+        full = [math.comb(n, w) * (q - 1) ** w for w in range(n + 1)]
+        assert aqmds.code._macwilliams(q, zero, 0).tolist() == full
+
+    def test_transform_of_no_dual_distribution_is_refused(self):
+        # [1, 1] over GF(3) sums to 2, not to |C-perp| = 3
+        with pytest.raises(AqmdsError, match="MacWilliams transform not divisible by 3\\^1"):
+            aqmds.code._macwilliams(3, np.array([1, 1]), 1)
 
 
 class TestInvariants:

@@ -323,6 +323,32 @@ def test_scan_ignores_redundant_checks(pair, chunk_target):
 
 
 @st.composite
+def high_rate_code(draw):
+    """A code over GF(q), q in {7, 8, 9, 16}, n <= 10 and 2k > n, so that its
+    weights are counted through its dual; k = n and n - k = 1 are in range.
+    q^k <= 2^20 keeps the direct count small."""
+    q = draw(st.sampled_from([7, 8, 9, 16]))
+    f = make_field(q)
+    k = draw(st.integers(1, max(j for j in range(1, 11) if q ** j <= 1 << 20)))
+    n = k + draw(st.integers(0, min(10 - k, k - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return from_generator(GfMatrix(f, _random_full_rank(rng, f, k, n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(high_rate_code())
+def test_dual_count_matches_the_direct_count(C):
+    # the reference counts C itself: q-1 words per class, plus the zero word
+    f, n = C.field, C.n
+    direct = np.zeros(n + 1, dtype=np.int64)
+    for wts in aqmds.code._iter_weight_blocks(f, C.G.data):
+        direct += np.bincount(wts, minlength=n + 1)
+    direct *= f.q - 1
+    direct[0] += 1
+    assert aqmds.code._count_weights(f, C.G.data).tolist() == direct.tolist()
+
+
+@st.composite
 def code_maybe_zero_column(draw):
     """A code over GF(q), q <= 7, k <= 4; with a drawn flag, one generator
     column is zeroed, so that the code has no full-weight word."""
