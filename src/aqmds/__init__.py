@@ -6,8 +6,8 @@ Layers:
     code       linear codes, duals, exact weights by a scan of one word per
                scalar class of the code or its smaller dual (MacWilliams)
     construct  GRS / extended GRS / length-(q+2) MDS builders
-    css        nested classical pair -> asymmetric quantum parameters, and the
-               full-weight-codeword construction
+    css        nested classical pair -> asymmetric quantum parameters from one
+               weight count per code, and the full-weight-codeword construction
     catalog    classification catalog, certificates, verification oracles
     cli        command-line front end (`aqmds`)
 """

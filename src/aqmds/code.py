@@ -1,4 +1,4 @@
-"""Linear codes over GF(q): duals, distances, set-difference weights,
+"""Linear codes over GF(q): duals, weight distributions and distances,
 shortening/puncturing/extension, full-weight codeword search.
 
 All exact weight computations enumerate codewords, in a fixed "message
@@ -8,17 +8,17 @@ significant.  Every "first found" witness refers to this order, so results
 are reproducible.
 
 The weight scans visit one word per scalar class {lambda*u}: the messages
-whose first nonzero digit is 1, since weight and subcode membership are
-class invariants.  They never form a word.  A canonical word's pivot
-coordinates are its message digits, so its weight is the message weight
-plus its nonzero count on the other columns, found by comparing a
-precomputed block of partial sums against each prefix's offset.  A code
-with 2k > n is counted through its dual: the MacWilliams identity gives
-A(C) exactly from A(C-perp), so a count visits (q^min(k, n-k)-1)/(q-1)
-words.  The weights outside a subcode D are those of C minus those of D,
-each counted the same way; the cap still counts all q^k words of C.  The
-full-weight search forms its candidate words in chunks over lookup tables
-and stops at the first hit.
+whose first nonzero digit is 1, since weight is a class invariant.  They
+never form a word.  A canonical word's pivot coordinates are its message
+digits, so its weight is the message weight plus its nonzero count on the
+other columns, found by comparing a precomputed block of partial sums
+against each prefix's offset.  A code with 2k > n is counted through its
+dual: the MacWilliams identity gives A(C) exactly from A(C-perp), so a
+count visits (q^min(k, n-k)-1)/(q-1) words; the cap still counts all q^k
+words of C.  The same identity gives A(C-perp) from A(C), so a CSS pair
+counts each of its codes at most once (css.pair_sides).  The full-weight
+search forms its candidate words in chunks over lookup tables and stops
+at the first hit.
 """
 from __future__ import annotations
 
@@ -125,7 +125,7 @@ class LinearCode:
     def weight_distribution(self) -> WeightReport:
         if self.k == 0:
             raise AqmdsError("the zero code has no weight distribution")
-        dist, _, _ = _enumerate_scan(self.field, self.G.data)
+        dist = _enumerate_scan(self.field, self.G.data)
         return WeightReport(min_weight=_lowest_weight(dist), distribution=dist)
 
     def full_weight_codeword(self) -> Optional[np.ndarray]:
@@ -219,7 +219,9 @@ def extend_by_codeword(C: LinearCode, Cprime: LinearCode) -> LinearCode:
         raise AqmdsError(f"C is not MDS [{C.n},{C.k},{C.n - C.k + 1}]")
     if not Cprime.is_mds():
         raise AqmdsError(f"C' is not MDS [{Cprime.n},{Cprime.k},{Cprime.n - Cprime.k + 1}]")
-    # the last row of C'.G outside C is the first such word: see _enumerate_scan
+    # if row i is the last row of C'.G outside C, the messages before the
+    # unit message e_i combine later rows only and lie in C, so row i is the
+    # first word of C' \ C in message order
     outside = np.flatnonzero(mat_mul(Cprime.G, transpose(C.H)).data.any(axis=1))
     w = Cprime.G.data[outside[-1]]
     f = C.field
@@ -377,26 +379,15 @@ def _macwilliams(q: int, dual_counts: np.ndarray, r: int) -> np.ndarray:
     return np.array(counts, dtype=np.int64)
 
 
-def _enumerate_scan(field: FiniteField, gen: np.ndarray, syn_rows: Optional[np.ndarray] = None):
-    """Exact weight counts of C = rowspace(gen), whose pivot columns must be
-    the identity (a canonical generator).
+def _enumerate_scan(field: FiniteField, gen: np.ndarray) -> np.ndarray:
+    """Weight distribution A_0..A_n of C = rowspace(gen), whose pivot
+    columns must be the identity (a canonical generator).
 
-    Returns (dist, dist_outside, first_outside): the weight distribution
-    A_0..A_n of C, that of the codewords outside the subcode
-    D = {u in C : u orthogonal to every row of `syn_rows`}, and the first
-    codeword outside D in message order, or None.
-
-    dist_outside = dist(C) - dist(D).  With T = gen syn_rows^T, D is the
-    image of the messages m with mT = 0, the kernel N of T^T, so rows of
-    `syn_rows` that are zero, repeated or orthogonal to C change nothing.
-    Each count visits one word per scalar class of the smaller of the code
-    and its dual: (q^min(k, n-k)-1)/(q-1) for C, and the same with dim D =
-    k - s, s = rank T, for D (see _count_weights).
-    If row i is the last row of `gen` with a nonzero syndrome, the messages
-    before the unit message e_i combine later rows only and lie in D, so
-    row i is the first outside word.  The cap counts all q^k of C and is
-    checked before anything is allocated; q^k >= 2^63 is refused even when
-    the cap admits it, since the counts are int64.
+    The count visits one word per scalar class of the smaller of the code
+    and its dual, (q^min(k, n-k)-1)/(q-1) words (see _count_weights).  The
+    cap counts all q^k of C and is checked before anything is allocated;
+    q^k >= 2^63 is refused even when the cap admits it, since the counts
+    are int64.
     """
     k, n = gen.shape
     cap = enum_cap()
@@ -410,18 +401,7 @@ def _enumerate_scan(field: FiniteField, gen: np.ndarray, syn_rows: Optional[np.n
             f"{field.q}^{k} codewords overflow the int64 weight counts; "
             "use the MDS k-subset oracle"
         )
-    dist = _count_weights(field, gen)
-    if syn_rows is not None:
-        T = mat_mul(GfMatrix(field, gen), GfMatrix(field, syn_rows.T))
-        outside = np.flatnonzero(T.data.any(axis=1))
-        if outside.size:
-            N = nullspace(transpose(T))
-            inside = np.zeros_like(dist)
-            inside[0] = 1  # D = {0} when T has rank k
-            if N.rows:
-                inside = _count_weights(field, rref(mat_mul(N, GfMatrix(field, gen)))[0].data)
-            return dist, dist - inside, gen[outside[-1]].copy()
-    return dist, np.zeros_like(dist), None
+    return _count_weights(field, gen)
 
 
 def _find_full_weight(field: FiniteField, gen: np.ndarray) -> Optional[np.ndarray]:

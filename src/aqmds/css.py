@@ -13,11 +13,11 @@ bound k <= n - d_x - d_z + 2.
 
 One function, pair_sides, computes these numbers for a pair: for each
 side, its set-difference weight and its classical minimum distance, from
-one exact enumeration pass over the side's code.  css_construct and the
-catalog's full_oracle distance oracles both read it.  At k = 0,
-C1^perp = C2, so no word lies outside and d_z, d_x are the two classical
-distances, pure by convention; where a scan there exceeds the cap, an MDS
-proof gives the distance n - k + 1 instead.
+one exact weight count of each of C1 and C2 and the MacWilliams identity.
+css_construct and the catalog's full_oracle distance oracles both read
+it.  At k = 0, C1^perp = C2, so no word lies outside and d_z, d_x are the
+two classical distances, pure by convention; where a count there exceeds
+the cap, an MDS proof gives the distance n - k + 1 instead.
 
 Each fact is proven once.  A NestedPair proves dual(C1) subseteq C2 when
 it is made, so holding one is the nesting proof.  The MDS verdicts behind
@@ -29,7 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
-from .code import LinearCode, _enumerate_scan, _lowest_weight, first_row_outside
+import numpy as np
+
+from .code import LinearCode, _enumerate_scan, _lowest_weight, _macwilliams, first_row_outside
 from .errors import AqmdsError, CapExceeded
 from .matrix import GfMatrix
 
@@ -96,18 +98,32 @@ def pair_sides(pair: NestedPair,
                is_mds: Callable[[LinearCode], bool] = LinearCode.is_mds) -> Tuple[Side, Side]:
     """The C2 side and then the C1 side of the pair: (min weight of the
     side's code outside the other's dual, or None, min distance of the
-    side's code), or the CapExceeded that the side's scan raised.
+    side's code), or the CapExceeded that the count of the side's code raised.
 
-    At k = 0 no word lies outside, and a capped distance is n-k+1 of the
-    side's code when `is_mds` proves it MDS.
+    Each of C2 and C1 is counted at most once, each under its own cap and
+    before any dual is counted.  The pair proves dual(C1) subseteq C2
+    and dual(C2) subseteq C1, so the words of a side's code orthogonal to
+    the other code are exactly dual(other), and the weights outside it are
+    A(code) - A(dual(other)).  A(dual(other)) is the MacWilliams transform
+    of A(other), or a count of dual(other) where other's count is capped:
+    q^(n - dim other) <= q^(dim code), which passed its cap.
+
+    At k = 0 dual(other) is the code itself, so no word lies outside, and a
+    capped distance is n-k+1 of the side's code when `is_mds` proves it MDS.
     """
+    codes = (pair.c2, pair.c1)
+    counts = [_count(code) for code in codes]
     sides = []
-    for code, other in ((pair.c2, pair.c1), (pair.c1, pair.c2)):
-        try:
-            sides.append(_side_scan(code, other) if pair.quantum_k else (None, code.min_distance()))
-        except CapExceeded as capped:
+    for code, dist, other, other_dist in zip(codes, counts, codes[::-1], counts[::-1]):
+        if isinstance(dist, CapExceeded):
             proven = pair.quantum_k == 0 and is_mds(code)
-            sides.append((None, code.n - code.k + 1) if proven else capped)
+            sides.append((None, code.n - code.k + 1) if proven else dist)
+        elif pair.quantum_k == 0:
+            sides.append((None, _lowest_weight(dist)))
+        else:
+            inside = (_enumerate_scan(other.field, other.H.data) if isinstance(other_dist, CapExceeded)
+                      else _macwilliams(other.field.q, other_dist, other.k))
+            sides.append((_lowest_weight(dist - inside), _lowest_weight(dist)))
     return sides[0], sides[1]
 
 
@@ -127,12 +143,12 @@ def css_construct(pair: NestedPair) -> AqcParams:
                      aqmds=(k == n - dx - dz + 2))
 
 
-def _side_scan(code: LinearCode, other: LinearCode) -> Tuple[Optional[int], int]:
-    """(min weight of code \\ dual(other), min distance of code) for one side
-    of a nested pair, from a single enumeration pass over `code`; the first
-    is None when code lies inside dual(other)."""
-    dist, dist_outside, _ = _enumerate_scan(code.field, code.G.data, other.G.data)
-    return _lowest_weight(dist_outside), _lowest_weight(dist)
+def _count(code: LinearCode) -> Union[np.ndarray, CapExceeded]:
+    """The weight distribution of `code`, or the CapExceeded its count raised."""
+    try:
+        return _enumerate_scan(code.field, code.G.data)
+    except CapExceeded as capped:
+        return capped
 
 
 def pair_from_full_weight(C: LinearCode) -> NestedPair:

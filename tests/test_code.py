@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import aqmds.code
+import aqmds.css
 from aqmds.code import (
     LinearCode,
     enum_cap,
@@ -18,7 +19,7 @@ from aqmds.code import (
 )
 from aqmds.catalog import enumerate_catalog, exists, make_certificate, run_oracles, verify
 from aqmds.construct import GrsSpec, grs, q_plus_2_low
-from aqmds.css import _side_scan, css_construct, from_full_weight, make_pair, pair_from_full_weight
+from aqmds.css import css_construct, from_full_weight, make_pair, pair_from_full_weight, pair_sides
 from aqmds.errors import AqmdsError, CapExceeded
 from aqmds.gf import make_field
 from aqmds.matrix import GfMatrix
@@ -118,6 +119,19 @@ class TestMinDistance:
             full_space(make_field(2), 63).weight_distribution()
         assert full_space(make_field(2), 62).weight_distribution().distribution[31] == math.comb(62, 31)
 
+    def test_pair_side_past_int64_is_refused_and_the_other_side_counted(self, monkeypatch):
+        # the full space is refused; the [11,2] side takes the weights of the
+        # full space's dual {0} from a count, never from a transform of 64^11 words
+        monkeypatch.setenv("AQMDS_MAX_ENUM", str(10 ** 20))
+        f = make_field(64)
+        overflow = "64^11 codewords overflow the int64 weight counts; use the MDS k-subset oracle"
+        full, line = full_space(f, 11), grs(GrsSpec(f, 11, 2))
+        c2_side, c1_side = pair_sides(make_pair(full, line))
+        assert c2_side == (10, 10) and isinstance(c1_side, CapExceeded) and str(c1_side) == overflow
+        # mirrored, the [11,9] side counts the zero code dual(C2)
+        c2_side, c1_side = pair_sides(make_pair(line.dual(), full))
+        assert isinstance(c2_side, CapExceeded) and str(c2_side) == overflow and c1_side == (3, 3)
+
 
 # every public entry point that enumerates codewords, each past a cap of 10
 # words: the first three raise, the certificate paths log the skipped oracles
@@ -189,9 +203,9 @@ class TestIsMds:
 
 
 def weight_outside(C: LinearCode, D: LinearCode):
-    """min { wt(u) : u in C, u not in D }, or None when C lies inside D: the
-    outside weight of the CSS side scan of C against dual(D)."""
-    return _side_scan(C, D.dual())[0]
+    """min { wt(u) : u in C, u not in D } for a subcode D of C, or None when
+    D = C: the outside weight of the C2 side of the CSS pair (dual(D), C)."""
+    return pair_sides(make_pair(D.dual(), C))[0][0]
 
 
 class TestWeightOfDifference:
@@ -214,11 +228,12 @@ class TestWeightOfDifference:
         assert weight_outside(C, D) == 2
 
     def test_not_strict_subcode(self):
-        # no word of C lies outside D when D is C or contains it
+        # no word of C lies outside D when D is C; a D containing C makes no pair
         f = make_field(5)
         C = grs(GrsSpec(f, 5, 2))
         assert weight_outside(C, C) is None
-        assert weight_outside(C, grs(GrsSpec(f, 5, 3))) is None
+        with pytest.raises(AqmdsError, match="dual\\(C1\\) not contained in C2"):
+            weight_outside(C, grs(GrsSpec(f, 5, 3)))
 
 
 class TestIsSubcode:
@@ -394,13 +409,13 @@ class TestEnumeratorWork:
         assert full_space(make_field(7), 8).weight_distribution().distribution[8] == 6 ** 8
         assert weighed == []
 
-    def test_outside_count_visits_the_subcode_once(self, weighed):
-        # dist(C \ D) = dist(C) - dist(D): one count for C, through its [7,2]
-        # dual, and one for the [7,3] subcode D
+    def test_pair_counts_each_code_once(self, weighed):
+        # C2 = [7,5] through its [7,2] dual and C1 = [7,4] through its [7,3]
+        # dual; each side's subcode, the other code's dual, is their transform
         f = make_field(7)
-        C, D = grs(GrsSpec(f, 7, 5)), grs(GrsSpec(f, 7, 3))
-        _side_scan(C, D.dual())
-        assert sum(weighed) == (7 ** 2 - 1) // 6 + (7 ** 3 - 1) // 6
+        pair = make_pair(grs(GrsSpec(f, 7, 3)).dual(), grs(GrsSpec(f, 7, 5)))
+        assert pair_sides(pair) == ((3, 3), (4, 4))
+        assert sum(weighed) == (7 ** 2 - 1) // 6 + (7 ** 3 - 1) // 6  # 65, not 130
 
     def test_full_weight_search_looks_before_it_builds(self, yielded):
         assert grs(GrsSpec(make_field(16), 16, 6)).full_weight_codeword() is not None
@@ -419,25 +434,36 @@ class TestScanPreconditions:
 
     def test_pivot_identity_suffices(self):
         # rows out of echelon order still have unit pivot columns: the counts
-        # are those of the canonical generator, and the witness is the first
-        # outside word in this generator's message order
+        # are those of the canonical generator
         f = make_field(3)
         gen = np.array([[0, 1, 0, 2], [1, 0, 1, 1]], dtype=np.uint8)
-        checks = np.array([[1, 1, 0, 0]], dtype=np.uint8)  # D is spanned by row 0 + 2 row 1
-        dist, out, first = aqmds.code._enumerate_scan(f, gen, checks)
         C = from_generator(GfMatrix(f, gen))
-        canonical = aqmds.code._enumerate_scan(C.field, C.G.data, checks)
-        assert dist.tolist() == canonical[0].tolist() == [1, 0, 2, 4, 2]
-        assert out.tolist() == canonical[1].tolist() == [0, 0, 2, 4, 0]
-        assert first.tolist() == [1, 0, 1, 1]  # message (0, 1)
+        dist = aqmds.code._enumerate_scan(f, gen)
+        assert dist.tolist() == aqmds.code._enumerate_scan(C.field, C.G.data).tolist() == [1, 0, 2, 4, 2]
 
     def test_cap_is_decided_before_the_checks_are_read(self, monkeypatch):
+        # the C1 side is capped, so neither C1 nor its checks, the words of
+        # dual(C2), are counted; the C2 side counts C2 and the zero dual(C1)
         monkeypatch.setenv("AQMDS_MAX_ENUM", "1000")
         f = make_field(7)
-        C, other = full_space(f, 7), grs(GrsSpec(f, 7, 3))
-        with pytest.raises(CapExceeded):
-            _side_scan(C, other)
-        assert C._H is None  # no parity check was computed for the scan
+        counted, transformed = [], []
+        count, transform = aqmds.code._count_weights, aqmds.css._macwilliams
+
+        def counting(field, gen):
+            counted.append(gen.shape)
+            return count(field, gen)
+
+        def transforming(*args):
+            transformed.append(args)
+            return transform(*args)
+
+        monkeypatch.setattr(aqmds.code, "_count_weights", counting)
+        monkeypatch.setattr(aqmds.css, "_macwilliams", transforming)
+        C2 = grs(GrsSpec(f, 7, 3))
+        c2_side, c1_side = pair_sides(make_pair(full_space(f, 7), C2))
+        assert isinstance(c1_side, CapExceeded) and "7^7 codewords exceeds cap 1000" in str(c1_side)
+        assert c2_side == (5, 5)
+        assert counted == [(3, 7), (0, 7)] and transformed == []
 
 
 class TestWeightDistribution:

@@ -13,7 +13,7 @@ from aqmds.catalog import run_oracles
 from aqmds.code import (LinearCode, _enumerate_scan, _lowest_weight, from_generator, full_space,
                         is_subcode)
 from aqmds.construct import GrsSpec, grs
-from aqmds.css import AqcParams, css_construct, make_pair
+from aqmds.css import AqcParams, css_construct, make_pair, pair_sides
 from aqmds.errors import CapExceeded
 from aqmds.gf import _poly_is_irreducible, make_field
 from aqmds.matrix import (GfMatrix, _eliminate, first_singular_k_subset, mat_mul, nullspace, rank,
@@ -217,109 +217,45 @@ def _random_full_rank(rng, f, k, n) -> np.ndarray:
 
 
 @st.composite
-def code_and_subcode_checks(draw):
-    """A code C over GF(q), q <= 5, k <= 4, and the parity checks of a subcode
-    D of C: the zero code, a strict subcode, or C itself."""
+def small_code(draw):
+    """A code C over GF(q), q <= 5, k <= 4."""
     q = draw(st.sampled_from([2, 3, 4, 5]))
     f = make_field(q)
     n = draw(st.integers(1, 7))
     k = draw(st.integers(1, min(4, n)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    C = from_generator(GfMatrix(f, _random_full_rank(rng, f, k, n)))
-    r = draw(st.integers(0, k))
-    if r == 0:
-        return C, np.eye(n, dtype=np.uint8)
-    R = GfMatrix(f, _random_full_rank(rng, f, r, k))
-    return C, from_generator(mat_mul(R, C.G)).H.data
+    return from_generator(GfMatrix(f, _random_full_rank(rng, f, k, n)))
 
 
 @settings(max_examples=80, deadline=None)
-@given(code_and_subcode_checks(), st.sampled_from([1, 3, 16, 1 << 20]))
-def test_scan_matches_naive_enumeration(pair, chunk_target):
-    C, checks = pair
-    f, n = C.field, C.n
-
-    def dot(u, h):
-        acc = 0
-        for a, b in zip(u, h):
-            acc = f.add(acc, f.mul(a, int(b)))
-        return acc
-
-    dist, dist_out, first_out = [0] * (n + 1), [0] * (n + 1), None
-    for msg in product(range(f.q), repeat=C.k):  # message order, m_0 most significant
-        word = [0] * n
-        for m, row in zip(msg, C.G.data):
-            word = [f.add(w, f.mul(m, int(x))) for w, x in zip(word, row)]
-        wt = sum(1 for w in word if w)
-        dist[wt] += 1
-        if any(dot(word, h) for h in checks):
-            dist_out[wt] += 1
-            if first_out is None:
-                first_out = word
-
+@given(small_code(), st.sampled_from([1, 3, 16, 1 << 20]))
+def test_scan_matches_naive_enumeration(C, chunk_target):
+    dist, _ = _naive_scan(C, [])
     # small chunk targets split the scan into many chunks with nonzero offsets
     with mock.patch.object(aqmds.code, "_CHUNK_TARGET", chunk_target):
-        got_dist, got_out, got_first = _enumerate_scan(C.field, C.G.data, checks)
+        got_dist = _enumerate_scan(C.field, C.G.data)
     assert got_dist.tolist() == dist
-    assert got_out.tolist() == dist_out
-    assert (None if got_first is None else got_first.tolist()) == first_out
-    naive_min_out = next((w for w in range(1, n + 1) if dist_out[w]), None)
-    assert _lowest_weight(got_out) == naive_min_out
-    assert C.min_distance() == next(w for w in range(1, n + 1) if dist[w])
+    assert C.min_distance() == next(w for w in range(1, C.n + 1) if dist[w])
 
 
 def _naive_scan(C, checks):
-    """(dist, dist_outside, first_outside) of C against `checks`, from every
-    word of C formed in message order by field arithmetic."""
+    """(dist, dist_outside) of C, the latter over the words of C failing some
+    row of `checks`, from every word of C formed by field arithmetic."""
     f, n = C.field, C.n
-    dist, dist_out, first_out = [0] * (n + 1), [0] * (n + 1), None
-    for msg in product(range(f.q), repeat=C.k):
-        word = [0] * n
-        for m, row in zip(msg, C.G.data):
-            word = [f.add(w, f.mul(m, int(x))) for w, x in zip(word, row)]
-        wt = sum(1 for w in word if w)
-        dist[wt] += 1
-        syndrome = [0] * len(checks)
-        for i, h in enumerate(checks):
-            for a, b in zip(word, h):
-                syndrome[i] = f.add(syndrome[i], f.mul(a, int(b)))
-        if any(syndrome):
-            dist_out[wt] += 1
-            if first_out is None:
-                first_out = word
-    return dist, dist_out, first_out
-
-
-@st.composite
-def code_and_redundant_checks(draw):
-    """A code C and checks that cut out the zero code, a strict subcode or C
-    itself, padded in a shuffled order with redundant rows: zero rows,
-    repeats of check rows, and rows of dual(C)."""
-    C, checks = draw(code_and_subcode_checks())
-    f, n = C.field, C.n
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    rows = [checks]
-    if draw(st.booleans()):
-        rows.append(np.zeros((draw(st.integers(1, 2)), n), dtype=np.uint8))
-    if len(checks) and draw(st.booleans()):
-        rows.append(checks[rng.integers(0, len(checks), size=draw(st.integers(1, 3)))])
-    if C.k < n and draw(st.booleans()):
-        R = rng.integers(0, f.q, size=(draw(st.integers(1, 3)), n - C.k)).astype(np.uint8)
-        rows.append(mat_mul(GfMatrix(f, R), C.H).data)
-    rows = np.vstack(rows)
-    return C, rows[rng.permutation(len(rows))]
-
-
-@settings(max_examples=80, deadline=None)
-@given(code_and_redundant_checks(), st.sampled_from([1, 3, 16, 1 << 20]))
-def test_scan_ignores_redundant_checks(pair, chunk_target):
-    C, checks = pair
-    dist, dist_out, first_out = _naive_scan(C, checks)
-    with mock.patch.object(aqmds.code, "_CHUNK_TARGET", chunk_target):
-        got_dist, got_out, got_first = aqmds.code._enumerate_scan(C.field, C.G.data, checks)
-    assert got_dist.tolist() == dist
-    assert got_out.tolist() == dist_out
-    assert (None if got_first is None else got_first.tolist()) == first_out
+    add, mul = f.add_table, f.mul_table
+    messages = np.array(list(product(range(f.q), repeat=C.k)), dtype=np.uint8)
+    words = np.zeros((len(messages), n), dtype=np.uint8)
+    for m, row in zip(messages.T, C.G.data):
+        words = add[words, mul[m[:, None], row[None, :]]]
+    outside = np.zeros(len(words), dtype=bool)
+    for h in checks:
+        syndrome = np.zeros(len(words), dtype=np.uint8)
+        for column, b in zip(words.T, h):
+            syndrome = add[syndrome, mul[column, int(b)]]
+        outside |= syndrome != 0
+    wts = np.count_nonzero(words, axis=1)
+    return (np.bincount(wts, minlength=n + 1).tolist(),
+            np.bincount(wts[outside], minlength=n + 1).tolist())
 
 
 @st.composite
@@ -398,6 +334,26 @@ def nested_pair(draw):
         return make_pair(full_space(f, n), C2)
     D = from_generator(mat_mul(GfMatrix(f, _random_full_rank(rng, f, r, k2)), C2.G))
     return make_pair(D.dual(), C2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(nested_pair(), st.sampled_from([1, 3, 16, 1 << 20]), st.sampled_from(["", "10"]))
+def test_pair_sides_match_naive_enumeration(pair, chunk_target, cap):
+    # each side against the words of its code orthogonal to the other code,
+    # every word formed; a side is capped where q^k of its code passes the cap
+    with mock.patch.object(aqmds.code, "_CHUNK_TARGET", chunk_target), \
+            mock.patch.dict(os.environ, {"AQMDS_MAX_ENUM": cap}):
+        sides = pair_sides(pair)
+    for side, code, other in zip(sides, (pair.c2, pair.c1), (pair.c1, pair.c2)):
+        dist, dist_out = _naive_scan(code, other.G.data)
+        expected = (_lowest_weight(np.array(dist_out)), _lowest_weight(np.array(dist)))
+        if cap and code.field.q ** code.k > int(cap):
+            if pair.quantum_k == 0 and code.is_mds():
+                assert side == (None, code.n - code.k + 1) == expected
+            else:
+                assert isinstance(side, CapExceeded)
+        else:
+            assert side == expected
 
 
 @settings(max_examples=80, deadline=None)
