@@ -224,9 +224,12 @@ class CodeStore:
     one call of any other public function, which makes a fresh store.  A
     code is keyed by its builder and the repr of the builder's arguments:
     unlike ==, repr tells 1, 1.0 and True apart, so a recipe gets the code
-    its own spec builds.  A verdict is keyed by the generator matrix that
-    was proven, never by the recipe that claims it.  Shared codes are never
-    changed in place; their matrices are read-only.
+    its own spec builds.  A verdict is keyed by the code's matrices, never
+    by the recipe that claims it.  A code with 0 < k < n is MDS exactly
+    when its dual is, so one proof, which LinearCode.is_mds runs on the
+    side with fewer rows, is filed under both C's canonical G and C's H,
+    the canonical G of dual(C).  Shared codes are never changed in place;
+    their matrices are read-only.
     """
 
     def __init__(self):
@@ -241,12 +244,17 @@ class CodeStore:
         return self._codes[key]
 
     def is_mds(self, C: LinearCode) -> bool:
-        """C.is_mds(), proven once per run for each generator matrix."""
-        G = C.G.data
-        key = (C.field.q, G.shape, G.tobytes())
+        """C.is_mds(), proven once per run for each code and its dual."""
+        key = _matrix_key(C.G)
         if key not in self._mds:
             self._mds[key] = C.is_mds()
+            if 0 < C.k < C.n:
+                self._mds[_matrix_key(C.H)] = self._mds[key]
         return self._mds[key]
+
+
+def _matrix_key(M: GfMatrix) -> Tuple:
+    return M.field.q, M.data.shape, M.data.tobytes()
 
 
 def _repetition(f: FiniteField, n: int) -> LinearCode:
@@ -334,7 +342,7 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str,
     enumeration cap are marked skipped, never silently passed.  `nesting`
     records the proof that made the pair.  Every MDS verdict, those behind
     the j = 0 distances included, comes from `store`, which proves each
-    generator matrix once.
+    code and its dual once between them.
     """
     store = store or CodeStore()
     log: List[str] = []
@@ -351,8 +359,8 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str,
            claimed.k == claimed.n - claimed.dx - claimed.dz + 2)
 
     if level == "full_oracle":
-        # at j = 0, C1 = dual(C2); where C1 = C2, a self-dual code, the store
-        # already holds the verdict on their one matrix
+        # at j = 0, C1 = dual(C2): the one proof of mds_dual_c1 and mds_c2
+        # is already filed for both codes
         sides = pair_sides(pair, store.is_mds)
         exact = [side for side in sides if not isinstance(side, CapExceeded)]
         if claimed.k == 0:
@@ -458,8 +466,8 @@ def enumerate_catalog(query: CatalogQuery) -> List[Certificate]:
     A tuple reachable by several families carries all their tags; its
     recipe comes from the first family in classification order.  Output is
     sorted by (n, j, dz, dx) and deterministic across runs.  The
-    certificates share one CodeStore: each code is built, and each
-    generator matrix proven MDS, once.
+    certificates share one CodeStore: each code is built once, and each
+    code and its dual are proven MDS once between them.
     """
     q = query.q
     make_field(q)  # a q that is no prime power or over the cap is refused before any work

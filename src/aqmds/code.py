@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import AqmdsError, CapExceeded
 from .gf import FiniteField
-from .matrix import (_CHUNK_TARGET, GfMatrix, _eliminate, first_singular_k_subset, mat_mul,
-                     nullspace, rref, transpose)
+from .matrix import (_CHUNK_TARGET, GfMatrix, _eliminate, _kernel, first_singular_k_subset,
+                     mat_mul, rref, transpose)
 
 DEFAULT_ENUM_CAP = 10 ** 7
 
@@ -82,9 +82,13 @@ class LinearCode:
 
     @property
     def H(self) -> GfMatrix:
-        """Cached parity-check matrix (nullspace of G, canonical)."""
+        """Cached parity-check matrix: the kernel of G in RREF, which is the
+        canonical generator of the dual.  G is canonical, so it is its own
+        RREF, with each row's pivot at its first nonzero entry, and the
+        kernel is read off it without another elimination."""
         if self._H is None:
-            self._H = nullspace(self.G)
+            pivots = np.argmax(self.G.data != 0, axis=1) if self.k else []
+            self._H = _kernel(self.field, self.G.data, pivots)
         return self._H
 
     def __eq__(self, other) -> bool:
@@ -117,9 +121,17 @@ class LinearCode:
         return self.weight_distribution().min_weight
 
     def is_mds(self) -> bool:
-        """Every k columns of G independent; equivalent to d = n-k+1."""
+        """Every k columns of G independent; equivalent to d = n-k+1.
+
+        A code with 0 < k < n is MDS exactly when its dual is
+        (MacWilliams-Sloane, Ch. 11), so when n-k < k the k-subset proof
+        runs on H, the dual's generator, which has fewer rows.  The zero
+        code is not MDS, and the full space is, by its identity G.
+        """
         if self.k == 0:
             return False
+        if self.n - self.k < self.k < self.n:
+            return first_singular_k_subset(self.H, self.n - self.k) is None
         return first_singular_k_subset(self.G, self.k) is None
 
     def weight_distribution(self) -> WeightReport:
@@ -389,7 +401,13 @@ def _enumerate_scan(field: FiniteField, gen: np.ndarray) -> np.ndarray:
     q^k >= 2^63 is refused even when the cap admits it, since the counts
     are int64.
     """
-    k, n = gen.shape
+    _check_enumerable(field, gen.shape[0])
+    return _count_weights(field, gen)
+
+
+def _check_enumerable(field: FiniteField, k: int) -> None:
+    """Raise CapExceeded unless the q^k words of a k-dimensional code pass
+    the cap and fit the int64 weight counts."""
     cap = enum_cap()
     if field.q ** k > cap:
         raise CapExceeded(
@@ -401,7 +419,6 @@ def _enumerate_scan(field: FiniteField, gen: np.ndarray) -> np.ndarray:
             f"{field.q}^{k} codewords overflow the int64 weight counts; "
             "use the MDS k-subset oracle"
         )
-    return _count_weights(field, gen)
 
 
 def _find_full_weight(field: FiniteField, gen: np.ndarray) -> Optional[np.ndarray]:

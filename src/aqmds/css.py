@@ -13,7 +13,8 @@ bound k <= n - d_x - d_z + 2.
 
 One function, pair_sides, computes these numbers for a pair: for each
 side, its set-difference weight and its classical minimum distance, from
-one exact weight count of each of C1 and C2 and the MacWilliams identity.
+at most one exact weight count of each of C1 and C2 and the MacWilliams
+identity; at k = 0, where C1 = C2^perp, from one count.
 css_construct and the catalog's full_oracle distance oracles both read
 it.  At k = 0, C1^perp = C2, so no word lies outside and d_z, d_x are the
 two classical distances, pure by convention; where a count there exceeds
@@ -31,7 +32,8 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .code import LinearCode, _enumerate_scan, _lowest_weight, _macwilliams, first_row_outside
+from .code import (LinearCode, _check_enumerable, _enumerate_scan, _lowest_weight, _macwilliams,
+                   first_row_outside)
 from .errors import AqmdsError, CapExceeded
 from .matrix import GfMatrix
 
@@ -110,9 +112,12 @@ def pair_sides(pair: NestedPair,
 
     At k = 0 dual(other) is the code itself, so no word lies outside, and a
     capped distance is n-k+1 of the side's code when `is_mds` proves it MDS.
+    There C1 = dual(C2): where both pass their caps, A(C1) is the
+    MacWilliams transform of A(C2), and only C2 is counted.
     """
     codes = (pair.c2, pair.c1)
-    counts = [_count(code) for code in codes]
+    counts = [_count(pair.c2)]
+    counts.append(_count(pair.c1, counts[0] if pair.quantum_k == 0 else None))
     sides = []
     for code, dist, other, other_dist in zip(codes, counts, codes[::-1], counts[::-1]):
         if isinstance(dist, CapExceeded):
@@ -143,10 +148,18 @@ def css_construct(pair: NestedPair) -> AqcParams:
                      aqmds=(k == n - dx - dz + 2))
 
 
-def _count(code: LinearCode) -> Union[np.ndarray, CapExceeded]:
-    """The weight distribution of `code`, or the CapExceeded its count raised."""
+def _count(code: LinearCode, dual_count: Union[np.ndarray, CapExceeded, None] = None
+           ) -> Union[np.ndarray, CapExceeded]:
+    """The weight distribution of `code`, or the CapExceeded its count raised.
+
+    Given the distribution of dual(code), the cap is checked just the same,
+    and the distribution is its MacWilliams transform instead of a count.
+    """
     try:
-        return _enumerate_scan(code.field, code.G.data)
+        if not isinstance(dual_count, np.ndarray):
+            return _enumerate_scan(code.field, code.G.data)
+        _check_enumerable(code.field, code.k)
+        return _macwilliams(code.field.q, dual_count, code.n - code.k)
     except CapExceeded as capped:
         return capped
 

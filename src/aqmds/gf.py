@@ -6,8 +6,9 @@ first.  Index 0 is the additive identity and index 1 the multiplicative
 identity.  A :class:`FiniteField` carries four dense lookup tables (add,
 mul, neg, inv) so that matrix and enumeration code can run entirely on
 numpy fancy indexing.  The tables come from the array of every element's
-digits: addition and negation act digit-wise mod p, and multiplication by
-x is GF(p)-linear on digits, so a*b = sum_i a_i (x^i b) is one contraction.
+digits, which the field keeps with the place values p^i: addition and
+negation act digit-wise mod p, and multiplication by x is GF(p)-linear on
+digits, so a*b = sum_i a_i (x^i b) is one contraction.
 
 Polynomials over GF(q) are tuples of element indices, low degree first.
 The kernels `_poly_mul` and `_poly_divmod`, over nested-list copies of the
@@ -91,7 +92,12 @@ class FiniteField:
         # nested-list copies for the scalar loops of the polynomial code
         self._tables = tuple(t.tolist() for t in (self.add_table, self.mul_table,
                                                   self.neg_table, self.inv_table))
-        for t in (self.add_table, self.neg_table, self.mul_table, self.inv_table):
+        # digits[a] holds a's base-p digits and a = digits[a] @ place, so a sum
+        # of many elements is a digit-wise sum mod p (matrix.mat_mul)
+        self.digits = digits.astype(np.uint8)
+        self.place = place
+        for t in (self.add_table, self.neg_table, self.mul_table, self.inv_table,
+                  self.digits, self.place):
             t.setflags(write=False)
 
     # -- element operations ---------------------------------------------------

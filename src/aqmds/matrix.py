@@ -3,10 +3,14 @@
 Matrices store element indices in a numpy uint8 array.  One Gaussian
 elimination routine, `_eliminate`, backs `rref`, `rank` and `nullspace`
 (and `code.complement_rows` and `LinearCode.shorten`): the matrices there
-are small, so it works one row at a time.  The k-subset MDS oracle
-`first_singular_k_subset` faces up to C(n, k) square submatrices instead,
-so it eliminates a chunk of them at once, in lockstep, with table lookups
-over the whole stack.
+are small, so it works one row at a time.  A kernel is read off a matrix
+already in RREF by `_kernel`, which `nullspace` and `LinearCode.H` share,
+so a code's canonical generator is never eliminated a second time.
+`mat_mul` forms every entry product in one table gather and sums them
+digit-wise mod p.  The k-subset MDS oracle `first_singular_k_subset` faces
+up to C(n, k) square submatrices instead, so it eliminates a chunk of them
+at once, in lockstep, with table lookups over the whole stack; it checks
+the rank only when the first subset is singular.
 """
 from __future__ import annotations
 
@@ -72,18 +76,20 @@ def transpose(M: GfMatrix) -> GfMatrix:
 
 
 def mat_mul(A: GfMatrix, B: GfMatrix) -> GfMatrix:
-    """Matrix product over GF(q)."""
+    """Matrix product over GF(q).
+
+    Every product A[i, l] * B[l, j] comes from one gather of the mul table.
+    Addition acts digit-wise mod p, so the sum over l adds the products'
+    base-p digits, at most cols * (p-1) a digit, and reduces them once.
+    """
     if A.field is not B.field:
         raise AqmdsError("matrices over different fields")
     if A.cols != B.rows:
         raise AqmdsError(f"inner dimensions {A.cols} != {B.rows}")
     f = A.field
-    out = np.zeros((A.rows, B.cols), dtype=np.uint8)
-    for l in range(A.cols):
-        # rank-1 update: column l of A times row l of B
-        scaled = f.mul_table[A.data[:, l][:, None], B.data[l][None, :]]
-        out = f.add_table[out, scaled]
-    return GfMatrix(A.field, out)
+    digits = f.digits[f.mul_table[A.data[:, :, None], B.data[None]]]  # (rows, inner, cols, m)
+    sums = digits.sum(axis=1, dtype=np.min_scalar_type(A.cols * (f.p - 1))) % f.p
+    return GfMatrix(f, (sums @ f.place).astype(np.uint8))
 
 
 def _eliminate(field: FiniteField, A: np.ndarray, reduce_above: bool) -> List[int]:
@@ -135,18 +141,25 @@ def rank(M: GfMatrix) -> int:
 
 def nullspace(M: GfMatrix) -> GfMatrix:
     """Basis (as rows, in RREF) of the right kernel {x : M x^T = 0}."""
-    f = M.field
     R, pivots = rref(M)
-    ncols = M.cols
-    free = [c for c in range(ncols) if c not in pivots]
+    return _kernel(M.field, R.data, pivots)
+
+
+def _kernel(field: FiniteField, R: np.ndarray, pivots) -> GfMatrix:
+    """Basis (as rows, in RREF) of the right kernel of R, a matrix in RREF
+    whose row i has its leading 1 in column pivots[i], and whose rows past
+    len(pivots) are zero."""
+    ncols = R.shape[1]
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     basis = np.zeros((len(free), ncols), dtype=np.uint8)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for ri, pc in enumerate(pivots):
-            # pivot coordinate solves row ri: x_pc = -R[ri, fc] * x_fc
-            basis[bi, pc] = f.neg_table[R.data[ri, fc]]
-    # normalize to RREF so nullspace output is canonical
-    out, _ = rref(GfMatrix(f, basis))
+    basis[np.arange(len(free)), free] = 1
+    # basis row b, with x = 1 at free column fc, solves row i of R by
+    # x[pivots[i]] = -R[i, fc]
+    basis[:, pivots] = field.neg_table[R[:len(pivots), free]].T
+    # normalize to RREF so the output is canonical
+    out, _ = rref(GfMatrix(field, basis))
     return out
 
 
@@ -157,10 +170,13 @@ def first_singular_k_subset(M: GfMatrix, k: int) -> Optional[Tuple[int, ...]]:
     MDS characterization of a rank-k generator matrix.  The C(cols, k)
     subsets are taken in lexicographic order, in chunks of about
     `_CHUNK_TARGET` matrix entries, and each chunk's submatrices are
-    eliminated in lockstep.
+    eliminated in lockstep.  M must have k independent rows.  Every
+    k-subset of a matrix of lower rank is singular, the first, columns
+    0..k-1, included, so the rank is computed only when that one is.
     """
-    if M.rows != k or rank(M) < k:
-        raise AqmdsError(f"matrix must have k={k} independent rows")
+    short = f"matrix must have k={k} independent rows"
+    if M.rows != k:
+        raise AqmdsError(short)
     if k == 0:
         return None  # the empty subset: a 0 x 0 matrix is nonsingular
     f = M.field
@@ -190,7 +206,10 @@ def first_singular_k_subset(M: GfMatrix, k: int) -> Optional[Tuple[int, ...]]:
         singular |= A[:, k - 1, k - 1] == 0
         hits = np.flatnonzero(singular)
         if hits.size:
-            return tuple(int(col) for col in subsets[hits[0]])
+            first = tuple(int(col) for col in subsets[hits[0]])
+            if first == tuple(range(k)) and rank(M) < k:
+                raise AqmdsError(short)
+            return first
     return None
 
 

@@ -29,7 +29,7 @@ from aqmds.construct import GrsSpec, grs
 from aqmds.css import AqcParams, css_construct, make_pair
 from aqmds.errors import AqmdsError, CapExceeded, NotPrimePower, VerificationFailed
 from aqmds.gf import FIELD_CAP, make_field
-from aqmds.matrix import GfMatrix
+from aqmds.matrix import GfMatrix, nullspace
 
 import th14_expansion
 
@@ -209,8 +209,10 @@ def count_k_subset_calls(monkeypatch) -> list:
 class TestOracles:
     def test_two_k_subset_calls_per_certificate(self, monkeypatch):
         # the builders do not re-prove MDS: mds_dual_c1 and mds_c2 are the only
-        # k-subset oracle calls on a closed_form certificate, and one call
-        # serves both for PROP6, where dual(C1) = C2
+        # k-subset oracle calls on a closed_form certificate.  One call serves
+        # both for PROP6, where dual(C1) = C2, and for TH12's [[3,1,2/2]]_9:
+        # the full-weight word of rep-perp is (1, 1, 1) in characteristic 3, so
+        # C1 = C2 = rep-perp, and the store files rep's verdict for its dual
         calls = count_k_subset_calls(monkeypatch)
         seen = set()
         for q in (4, 5, 8, 9):
@@ -221,7 +223,8 @@ class TestOracles:
                 p = c.params
                 calls.clear()
                 make_certificate(q, p.n, p.k, p.dz, p.dx, c.family, c.recipe)
-                assert len(calls) == (1 if construction == "PROP6" else 2), (q, construction)
+                one = construction == "PROP6" or (q, construction) == (9, "TH12")
+                assert len(calls) == (1 if one else 2), (q, construction)
             seen.update(picked)
         assert seen == set(FAMILY_TAGS)
 
@@ -508,9 +511,37 @@ class TestCodeStore:
 
     @pytest.mark.parametrize("q", [4, 5, 7, 8])
     def test_catalog_proves_each_matrix_once(self, monkeypatch, q):
+        # and never both a matrix and its kernel, the generator of the dual
         proven = record_proven_matrices(monkeypatch)
         enumerate_catalog(CatalogQuery(q=q))
         assert proven and len(proven) == len(set(proven))
+        kernels = set()
+        for fq, shape, data in proven:
+            M = GfMatrix(make_field(fq), np.frombuffer(data, dtype=np.uint8).reshape(shape))
+            K = nullspace(M).data
+            if K.tobytes() != data or K.shape != shape:
+                kernels.add((fq, K.shape, K.tobytes()))
+        assert not kernels & set(proven)
+
+    @pytest.mark.parametrize("n, k", [(7, 2), (7, 5), (6, 3), (5, 5)])
+    def test_dual_answered_without_a_second_proof(self, monkeypatch, n, k):
+        # a GRS code of each [n, k]_8 and, for k < n, a code with equal last
+        # columns, so not MDS; each dual is asked both as dual() and as a code
+        # rebuilt from H.  The dual of the full space is the zero code, which
+        # is never MDS and needs no proof
+        f = make_field(8)
+        codes = [(grs(GrsSpec(f, n, k)), True)]
+        if k < n:
+            A = np.hstack([np.eye(k, dtype=np.uint8), np.ones((k, n - k), dtype=np.uint8)])
+            codes.append((from_generator(GfMatrix(f, A)), False))
+        calls = count_k_subset_calls(monkeypatch)
+        for C, mds in codes:
+            calls.clear()
+            store = CodeStore()
+            assert store.is_mds(C) is mds
+            duals = [C.dual(), from_generator(C.H)] if k < n else [C.dual()]
+            assert [store.is_mds(D) for D in duals] == [mds and k < n] * len(duals)
+            assert len(calls) == 1
 
     def test_no_cache_between_calls(self, monkeypatch):
         proven = record_proven_matrices(monkeypatch)

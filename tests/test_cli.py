@@ -461,6 +461,7 @@ CATALOG_SHA256 = {
     (7, "closed_form"): "b0baed7bcbad97896dfd6930aa2714c041a1b84ac0eaaa68b4bba68b932cbd75",
     (8, "closed_form"): "800f353fbb914d0923a5c417aa02565a7573859960408ee6a462a3e09d7383e5",
     (9, "closed_form"): "5a33a977922cb3871b7f553f579f226f207286e8cb589fc35171ec7262a467e3",
+    (11, "closed_form"): "09ecfaaef7411db25abbc34689dad9766b5ecb2255ccd60e2ede9b2cc977260b",
     (13, "closed_form"): "1628d3b326ef93242cb47a00a605e04b1ea67c39b7c6ba7f0c37736c10105601",
     (4, "full_oracle"): "feba60dcf1ff9997861b7a332e22892cc9c53c917bde77a015d9f14b3f7d442d",
     (5, "full_oracle"): "6cdffedcdf424c50042c494c01973a785b58aa01a0ea16d3750d704615bbec33",

@@ -158,6 +158,35 @@ class TestKSubsetOracle:
         with pytest.raises(AqmdsError, match="must have k=2 independent rows"):
             first_singular_k_subset(M, 2)
 
+    @pytest.mark.parametrize("rows, k", [
+        ([[1, 2, 0, 4], [2, 4, 0, 3]], 2),  # rank 1: row 1 is twice row 0
+        ([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 2, 0]], 3),  # rank 2: row 2 is row 0 plus row 1
+        ([[1, 2, 3]], 2),  # fewer rows than k
+        ([[0, 0, 0]], 1),
+    ])
+    def test_rank_deficient_raises_the_same_error(self, rows, k):
+        with pytest.raises(AqmdsError, match=f"^matrix must have k={k} independent rows$"):
+            first_singular_k_subset(GfMatrix(make_field(5), rows), k)
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 1, 0], [1, 1, 1]],  # columns 0 and 1 equal
+        [[1, 0, 2, 1], [0, 1, 0, 1], [1, 1, 2, 0]],  # column 2 is twice column 0
+        [[0, 1, 2, 3, 4]],  # a zero first entry, k = 1
+    ])
+    def test_full_rank_with_singular_first_subset(self, rows):
+        M = GfMatrix(make_field(5), rows)
+        k = M.rows
+        assert rank(M) == k
+        assert first_singular_k_subset(M, k) == tuple(range(k))
+
+    def test_mds_generator_never_computes_the_rank(self, monkeypatch):
+        def no_rank(M):
+            raise AssertionError("rank called")
+        monkeypatch.setattr(matrix, "rank", no_rank)
+        f = make_field(7)
+        for k in range(1, 7):
+            assert first_singular_k_subset(grs(GrsSpec(f, 6, k)).G, k) is None
+
 
 class TestInvariants:
     def test_rank_equals_transpose_rank(self):

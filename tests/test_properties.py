@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import aqmds.code
 import aqmds.matrix
@@ -106,6 +106,79 @@ def test_dual_parity_check_is_its_nullspace(C):
     D = C.dual()
     assert D.H == nullspace(D.G)
     assert D.dual() == C
+
+
+@st.composite
+def code_of_any_dimension(draw):
+    """A code over GF(q), q in {2, 3, 4, 7, 8, 9, 16}, n <= 8, of a drawn
+    dimension k in 0..n, k = 0 and k = n drawn often: a GRS code, which is
+    MDS, or a random generator whose zeroed entries make non-MDS codes
+    common."""
+    q = draw(st.sampled_from([2, 3, 4, 7, 8, 9, 16]))
+    f = make_field(q)
+    n = draw(st.integers(1, 8))
+    k = draw(st.sampled_from([0, n, draw(st.integers(0, n))]))
+    if k and n <= q and draw(st.booleans()):
+        return grs(GrsSpec(f, n, k))
+    zero_share = draw(st.sampled_from([0.0, 0.3, 0.6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    while True:
+        A = rng.integers(0, q, size=(k, n)).astype(np.uint8)
+        A[rng.random(A.shape) < zero_share] = 0
+        C = LinearCode(GfMatrix(f, A))
+        if C.k == k:
+            return C
+
+
+@settings(max_examples=150, deadline=None)
+@given(code_of_any_dimension())
+def test_is_mds_matches_the_k_subset_oracle_on_G(C):
+    # is_mds proves a code with n-k < k < n on H; the zero code is never MDS
+    assert C.is_mds() == (C.k > 0 and first_singular_k_subset(C.G, C.k) is None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(code_of_any_dimension())
+def test_parity_check_is_the_nullspace_of_G(C):
+    # H is read off the canonical G without eliminating it again
+    assert C.H == nullspace(C.G)
+
+
+def _naive_mat_mul(A: GfMatrix, B: GfMatrix) -> GfMatrix:
+    """A B entry by entry, one field operation at a time."""
+    f = A.field
+    out = np.zeros((A.rows, B.cols), dtype=np.uint8)
+    for i in range(A.rows):
+        for j in range(B.cols):
+            acc = 0
+            for l in range(A.cols):
+                acc = f.add(acc, f.mul(int(A.data[i, l]), int(B.data[l, j])))
+            out[i, j] = acc
+    return GfMatrix(f, out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 27, 61, 64]), st.integers(0, 4),
+       st.sampled_from([0, 1, 2, 5, 8, 66]), st.integers(0, 4), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@example(q=64, rows=3, inner=66, cols=4, extreme=False, seed=0)
+@example(q=64, rows=3, inner=66, cols=4, extreme=True, seed=0)
+@example(q=61, rows=2, inner=66, cols=2, extreme=True, seed=0)
+@example(q=7, rows=0, inner=3, cols=2, extreme=False, seed=0)
+@example(q=7, rows=2, inner=0, cols=2, extreme=False, seed=0)
+def test_mat_mul_matches_naive_loop(q, rows, inner, cols, extreme, seed):
+    # `extreme` makes every product q-1, whose base-p digits are all p-1, so
+    # each digit sum reaches inner * (p-1): 3960 at q = 61, over a byte
+    f = make_field(q)
+    if extreme:
+        A = np.ones((rows, inner), dtype=np.uint8)
+        B = np.full((inner, cols), q - 1, dtype=np.uint8)
+    else:
+        rng = np.random.default_rng(seed)
+        A = rng.integers(0, q, size=(rows, inner)).astype(np.uint8)
+        B = rng.integers(0, q, size=(inner, cols)).astype(np.uint8)
+    A, B = GfMatrix(f, A), GfMatrix(f, B)
+    assert mat_mul(A, B) == _naive_mat_mul(A, B)
 
 
 @st.composite
