@@ -1,9 +1,11 @@
 """Classification catalog of pure CSS AQMDS parameters for a given q.
 
 The admissible parameter tuples [[n, j, dz/dx]]_q form seven overlapping
-families; the enumerator expands all of them over the conjecture-bounded
-length range (n <= q+1 for odd q, n <= q+2 for even q), deduplicates
-tuples, and emits one certificate per tuple.  A certificate carries a
+classification cases, each one predicate on (q, n, k, j) in one table.
+The enumerator scans the tuples of the conjecture-bounded length range
+(n <= q+1 for odd q, n <= q+2 for even q) and emits one certificate per
+tuple that a case reaches; exists and the family check test a single
+tuple against the table.  A certificate carries a
 replayable construction recipe plus the log of verification oracles that
 were run on the rebuilt pair.  One function decides whether a
 certificate is true: make_certificate sets `verified` from its checks,
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -90,50 +92,31 @@ def length_bound(q: int) -> int:
     return q + 2 if q % 2 == 0 else q + 1
 
 
-# -- the seven parameter families ---------------------------------------------
+# -- the seven classification cases -------------------------------------------
 
 
-def _case_triples(q: int, n: int):
-    """Yield (tag, k, j) for every family admitting length n over GF(q).
-
-    k is the classical dimension parameter of the classification; the
-    parameter tuple it encodes is [[n, j, dz/dx]] with
-    {dz, dx} = {n-k-j+1, k+1}.  Cases come in classification order, which
-    picks the recipe of a tuple that several cases reach.
-    """
-    def cases():
-        is_even = q % 2 == 0  # so q = 2^m: both callers reject other q
-        if n >= 2:
-            for k in dict.fromkeys((1, n - 1)):  # case 1, trivial MDS pairs, all PROP5/6
-                for j in dict.fromkeys((0, n - k)):
-                    yield "PROP5", k, j
-        if q == 2 and n >= 2 and n % 2 == 0:  # case 2
-            yield "TH12", 1, n - 2
-        if q >= 3 and n >= 2:  # case 3
-            yield "TH12", 1, n - 2
-        if q >= 3 and 2 <= n <= q:  # case 4
-            for k in range(1, n):
-                for j in range(0, n - k + 1):
-                    yield "TH7", k, j
-        if q >= 3 and n == q + 1:  # case 5
-            for k in range(1, n):
-                yield "TH8", k, 0
-                for j in range(2, n - k + 1):
-                    yield "TH8", k, j
-        if is_even and q >= 4 and n == q + 1:  # case 6
-            for k in dict.fromkeys((2, q - 2)):
-                yield "COR10", k, 1
-        if is_even and q >= 4 and n == q + 2:  # case 7
-            for j in dict.fromkeys((2, q - 2)):
-                yield "TH12", 1, j
-            for j in dict.fromkeys((0, q - 4, q - 1)):
-                yield "TH11", 3, j
-            for j in dict.fromkeys((0, 3)):
-                yield "TH12", q - 1, j
-
-    for tag, k, j in cases():
-        # j = 0 pairs a code with its dual, and dx = 1 pairs one with the full space
-        yield ("PROP6" if j == 0 else "PROP5" if j == n - k else tag), k, j
+# (tag, predicate on (q, n, k, j)) per case, in classification order, which
+# picks the recipe of a tuple that several cases reach.  k is the classical
+# dimension parameter: the case encodes [[n, j, dz/dx]] with
+# {dz, dx} = {n-k-j+1, k+1}.  A predicate may assume 1 <= k <= n-1 and
+# 0 <= j <= n-k; q is a prime power, so q % 2 == 0 means q = 2^m.
+_CASES: Tuple[Tuple[str, Callable[[int, int, int, int], bool]], ...] = (
+    # case 1, trivial MDS pairs, all PROP5/6
+    ("PROP5", lambda q, n, k, j: k in (1, n - 1) and j in (0, n - k)),
+    ("TH12", lambda q, n, k, j: q == 2 and n % 2 == 0 and k == 1 and j == n - 2),  # case 2
+    ("TH12", lambda q, n, k, j: q >= 3 and k == 1 and j == n - 2),  # case 3
+    ("TH7", lambda q, n, k, j: q >= 3 and n <= q),  # case 4
+    ("TH8", lambda q, n, k, j: q >= 3 and n == q + 1 and j != 1),  # case 5
+    ("COR10", lambda q, n, k, j: (q % 2 == 0 and q >= 4 and n == q + 1
+                                  and j == 1 and k in (2, q - 2))),  # case 6
+    # case 7, by TH12 at k = 1, by TH11, and by TH12 at k = q-1
+    ("TH12", lambda q, n, k, j: (q % 2 == 0 and q >= 4 and n == q + 2
+                                 and k == 1 and j in (2, q - 2))),
+    ("TH11", lambda q, n, k, j: (q % 2 == 0 and q >= 4 and n == q + 2
+                                 and k == 3 and j in (0, q - 4, q - 1))),
+    ("TH12", lambda q, n, k, j: (q % 2 == 0 and q >= 4 and n == q + 2
+                                 and k == q - 1 and j in (0, 3))),
+)
 
 
 def _tuple_of(n: int, k: int, j: int) -> Tuple[int, int, int, int]:
@@ -141,18 +124,18 @@ def _tuple_of(n: int, k: int, j: int) -> Tuple[int, int, int, int]:
     return (n, j, max(a, b), min(a, b))
 
 
-def _tuples(q: int, n: int, j: Optional[int] = None
-            ) -> Dict[Tuple[int, int, int, int], Tuple[Set[str], Tuple]]:
-    """Every tuple (n, j, dz, dx) of length n over GF(q), only those of the
-    given j if one is given, with the tags of the cases that reach it and
-    the first of them, (tag, n, k, j), whose recipe the tuple's certificate
-    carries."""
-    rows = {}
-    for tag, k, jj in _case_triples(q, n):
-        if j is None or jj == j:
-            tags, _ = rows.setdefault(_tuple_of(n, k, jj), (set(), (tag, n, k, jj)))
-            tags.add(tag)
-    return rows
+def _cases_reaching(q: int, n: int, j: int, dz: int, dx: int) -> List[Tuple[str, int, int, int]]:
+    """Every case (tag, n, k, j) that reaches the tuple (n, j, dz, dx), dz >= dx,
+    over GF(q), in classification order: the tuple's certificate carries the
+    first one's recipe.  k is dx-1 or dz-1, smaller first, as within a case."""
+    if dz < dx or j != n - dz - dx + 2:  # neither candidate k gives back this tuple
+        return []
+    ks = [k for k in sorted({dx - 1, dz - 1}) if 1 <= k <= n - 1 and 0 <= j <= n - k]
+    return [
+        # j = 0 pairs a code with its dual, and dx = 1 pairs one with the full space
+        ("PROP6" if j == 0 else "PROP5" if j == n - k else tag, n, k, j)
+        for tag, holds in _CASES for k in ks if holds(q, n, k, j)
+    ]
 
 
 # -- recipes ------------------------------------------------------------------
@@ -386,17 +369,19 @@ def _family_holds(claimed: AqcParams, family: List[str], construction: str) -> b
     """Whether `family` holds the construction and otherwise only tags of
     the cases that reach the claimed tuple."""
     others = set(family) - {construction}
-    key = (claimed.n, claimed.k, max(claimed.dz, claimed.dx), min(claimed.dz, claimed.dx))
-    return construction in family and (
-        not others or others <= _tuples(claimed.q, claimed.n, claimed.k).get(key, (set(),))[0])
+    dz, dx = max(claimed.dz, claimed.dx), min(claimed.dz, claimed.dx)
+    return construction in family and (not others or others <= {
+        tag for tag, *_ in _cases_reaching(claimed.q, claimed.n, claimed.k, dz, dx)})
 
 
 def _failed_checks(claimed: AqcParams, family: List[str], recipe: Dict, level: str,
                    store: CodeStore) -> Tuple[List[str], List[str]]:
     """Check a claimed header against the pair rebuilt from `recipe`.
 
-    In order: the header (q, n, pure, aqmds, family) against the pair, the oracles
-    of run_oracles, and, once those pass, the ordered (dz, dx) against the
+    In order: the header (q, n, pure, aqmds) against the pair, the recipe's
+    n and j, which not every construction reads, against the pair's length
+    and quantum dimension, the header's family, the oracles of run_oracles,
+    and, once those pass, the ordered (dz, dx) against the
     distances n-k1+1 and n-k2+1 of the two proven MDS codes, which are the
     quantum distances for every j, even where the distance oracles skipped.
     Returns the names of the failed checks in that order, and the oracle
@@ -404,9 +389,10 @@ def _failed_checks(claimed: AqcParams, family: List[str], recipe: Dict, level: s
     """
     pair = build_pair_from_recipe(recipe, store=store)
     c1, c2 = pair.c1, pair.c2
-    header = {"q": claimed.q == c1.field.q, "n": claimed.n == c1.n,
-              "pure": claimed.pure is True, "aqmds": claimed.aqmds is True}
-    failed = [f"header_{name}" for name, ok in header.items() if not ok]
+    checks = {"header_q": claimed.q == c1.field.q, "header_n": claimed.n == c1.n,
+              "header_pure": claimed.pure is True, "header_aqmds": claimed.aqmds is True,
+              "recipe_n": recipe.get("n") == c1.n, "recipe_j": recipe.get("j") == pair.quantum_k}
+    failed = [name for name, ok in checks.items() if not ok]
     if not failed and not _family_holds(claimed, family, recipe["construction"]):
         failed.append("header_family")
     if failed:
@@ -447,14 +433,14 @@ def make_certificate(
     )
 
 
-def _certify(q: int, tags: Iterable[str], case: Tuple[str, int, int, int], verify_level: str,
+def _certify(q: int, cases: List[Tuple[str, int, int, int]], verify_level: str,
              *, store: Optional[CodeStore] = None) -> Certificate:
-    """make_certificate for the tuple that the (tag, n, k, j) case reaches,
-    with that case's recipe."""
-    tag, n, k, j = case
+    """make_certificate for the tuple that the (tag, n, k, j) cases reach,
+    tagged with all of them, with the first one's recipe."""
+    tag, n, k, j = cases[0]
     _, _, dz, dx = _tuple_of(n, k, j)
-    return make_certificate(q, n, j, dz, dx, tags, _designated_recipe(q, tag, n, k, j),
-                            verify_level, store=store)
+    return make_certificate(q, n, j, dz, dx, {tag for tag, *_ in cases},
+                            _designated_recipe(q, tag, n, k, j), verify_level, store=store)
 
 
 # -- public operations --------------------------------------------------------
@@ -463,22 +449,20 @@ def _certify(q: int, tags: Iterable[str], case: Tuple[str, int, int, int], verif
 def enumerate_catalog(query: CatalogQuery) -> List[Certificate]:
     """All admissible pure CSS AQMDS tuples for q, one certificate each.
 
-    A tuple reachable by several families carries all their tags; its
-    recipe comes from the first family in classification order.  Output is
+    Each distinct tuple of the (n, k, j) grid is looked up in the case
+    table once.  A tuple that several cases reach carries all their tags;
+    its recipe comes from the first case in classification order.  Output is
     sorted by (n, j, dz, dx) and deterministic across runs.  The
     certificates share one CodeStore: each code is built once, and each
     code and its dual are proven MDS once between them.
     """
     q = query.q
     make_field(q)  # a q that is no prime power or over the cap is refused before any work
-    rows = {}
-    ns = [query.n] if query.n is not None else list(range(2, length_bound(q) + 1))
-    for n in ns:
-        if 2 <= n <= length_bound(q):
-            rows.update(_tuples(q, n, query.j))
+    grid = {_tuple_of(n, k, j) for n in range(2, length_bound(q) + 1) if query.n in (None, n)
+            for k in range(1, n) for j in range(n - k + 1) if query.j in (None, j)}
     out = []
     store = CodeStore()
-    for (n, j, dz, dx) in sorted(rows):
+    for (n, j, dz, dx) in sorted(grid):
         if query.dz is not None and query.dx is not None:
             if {dz, dx} != {query.dz, query.dx}:
                 continue
@@ -488,8 +472,9 @@ def enumerate_catalog(query: CatalogQuery) -> List[Certificate]:
             continue
         if query.dx_min is not None and dx < query.dx_min:
             continue
-        tags, case = rows[(n, j, dz, dx)]
-        out.append(_certify(q, tags, case, query.verify_level, store=store))
+        cases = _cases_reaching(q, n, j, dz, dx)
+        if cases:
+            out.append(_certify(q, cases, query.verify_level, store=store))
     return out
 
 
@@ -524,16 +509,15 @@ def exists(
             False, None,
             f"not quantum-Singleton-tight: j={j} != n-dz-dx+2={n - dz - dx + 2}",
         )
-    row = _tuples(q, n, j).get((n, j, dz, dx))
-    if row is None:
+    cases = _cases_reaching(q, n, j, dz, dx)
+    if not cases:
         if n == q + 1 and j == 1 and dx >= 2:
             reason = "j=1 at length q+1 requires even q and {dz,dx}={3,q-1}"
         else:
             reason = "parameters fall outside the classification"
         return ExistsResult(False, None, reason)
-    tags, case = row
     try:
-        cert = _certify(q, tags, case, verify_level)
+        cert = _certify(q, cases, verify_level)
     except CapExceeded as exc:
         return ExistsResult(True, None, f"exists; certificate construction skipped: {exc}")
     return ExistsResult(True, cert, "admitted by the classification")
@@ -545,7 +529,8 @@ def verify(cert: Certificate, *, store: Optional[CodeStore] = None) -> Certifica
     The checks are those of make_certificate: the header must agree with
     the rebuilt pair (field size and length), claim a pure AQMDS code, as
     every certificate made here does, and name the recipe's construction
-    in a family of tags that reach the tuple; the oracles must pass; and the
+    in a family of tags that reach the tuple; the recipe's n and j must be
+    the pair's length and quantum dimension; the oracles must pass; and the
     claimed ordered (dz, dx) must equal the ordered distances of the two
     MDS codes ("mds_distances").  Returns a refreshed certificate; raises
     VerificationFailed naming the first failing header field, oracle or

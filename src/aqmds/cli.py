@@ -113,7 +113,7 @@ def cmd_construct(args) -> int:
 def _css_construction(args) -> Tuple[str, int, int, int]:
     """The catalog's (tag, n, k, j) for the family selected on the css command.
 
-    k and j are the classification parameters of catalog._case_triples.
+    k and j are the classification parameters of the cases in catalog._CASES.
     """
     q, fam = args.q, args.family
     make_field(q)  # a bad q is reported before any family requirement
@@ -152,7 +152,7 @@ def _css_construction(args) -> Tuple[str, int, int, int]:
 
 def cmd_css(args) -> int:
     case = _css_construction(args)
-    cert = _certify(args.q, {case[0]}, case, args.verify_level)
+    cert = _certify(args.q, [case], args.verify_level)
     if not cert.verified:
         print(f"verification failed: {cert.oracle_log}", file=sys.stderr)
         return EXIT_VERIFY

@@ -1,4 +1,5 @@
 """Classification catalog: enumeration, existence decisions, certificates."""
+import hashlib
 import json
 import os
 import pathlib
@@ -22,6 +23,8 @@ from aqmds.catalog import (
     make_certificate,
     run_oracles,
     verify,
+    _cases_reaching,
+    _tuple_of,
 )
 from aqmds.cli import main
 from aqmds.code import from_generator, full_space
@@ -138,6 +141,14 @@ class TestExists:
         assert r.exists and r.certificate is None
         assert r.reason.startswith("exists; certificate construction skipped")
 
+    def test_largest_testable_prime_at_its_own_length(self):
+        # a TH7 tuple of length 4294967291: the cases are tested at its two
+        # candidate k, never expanded over the length
+        r = exists(4294967291, 4294967291, 1, 2147483646, 2147483646)
+        assert (r.exists, r.certificate) == (True, None)
+        assert r.reason == ("exists; certificate construction skipped:"
+                            " q=4294967291 exceeds the field cap 64")
+
     def test_unordered_query(self):
         assert exists(16, 17, 1, 15, 3).exists
         assert exists(16, 17, 1, 3, 15).exists
@@ -153,6 +164,44 @@ class TestExists:
                             continue
                         r = exists(q, n, j, dz, dx, verify_level="closed_form")
                         assert r.exists == ((n, j, dz, dx) in admitted), (q, n, j, dz, dx)
+
+
+PRIME_POWERS_TO_64 = [q for q in range(2, 65) if th14_expansion.is_prime_power(q)]
+
+
+@pytest.fixture(scope="module")
+def table_rows():
+    """{(q, n): {tuple: its cases}} for every prime power q <= 64 and n in
+    1..q+2, the tuples found the way enumerate_catalog scans the (n, k, j) grid."""
+    rows = {}
+    for q in PRIME_POWERS_TO_64:
+        for n in range(1, q + 3):
+            grid = {_tuple_of(n, k, j) for k in range(1, n) for j in range(n - k + 1)}
+            rows[q, n] = {t: cases for t in grid if (cases := _cases_reaching(q, *t))}
+    return rows
+
+
+class TestCaseTable:
+    def test_tags_and_recipe_case_unchanged(self, table_rows):
+        # sha256 of each tuple's sorted tags and first case, as the case
+        # expansion that the table replaced gave them
+        h = hashlib.sha256()
+        for (q, n), rows in table_rows.items():
+            h.update(repr((q, n, sorted((t, sorted({c[0] for c in cases}), cases[0])
+                                        for t, cases in rows.items()))).encode())
+        assert h.hexdigest() == "15cdf62623bbee4f4b865d317f2cf812ab8207f1f09433d4eccd03f056605ed6"
+
+    @pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
+    def test_admits_the_independent_expansion(self, table_rows, q):
+        admitted = set()
+        for n in range(2, length_bound(q) + 1):
+            admitted.update(table_rows[q, n])
+        assert admitted == th14_expansion.expand(q)
+
+    def test_expansion_shares_no_code_with_the_package(self):
+        tests = pathlib.Path(__file__).resolve().parent
+        assert "aqmds" not in (tests / "th14_expansion.py").read_text()
+        assert not any("th14_expansion" in f.read_text() for f in SRC.rglob("*.py"))
 
 
 class TestCertificates:
@@ -263,6 +312,16 @@ class TestOracles:
         assert log[0] == "nesting:pass"
 
 
+@pytest.fixture(scope="module")
+def q8_records():
+    """The first record of each construction in the q=8 catalog, as a dict."""
+    records = {}
+    for cert in enumerate_catalog(CatalogQuery(q=8)):
+        records.setdefault(cert.recipe["construction"], certificate_to_dict(cert))
+    assert set(records) == set(FAMILY_TAGS)
+    return records
+
+
 class TestVerify:
     def test_round_trip(self):
         cert = exists(5, 5, 1, 3, 3).certificate
@@ -294,6 +353,19 @@ class TestVerify:
         with pytest.raises(VerificationFailed) as exc:
             verify(certificate_from_dict({**d, **edit}))
         assert str(exc.value) == f"header_{field}"
+
+    @pytest.mark.parametrize("field", ["n", "j"])
+    @pytest.mark.parametrize("construction", FAMILY_TAGS)
+    def test_tampered_recipe_field_rejected(self, construction, field, q8_records):
+        # only PROP5's and TH7's builds read n, and only TH7's reads j: every
+        # other edit is caught by comparing the field with the rebuilt pair
+        d = q8_records[construction]
+        recipe = {**d["recipe"], field: d["recipe"][field] + 1}
+        with pytest.raises(AqmdsError) as exc:
+            verify(certificate_from_dict({**d, "recipe": recipe}))
+        if (construction, field) not in {("PROP5", "n"), ("TH7", "n"), ("TH7", "j")}:
+            assert type(exc.value) is VerificationFailed
+            assert str(exc.value) == f"recipe_{field}"
 
     @pytest.mark.parametrize("n, dz, dx", [(5, 4, 3), (7, 5, 4)])
     def test_j0_swapped_distances_rejected(self, n, dz, dx):
