@@ -165,7 +165,8 @@ def _mds_source(q: int, n: int, k: int) -> Dict:
 
 
 def _designated_recipe(q: int, tag: str, n: int, k: int, j: int) -> Dict:
-    """Construction recipe for the (tag, k, j) realization of a tuple."""
+    """Construction recipe for the (tag, k, j) realization of a tuple, tag
+    one of FAMILY_TAGS."""
     f = make_field(q)
     base = {"q": q, "n": n, "j": j, "alpha_convention": "zero_last"}
     if tag == "PROP6":
@@ -185,11 +186,9 @@ def _designated_recipe(q: int, tag: str, n: int, k: int, j: int) -> Dict:
         return {**base, "construction": "COR10", "k": k, "v": list(ones(q + 2))}
     if tag == "TH11":
         return {**base, "construction": "TH11", "k": 3, "v": list(ones(q + 2))}
-    if tag == "TH12":
-        # C2 is the [n, j+1] MDS source: n-1 for cases 2/3, the length-(q+2)
-        # dimension-3 or dimension-(q-1) code for case 7
-        return {**base, "construction": "TH12", "k": k, "source": _mds_source(q, n, j + 1)}
-    raise AssertionError(tag)  # unreachable
+    # TH12, the one tag left: C2 is the [n, j+1] MDS source, n-1 for cases
+    # 2/3, the length-(q+2) dimension-3 or dimension-(q-1) code for case 7
+    return {**base, "construction": "TH12", "k": k, "source": _mds_source(q, n, j + 1)}
 
 
 def _length(n: int) -> int:
@@ -273,7 +272,14 @@ def _integers(d: Dict, names: Tuple[str, ...], what: str):
 
 def build_pair_from_recipe(recipe: Dict, *, store: Optional[CodeStore] = None) -> NestedPair:
     """Rebuild the classical nested pair described by a certificate recipe,
-    taking the codes the run already built from `store`."""
+    taking the codes the run already built from `store`.
+
+    Each construction reads `q` and: PROP5 `code`, `n`; PROP6 `code`; TH7
+    `n`, `k`, `j`, `alpha`, `v`; TH8 `k`, `r`, `irreducible`, `alpha`, `v`;
+    COR10 and TH11 `v`; TH12 `source`.  An unread `k` stays unchecked: its
+    edit rebuilds the same pair, and old css records, which must verify,
+    carry a TH12 `k` of 3 and a COR10 `k` of 1.
+    """
     store = store or CodeStore()
     try:
         for part in (recipe, recipe.get("code"), recipe.get("source")):
@@ -572,6 +578,15 @@ def certificate_from_dict(d: Dict) -> Certificate:
                 and set(family) <= set(FAMILY_TAGS) and len(set(family)) == len(family)):
             raise AqmdsError(f"certificate family must be a non-empty list of distinct"
                              f" tags of {FAMILY_TAGS}, got {family!r}")
+        recipe, verified, log = d["recipe"], d["verified"], d["oracle_log"]
+        # checked, not coerced: "false" is truthy, a string splits into characters
+        for name, value, ok, rule in (
+                ("recipe", recipe, type(recipe) is dict, "an object"),
+                ("verified", verified, type(verified) is bool, "true or false"),
+                ("oracle_log", log, type(log) is list and all(type(e) is str for e in log),
+                 "a list of strings")):
+            if not ok:
+                raise AqmdsError(f"malformed certificate: {name} must be {rule}, got {value!r}")
         params = AqcParams(
             q=d["q"], n=d["n"], k=d["j"], dz=d["dz"], dx=d["dx"],
             pure=d["pure"], aqmds=d["aqmds"],
@@ -579,9 +594,9 @@ def certificate_from_dict(d: Dict) -> Certificate:
         return Certificate(
             params=params,
             family=list(family),
-            recipe=dict(d["recipe"]),
-            verified=bool(d["verified"]),
-            oracle_log=list(d["oracle_log"]),
+            recipe=dict(recipe),
+            verified=verified,
+            oracle_log=list(log),
         )
     except (KeyError, TypeError) as exc:
         raise AqmdsError(f"malformed certificate: {exc}") from exc

@@ -103,10 +103,8 @@ def cmd_construct(args) -> int:
         print(f"irreducible polynomial coefficients (low degree first): {list(poly)}")
     elif which == "qplus2-high":
         _print_code(q_plus_2_high(f, v), "length q+2, dimension q-1")
-    elif which == "qplus2-low":
+    else:  # qplus2-low, the last of the builder choices
         _print_code(q_plus_2_low(f, v), "length q+2, dimension 3")
-    else:  # unreachable via argparse choices
-        raise AqmdsError(f"unknown builder {which!r}")
     return EXIT_OK
 
 

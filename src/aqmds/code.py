@@ -368,27 +368,24 @@ def _count_weights(field: FiniteField, gen: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _krawtchouk(q: int, n: int) -> tuple:
-    """K[w][i] = sum_j (-1)^j (q-1)^(w-j) C(i, j) C(n-i, w-j), as Python ints."""
-    return tuple(
-        tuple(sum((-1) ** j * (q - 1) ** (w - j) * comb(i, j) * comb(n - i, w - j) for j in range(w + 1))
-              for i in range(n + 1))
-        for w in range(n + 1))
+def _krawtchouk(q: int, n: int) -> np.ndarray:
+    """The read-only matrix K[w, i] = sum_j (-1)^j (q-1)^(w-j) C(i, j) C(n-i, w-j)
+    of Python ints."""
+    K = np.array([[sum((-1) ** j * (q - 1) ** (w - j) * comb(i, j) * comb(n - i, w - j)
+                        for j in range(w + 1)) for i in range(n + 1)] for w in range(n + 1)],
+                 dtype=object)
+    K.flags.writeable = False
+    return K
 
 
 def _macwilliams(q: int, dual_counts: np.ndarray, r: int) -> np.ndarray:
     """Weight distribution of C from that of its r-dimensional dual:
-    A_w = q^-r sum_i B_i K_w(i) (MacWilliams-Sloane, Ch. 5), in exact
-    integers.  A remainder means `dual_counts` is no dual's distribution."""
-    n = len(dual_counts) - 1
-    support = [(i, int(b)) for i, b in enumerate(dual_counts) if b]
-    counts = []
-    for row in _krawtchouk(q, n):
-        a, rem = divmod(sum(b * row[i] for i, b in support), q ** r)
-        if rem:
-            raise AqmdsError(f"MacWilliams transform not divisible by {q}^{r}")
-        counts.append(a)
-    return np.array(counts, dtype=np.int64)
+    A = q^-r K B (MacWilliams-Sloane, Ch. 5), in exact integers.  A
+    remainder means `dual_counts` is no dual's distribution."""
+    total = _krawtchouk(q, len(dual_counts) - 1) @ dual_counts  # object dtype: Python ints
+    if any(total % q ** r):
+        raise AqmdsError(f"MacWilliams transform not divisible by {q}^{r}")
+    return (total // q ** r).astype(np.int64)
 
 
 def _enumerate_scan(field: FiniteField, gen: np.ndarray) -> np.ndarray:

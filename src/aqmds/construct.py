@@ -81,12 +81,11 @@ def _extended_points(f: FiniteField, alpha, v):
 
 
 def _vandermonde_rows(f: FiniteField, alpha: Sequence[int], v: Sequence[int], nrows: int) -> np.ndarray:
-    n = len(alpha)
-    G = np.zeros((nrows, n), dtype=np.uint8)
-    col = np.array(v, dtype=np.uint8)
-    for i in range(nrows):
-        G[i] = col
-        col = np.array([f.mul(col[j], alpha[j]) for j in range(n)], dtype=np.uint8)
+    """Rows v_j alpha_j^i for i < nrows, each the row before times alpha by one gather."""
+    G = np.empty((nrows, len(alpha)), dtype=np.uint8)
+    G[:1] = v
+    for i in range(1, nrows):
+        G[i] = f.mul_table[G[i - 1], alpha]
     return G
 
 
@@ -186,4 +185,4 @@ def q_plus_2_low(f: FiniteField, v: Optional[Sequence[int]] = None) -> LinearCod
     """
     alpha, v = _char_two_points(f, v)
     return from_generator(_q_plus_2_matrix(
-        f, [f.inv(a) for a in alpha[: f.q - 1]], [f.inv(x) for x in v]))
+        f, f.inv_table[list(alpha[: f.q - 1])], f.inv_table[list(v)]))

@@ -51,13 +51,8 @@ class AqcParams:
     aqmds: bool
 
     def __str__(self):
-        flags = []
-        if self.pure:
-            flags.append("pure")
-        if self.aqmds:
-            flags.append("AQMDS")
-        tail = " " + " ".join(flags) if flags else ""
-        return f"[[{self.n},{self.k},{self.dz}/{self.dx}]]_{self.q}{tail}"
+        flags = [name for name, on in (("pure", self.pure), ("AQMDS", self.aqmds)) if on]
+        return " ".join([f"[[{self.n},{self.k},{self.dz}/{self.dx}]]_{self.q}", *flags])
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import isqrt
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -37,15 +38,8 @@ def _factor_prime_power(q: int) -> Tuple[int, int]:
         raise NotPrimePower(f"q must be >= 2, got {q}")
     if q >= 1 << 32:
         raise CapExceeded(f"q={q} is too large to test for a prime power")
+    p = next((c for c in range(2, isqrt(q) + 1) if q % c == 0), q)  # least prime factor
     n = q
-    p = None
-    for cand in range(2, q + 1):
-        if cand * cand > n:
-            p = n
-            break
-        if n % cand == 0:
-            p = cand
-            break
     m = 0
     while n % p == 0:
         n //= p

@@ -108,11 +108,7 @@ def _eliminate(field: FiniteField, A: np.ndarray, reduce_above: bool) -> List[in
         if r >= nrows:
             break
         col = A[:, c].tolist()  # stays valid: each update below changes only its own row
-        pivot_row = None
-        for i in range(r, nrows):
-            if col[i]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if col[i]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:

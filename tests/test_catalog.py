@@ -367,6 +367,31 @@ class TestVerify:
             assert type(exc.value) is VerificationFailed
             assert str(exc.value) == f"recipe_{field}"
 
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize("construction", ["PROP5", "PROP6", "TH12", "COR10", "TH11"])
+    def test_unread_recipe_k_changes_nothing(self, construction, delta, q8_records):
+        # these rebuilds never read k: the edited recipe builds the same pair
+        # and verifies to the same record, so the edit carries no false claim
+        d = q8_records[construction]
+        recipe = {**d["recipe"], "k": d["recipe"]["k"] + delta}
+        pair, edited = build_pair_from_recipe(d["recipe"]), build_pair_from_recipe(recipe)
+        assert (edited.c1, edited.c2) == (pair.c1, pair.c2)
+        refreshed = certificate_to_dict(verify(certificate_from_dict({**d, "recipe": recipe})))
+        assert refreshed == {**certificate_to_dict(verify(certificate_from_dict(d))), "recipe": recipe}
+
+    @pytest.mark.parametrize("field, mistyped", [
+        ("verified", lambda d: "false"),  # a non-empty string is truthy
+        ("oracle_log", lambda d: " ".join(d["oracle_log"])),  # it would split into characters
+        ("recipe", lambda d: [list(item) for item in d["recipe"].items()]),  # it would become a dict
+    ], ids=["verified", "oracle_log", "recipe"])
+    def test_mistyped_field_refused(self, field, mistyped):
+        d = certificate_to_dict(exists(7, 5, 1, 3, 3).certificate)
+        assert d["recipe"]["construction"] == "TH7"
+        with pytest.raises(AqmdsError) as exc:
+            certificate_from_dict({**d, field: mistyped(d)})
+        assert type(exc.value) is AqmdsError
+        assert str(exc.value).startswith(f"malformed certificate: {field} must be")
+
     @pytest.mark.parametrize("n, dz, dx", [(5, 4, 3), (7, 5, 4)])
     def test_j0_swapped_distances_rejected(self, n, dz, dx):
         # dz-1/dx+1 keeps the Singleton equality but swaps the ordered pair

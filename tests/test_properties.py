@@ -14,7 +14,7 @@ from aqmds.code import (LinearCode, _enumerate_scan, _lowest_weight, from_genera
                         is_subcode)
 from aqmds.construct import GrsSpec, grs
 from aqmds.css import AqcParams, css_construct, make_pair, pair_sides
-from aqmds.errors import CapExceeded
+from aqmds.errors import AqmdsError, CapExceeded
 from aqmds.gf import _poly_is_irreducible, make_field
 from aqmds.matrix import (GfMatrix, _eliminate, first_singular_k_subset, mat_mul, nullspace, rank,
                           transpose)
@@ -106,6 +106,33 @@ def test_dual_parity_check_is_its_nullspace(C):
     D = C.dual()
     assert D.H == nullspace(D.G)
     assert D.dual() == C
+
+
+@st.composite
+def code_and_position(draw):
+    """A code over GF(q), q <= 8, n <= 7, from a random generator of fewer
+    than n rows, whose zeroed entries make low ranks and zero columns
+    common, and a coordinate."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8]))
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.integers(0, q, size=(draw(st.integers(1, n - 1)), n)).astype(np.uint8)
+    A[rng.random(A.shape) < draw(st.sampled_from([0.0, 0.3, 0.6]))] = 0
+    return LinearCode(GfMatrix(make_field(q), A)), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(code_and_position())
+def test_shortening_is_dual_to_puncturing_the_dual(code_and_pos):
+    # shortening C at i is the dual of puncturing C-perp at i
+    # (MacWilliams-Sloane, Ch. 1 section 9)
+    C, i = code_and_pos
+    assume(C.k > 0)
+    try:
+        shortened, expected = C.shorten(i), C.dual().puncture(i).dual()
+    except AqmdsError:  # one side has no nonzero word
+        assume(False)
+    assert shortened == expected
 
 
 @st.composite
