@@ -3,9 +3,10 @@
 Matrices store element indices in a numpy uint8 array.  One Gaussian
 elimination routine, `_eliminate`, backs `rref`, `rank` and `nullspace`
 (and `code.complement_rows` and `LinearCode.shorten`): the matrices there
-are small, so it works one row at a time.  A kernel is read off a matrix
-already in RREF by `_kernel`, which `nullspace` and `LinearCode.H` share,
-so a code's canonical generator is never eliminated a second time.
+are small, so it eliminates on Python row lists over the field's
+nested-list tables and writes the rows back once.  A kernel is read off a
+matrix already in RREF by `_kernel`, which `nullspace` and `LinearCode.H`
+share, so a code's canonical generator is never eliminated a second time.
 `mat_mul` forms every entry product in one table gather and sums them
 digit-wise mod p.  The k-subset MDS oracle `first_singular_k_subset` faces
 up to C(n, k) square submatrices instead, so it eliminates a chunk of them
@@ -99,28 +100,30 @@ def _eliminate(field: FiniteField, A: np.ndarray, reduce_above: bool) -> List[in
     current row, scanning columns left to right.  With `reduce_above` every
     other row is cleared in the pivot column, leaving the reduced row
     echelon form; without it only the rows below are, which is enough for
-    the rank and gives the same pivots.
+    the rank and gives the same pivots.  The rows are Python lists over
+    `field._tables`, so a row operation is one comprehension, not a numpy
+    gather; at the sizes here that is faster.
     """
-    nrows, ncols = A.shape
+    add, mul, neg, inv = field._tables
+    rows = A.tolist()
     pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
+    for c in range(A.shape[1]):
+        r = len(pivots)
+        if r == len(rows):
             break
-        col = A[:, c].tolist()  # stays valid: each update below changes only its own row
-        pivot_row = next((i for i in range(r, nrows) if col[i]), None)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            A[[r, pivot_row]] = A[[pivot_row, r]]
-            col[r], col[pivot_row] = col[pivot_row], col[r]
-        A[r] = field.mul_table[field.inv_table[col[r]], A[r]]
-        for i in range(0 if reduce_above else r + 1, nrows):
-            if col[i] and i != r:
-                factor = field.neg_table[col[i]]
-                A[i] = field.add_table[A[i], field.mul_table[factor, A[r]]]
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        times = mul[inv[rows[r][c]]]
+        top = rows[r] = [times[b] for b in rows[r]]
+        for i in range(0 if reduce_above else r + 1, len(rows)):
+            if rows[i][c] and i != r:
+                times = mul[neg[rows[i][c]]]
+                rows[i] = [add[a][times[b]] for a, b in zip(rows[i], top)]
         pivots.append(c)
-        r += 1
+    if rows:  # a 0-row A has nothing to write back, and [] has the wrong shape
+        A[:] = rows
     return pivots
 
 
@@ -171,7 +174,7 @@ def first_singular_k_subset(M: GfMatrix, k: int) -> Optional[Tuple[int, ...]]:
     0..k-1, included, so the rank is computed only when that one is.
     """
     short = f"matrix must have k={k} independent rows"
-    if M.rows != k:
+    if M.rows != k or M.cols < k:  # fewer than k columns: rank below k
         raise AqmdsError(short)
     if k == 0:
         return None  # the empty subset: a 0 x 0 matrix is nonsingular

@@ -163,6 +163,7 @@ class TestKSubsetOracle:
         ([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 2, 0]], 3),  # rank 2: row 2 is row 0 plus row 1
         ([[1, 2, 3]], 2),  # fewer rows than k
         ([[0, 0, 0]], 1),
+        ([[1, 2], [3, 4], [0, 1]], 3),  # fewer columns than k: no k-subset to test
     ])
     def test_rank_deficient_raises_the_same_error(self, rows, k):
         with pytest.raises(AqmdsError, match=f"^matrix must have k={k} independent rows$"):

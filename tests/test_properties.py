@@ -17,7 +17,7 @@ from aqmds.css import AqcParams, css_construct, make_pair, pair_sides
 from aqmds.errors import AqmdsError, CapExceeded
 from aqmds.gf import _poly_is_irreducible, make_field
 from aqmds.matrix import (GfMatrix, _eliminate, first_singular_k_subset, mat_mul, nullspace, rank,
-                          transpose)
+                          rref, transpose)
 
 import irreducible_reference
 
@@ -72,6 +72,66 @@ def test_eliminate_rank_with_and_without_reduce_above(M):
     echelon = _eliminate(M.field, M.data.copy(), reduce_above=False)
     assert reduced == echelon
     assert len(reduced) == rank(transpose(M))
+
+
+def reference_rref(q, rows, ncols):
+    """RREF and pivot columns of `rows` (lists of element indices) over the
+    tables of `irreducible_reference`, which imports nothing from aqmds.
+    The RREF of a row space is unique, so any correct elimination agrees."""
+    f = irreducible_reference.make_field(q)
+    A = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        below = [i for i in range(r, len(A)) if A[i][c]]
+        if not below:
+            continue
+        A[r], A[below[0]] = A[below[0]], A[r]
+        scale = f.mul[A[r][c]].index(1)
+        A[r] = [f.mul[scale][x] for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                t = f.neg[A[i][c]]
+                A[i] = [f.add[x][f.mul[t][y]] for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    return A, pivots
+
+
+@st.composite
+def elimination_input(draw):
+    """A matrix over GF(q), q <= 16, with 0 to 6 rows and 0 to 8 columns:
+    random, all zero, or with one row repeated."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16]))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    A = np.array(draw(st.lists(st.integers(0, q - 1), min_size=rows * cols,
+                               max_size=rows * cols)), dtype=np.uint8).reshape(rows, cols)
+    kind = draw(st.sampled_from(["random", "zero", "repeated"]))
+    if kind == "zero":
+        A[:] = 0
+    elif kind == "repeated" and rows > 1:
+        i = draw(st.integers(1, rows - 1))
+        A[i] = A[draw(st.integers(0, i - 1))]
+    return GfMatrix(make_field(q), A)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_input())
+@example(GfMatrix(make_field(16), np.zeros((0, 5), dtype=np.uint8)))
+@example(GfMatrix(make_field(7), np.zeros((3, 0), dtype=np.uint8)))
+def test_rref_matches_a_reference_elimination(M):
+    expected, expected_pivots = reference_rref(M.field.q, M.data.tolist(), M.cols)
+    R, pivots = rref(M)
+    assert pivots == expected_pivots
+    assert R.data.tolist() == expected and R.data.shape == M.data.shape
+    # without reduce_above: an echelon form in place, with the same pivots
+    # and the same row space, hence the same RREF
+    A = M.data.copy()
+    assert _eliminate(M.field, A, reduce_above=False) == expected_pivots
+    for i, row in enumerate(A.tolist()):
+        lead = next((c for c, x in enumerate(row) if x), None)
+        assert lead == (expected_pivots[i] if i < len(expected_pivots) else None)
+        assert lead is None or row[lead] == 1
+    assert reference_rref(M.field.q, A.tolist(), M.cols) == (expected, expected_pivots)
 
 
 @settings(max_examples=60)
