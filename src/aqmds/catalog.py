@@ -193,7 +193,9 @@ def _designated_recipe(q: int, tag: str, n: int, k: int, j: int) -> Dict:
 
 def _length(n: int) -> int:
     """A length a recipe supplies, rejected before anything is allocated when
-    it exceeds q+2 for every accepted q."""
+    it is below 1 or exceeds q+2 for every accepted q."""
+    if n < 1:
+        raise AqmdsError(f"length {n} is not positive")
     if n > FIELD_CAP + 2:
         raise CapExceeded(f"length {n} exceeds {FIELD_CAP + 2}, the longest code of any field")
     return n
@@ -216,7 +218,7 @@ class CodeStore:
 
     def __init__(self):
         self._codes: Dict[Tuple, LinearCode] = {}
-        self._mds: Dict[Tuple, bool] = {}
+        self._mds: Dict[GfMatrix, bool] = {}
 
     def code(self, build: Callable[..., LinearCode], *args) -> LinearCode:
         """build(*args), built once per run."""
@@ -227,16 +229,12 @@ class CodeStore:
 
     def is_mds(self, C: LinearCode) -> bool:
         """C.is_mds(), proven once per run for each code and its dual."""
-        key = _matrix_key(C.G)
-        if key not in self._mds:
-            self._mds[key] = C.is_mds()
+        verdict = self._mds.get(C.G)
+        if verdict is None:
+            verdict = self._mds[C.G] = C.is_mds()
             if 0 < C.k < C.n:
-                self._mds[_matrix_key(C.H)] = self._mds[key]
-        return self._mds[key]
-
-
-def _matrix_key(M: GfMatrix) -> Tuple:
-    return M.field.q, M.data.shape, M.data.tobytes()
+                self._mds[C.H] = verdict
+        return verdict
 
 
 def _repetition(f: FiniteField, n: int) -> LinearCode:

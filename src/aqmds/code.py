@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import AqmdsError, CapExceeded
 from .gf import FiniteField
-from .matrix import (_CHUNK_TARGET, GfMatrix, _eliminate, _kernel, first_singular_k_subset,
-                     mat_mul, rref, transpose)
+from .matrix import (_CHUNK_TARGET, GfMatrix, _kernel, first_singular_k_subset, mat_mul, rref,
+                     transpose)
 
 DEFAULT_ENUM_CAP = 10 ** 7
 
@@ -71,9 +71,8 @@ class LinearCode:
 
     def __init__(self, G: GfMatrix, _canonical: bool = False):
         if not _canonical:
-            G, _ = rref(G)
-            keep = np.any(G.data != 0, axis=1)
-            G = GfMatrix(G.field, G.data[keep])
+            R, pivots = rref(G)
+            G = GfMatrix(G.field, R.data[:len(pivots)])
         self.field = G.field
         self.G = G
         self.n = G.cols
@@ -152,14 +151,14 @@ class LinearCode:
         """Restrict to codewords vanishing at pos, then delete the coordinate."""
         if not 0 <= pos < self.n:
             raise AqmdsError(f"position {pos} not in [0, {self.n})")
-        # with column pos eliminated first, the rows below its pivot span
-        # exactly the codewords that vanish at pos
-        A = np.hstack([self.G.data[:, [pos]], np.delete(self.G.data, pos, axis=1)])
-        pivots = _eliminate(self.field, A, reduce_above=False)
-        rows = A[1:, 1:] if pivots[:1] == [0] else A[:, 1:]
+        # with column pos first, the RREF rows other than its pivot row span
+        # exactly the codewords that vanish at pos, and stay in RREF without it
+        R, pivots = rref(GfMatrix(self.field, np.hstack(
+            [self.G.data[:, [pos]], np.delete(self.G.data, pos, axis=1)])))
+        rows = R.data[1:, 1:] if pivots[:1] == [0] else R.data[:, 1:]
         if rows.shape[0] == 0:
             raise AqmdsError("shortening leaves only the zero codeword")
-        return from_generator(GfMatrix(self.field, rows))
+        return LinearCode(GfMatrix(self.field, rows), _canonical=True)
 
     def puncture(self, pos: int) -> "LinearCode":
         """Delete coordinate pos from all codewords."""
@@ -205,7 +204,7 @@ def complement_rows(field: FiniteField, base: np.ndarray, full: np.ndarray) -> n
     These are the pivots past `base` among the columns of [base; full]^T:
     a column is a pivot iff it is independent of the columns before it.
     """
-    pivots = _eliminate(field, np.vstack([base, full]).T.copy(), reduce_above=False)
+    _, pivots = rref(GfMatrix(field, np.vstack([base, full]).T))
     return full[[p - len(base) for p in pivots if p >= len(base)]]
 
 

@@ -84,7 +84,7 @@ class FiniteField:
         self.mul_table = to_index(np.einsum("ai,ibj->abj", digits, np.stack(xb)))
         self.inv_table = np.argmax(self.mul_table == 1, axis=1).astype(np.uint8)
         # nested-list copies for the scalar loops of the polynomial code and
-        # for the row operations of matrix._eliminate
+        # for the row operations of matrix.rref
         self._tables = tuple(t.tolist() for t in (self.add_table, self.mul_table,
                                                   self.neg_table, self.inv_table))
         # digits[a] holds a's base-p digits and a = digits[a] @ place, so a sum

@@ -1,10 +1,10 @@
 """Dense linear algebra over GF(q).
 
 Matrices store element indices in a numpy uint8 array.  One Gaussian
-elimination routine, `_eliminate`, backs `rref`, `rank` and `nullspace`
-(and `code.complement_rows` and `LinearCode.shorten`): the matrices there
-are small, so it eliminates on Python row lists over the field's
-nested-list tables and writes the rows back once.  A kernel is read off a
+elimination, `rref`, does every row reduction but the k-subset oracle's:
+`rank`, `nullspace` and the code layer read what they need off its RREF
+and pivots.  The matrices there are small, so it eliminates on Python row
+lists over the field's nested-list tables.  A kernel is read off a
 matrix already in RREF by `_kernel`, which `nullspace` and `LinearCode.H`
 share, so a code's canonical generator is never eliminated a second time.
 `mat_mul` forms every entry product in one table gather and sums them
@@ -62,7 +62,7 @@ class GfMatrix:
             isinstance(other, GfMatrix)
             and other.field is self.field
             and other.data.shape == self.data.shape
-            and bool(np.array_equal(other.data, self.data))
+            and other.data.tobytes() == self.data.tobytes()
         )
 
     def __hash__(self):
@@ -93,21 +93,19 @@ def mat_mul(A: GfMatrix, B: GfMatrix) -> GfMatrix:
     return GfMatrix(f, (sums @ f.place).astype(np.uint8))
 
 
-def _eliminate(field: FiniteField, A: np.ndarray, reduce_above: bool) -> List[int]:
-    """Gaussian elimination of A in place; returns the pivot columns.
+def rref(M: GfMatrix) -> Tuple[GfMatrix, List[int]]:
+    """Reduced row echelon form and pivot columns.
 
     The pivot of each column is the first nonzero entry at or below the
-    current row, scanning columns left to right.  With `reduce_above` every
-    other row is cleared in the pivot column, leaving the reduced row
-    echelon form; without it only the rows below are, which is enough for
-    the rank and gives the same pivots.  The rows are Python lists over
+    current row, scanning columns left to right, and every other row is
+    cleared in the pivot column.  The rows are Python lists over
     `field._tables`, so a row operation is one comprehension, not a numpy
     gather; at the sizes here that is faster.
     """
-    add, mul, neg, inv = field._tables
-    rows = A.tolist()
+    add, mul, neg, inv = M.field._tables
+    rows = M.data.tolist()
     pivots: List[int] = []
-    for c in range(A.shape[1]):
+    for c in range(M.cols):
         r = len(pivots)
         if r == len(rows):
             break
@@ -117,21 +115,12 @@ def _eliminate(field: FiniteField, A: np.ndarray, reduce_above: bool) -> List[in
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         times = mul[inv[rows[r][c]]]
         top = rows[r] = [times[b] for b in rows[r]]
-        for i in range(0 if reduce_above else r + 1, len(rows)):
-            if rows[i][c] and i != r:
-                times = mul[neg[rows[i][c]]]
-                rows[i] = [add[a][times[b]] for a, b in zip(rows[i], top)]
+        for i, row in enumerate(rows):
+            if row[c] and i != r:
+                times = mul[neg[row[c]]]
+                rows[i] = [add[a][times[b]] for a, b in zip(row, top)]
         pivots.append(c)
-    if rows:  # a 0-row A has nothing to write back, and [] has the wrong shape
-        A[:] = rows
-    return pivots
-
-
-def rref(M: GfMatrix) -> Tuple[GfMatrix, List[int]]:
-    """Reduced row echelon form and pivot columns (deterministic, see _eliminate)."""
-    A = M.data.copy()
-    pivots = _eliminate(M.field, A, reduce_above=True)
-    return GfMatrix(M.field, A), pivots
+    return GfMatrix(M.field, np.array(rows, dtype=np.uint8).reshape(M.data.shape)), pivots
 
 
 def rank(M: GfMatrix) -> int:

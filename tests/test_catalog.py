@@ -528,6 +528,21 @@ class TestLengthBound:
         assert result.returncode == 2, result.stderr
         assert "exceeds" in result.stderr
 
+    @pytest.mark.parametrize("recipe, n", [
+        ({"construction": "PROP5", "k": 3, "n": -3, "code": {"type": "full", "n": 3}}, -3),
+        ({"construction": "PROP5", "k": 3, "n": 10, "code": {"type": "full", "n": -1}}, -1),
+        ({"construction": "PROP6", "k": 1, "code": {"type": "repetition", "n": -2}}, -2),
+    ], ids=["prop5_top_level_n", "prop5_source_n", "prop6_source_n"])
+    def test_verify_negative_length_exits_2(self, tmp_path, capsys, recipe, n):
+        record = certificate_to_dict(exists(3, 10, 0, 10, 2).certificate)
+        record["recipe"] = {"q": 3, "n": 10, "j": 0, "alpha_convention": "zero_last", **recipe}
+        with pytest.raises(AqmdsError, match=f"length {n} is not positive"):
+            verify(certificate_from_dict(record))
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(record))
+        assert main(["verify", str(path)]) == 2
+        assert f"error: length {n} is not positive" in capsys.readouterr().err
+
     def test_css_huge_length_exits_2(self):
         result = self.run_limited(
             "from aqmds.cli import main\n"

@@ -1,4 +1,5 @@
 """Linear-code layer: canonical form, duals, distances, surgery, searches."""
+import hashlib
 import inspect
 import itertools
 import math
@@ -282,6 +283,17 @@ class TestShortenPuncture:
         C = from_generator(GfMatrix(f, [[1, 1]]))
         with pytest.raises(AqmdsError, match="shortening leaves only the zero codeword"):
             C.shorten(0)
+
+    def test_shortened_q_plus_2_generators_pinned(self):
+        # catalogs hold no matrices, so only this pin tells a shortening from
+        # another code with the same parameters
+        digest = hashlib.sha256()
+        for q in (4, 8, 16, 32, 64):
+            D = q_plus_2_low(make_field(q))
+            for pos in range(q + 2):
+                digest.update(D.shorten(pos).G.data.tobytes())
+        assert digest.hexdigest() == \
+            "4b54df364982862172e10f7c8964a42bf1befe91b8df840f9988aad9f83a35a3"
 
 
 class TestExtendByCodeword:

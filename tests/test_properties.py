@@ -16,8 +16,8 @@ from aqmds.construct import GrsSpec, grs
 from aqmds.css import AqcParams, css_construct, make_pair, pair_sides
 from aqmds.errors import AqmdsError, CapExceeded
 from aqmds.gf import _poly_is_irreducible, make_field
-from aqmds.matrix import (GfMatrix, _eliminate, first_singular_k_subset, mat_mul, nullspace, rank,
-                          rref, transpose)
+from aqmds.matrix import (GfMatrix, first_singular_k_subset, mat_mul, nullspace, rank, rref,
+                          transpose)
 
 import irreducible_reference
 
@@ -63,15 +63,6 @@ def small_matrix(draw):
 @given(small_matrix())
 def test_rank_transpose_invariant(M):
     assert rank(M) == rank(transpose(M))
-
-
-@settings(max_examples=60)
-@given(small_matrix())
-def test_eliminate_rank_with_and_without_reduce_above(M):
-    reduced = _eliminate(M.field, M.data.copy(), reduce_above=True)
-    echelon = _eliminate(M.field, M.data.copy(), reduce_above=False)
-    assert reduced == echelon
-    assert len(reduced) == rank(transpose(M))
 
 
 def reference_rref(q, rows, ncols):
@@ -123,15 +114,6 @@ def test_rref_matches_a_reference_elimination(M):
     R, pivots = rref(M)
     assert pivots == expected_pivots
     assert R.data.tolist() == expected and R.data.shape == M.data.shape
-    # without reduce_above: an echelon form in place, with the same pivots
-    # and the same row space, hence the same RREF
-    A = M.data.copy()
-    assert _eliminate(M.field, A, reduce_above=False) == expected_pivots
-    for i, row in enumerate(A.tolist()):
-        lead = next((c for c, x in enumerate(row) if x), None)
-        assert lead == (expected_pivots[i] if i < len(expected_pivots) else None)
-        assert lead is None or row[lead] == 1
-    assert reference_rref(M.field.q, A.tolist(), M.cols) == (expected, expected_pivots)
 
 
 @settings(max_examples=60)
