@@ -425,6 +425,8 @@ def make_certificate(
     """Certificate of the claim [[n, j, dz/dx]]_q, pure and AQMDS, for the
     pair `recipe` builds; `verified` when every check of verify passes at
     `verify_level`."""
+    if verify_level not in VERIFY_LEVELS:
+        raise AqmdsError(f"verify_level must be one of {VERIFY_LEVELS}")
     claimed = AqcParams(q=q, n=n, k=j, dz=dz, dx=dx, pure=True, aqmds=True)
     family = sorted(tags, key=FAMILY_TAGS.index)
     failed, log = _failed_checks(claimed, family, recipe, verify_level, store or CodeStore())

@@ -24,6 +24,7 @@ from aqmds.catalog import (
     run_oracles,
     verify,
     _cases_reaching,
+    _designated_recipe,
     _tuple_of,
 )
 from aqmds.cli import main
@@ -198,6 +199,19 @@ class TestCaseTable:
             admitted.update(table_rows[q, n])
         assert admitted == th14_expansion.expand(q)
 
+    @pytest.mark.parametrize("q", [q for q in PRIME_POWERS_TO_64 if q <= 16])
+    def test_every_case_reaching_a_tuple_builds_it(self, table_rows, q):
+        # a certificate builds only its first case; each other (tag, k) that
+        # its family claims must build a pair of the same (n, j, dz, dx)
+        store = CodeStore()
+        for n in range(2, length_bound(q) + 1):
+            for t, cases in table_rows[q, n].items():
+                tags = {tag for tag, *_ in cases}
+                for tag, _, k, j in cases[1:]:
+                    cert = make_certificate(q, *t, tags, _designated_recipe(q, tag, n, k, j),
+                                            "full_oracle", store=store)
+                    assert cert.verified, (t, tag, k, cert.oracle_log)
+
     def test_expansion_shares_no_code_with_the_package(self):
         tests = pathlib.Path(__file__).resolve().parent
         assert "aqmds" not in (tests / "th14_expansion.py").read_text()
@@ -233,6 +247,14 @@ class TestCertificates:
         a = certificates_to_json(enumerate_catalog(CatalogQuery(q=5)))
         b = certificates_to_json(enumerate_catalog(CatalogQuery(q=5)))
         assert a == b
+
+    def test_unknown_verify_level_refused(self):
+        # "full" is neither level: it ran closed_form and reported verified
+        with pytest.raises(AqmdsError, match="verify_level must be one of"):
+            exists(7, 5, 1, 3, 3, verify_level="full")
+        cert = exists(7, 5, 1, 3, 3).certificate
+        with pytest.raises(AqmdsError, match="verify_level must be one of"):
+            make_certificate(7, 5, 1, 3, 3, cert.family, cert.recipe, "full")
 
     def test_cap_skips_are_marked_not_passed(self, monkeypatch):
         cert = exists(8, 10, 4, 4, 4).certificate

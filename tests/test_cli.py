@@ -3,6 +3,7 @@ import hashlib
 import json
 import sys
 import time
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -417,7 +418,8 @@ class TestVerifyCommand:
         (TH7_Q7, ["TH7", "TH8"], 3),  # no TH8 case reaches [[5,1,3/3]]_7
         # [[5,2,3/2]]_7 is a TH7 tuple; a css record names its own construction
         (("--family", "th12", "--q", "7", "--n", "5", "--k", "3"), ["TH12"], 0),
-    ], ids=["without-construction", "string", "foreign-tag", "css-th12"])
+        (("--family", "th12", "--q", "7", "--n", "5", "--k", "3"), ["TH11", "COR10"], 3),
+    ], ids=["without-construction", "string", "foreign-tag", "css-th12", "css-th12-relabelled"])
     def test_family_checked(self, capsys, tmp_path, css_args, family, expected):
         path = edited_record(capsys, tmp_path, lambda d: d.update(family=family), *css_args)
         code, _, err = run(capsys, "verify", str(path))
@@ -467,6 +469,12 @@ CATALOG_SHA256 = {
     (5, "full_oracle"): "6cdffedcdf424c50042c494c01973a785b58aa01a0ea16d3750d704615bbec33",
     (7, "full_oracle"): "63cf337be86268a2a1becf7237f1a76950b25affa0e40e30b6ae4b2b583223e6",
     (8, "full_oracle"): "e51b808d19063c56e04c4a4e46e87a85ad0ecccee0b3ff11ee4177bb7689049a",
+    (16, "closed_form"): "538ce72b7a247b64c413452dfe9fee8cf43b1d4c31b23f7e941dca95efc7e454",
+    (9, "full_oracle"): "103b54354905948e644fbc6238f82c98fd4311b9693abe07f9fb5370f9ea9c50",
+    (11, "full_oracle"): "aae7964980328b84ae36b86e1db2290b6ea28f9c7d49271bde1b1ad60893f118",
+    (13, "full_oracle"): "e6854578845cfae7d984de2e7cbbca608456c2447b1253d28af072482a0a9450",
+    # COR10 and TH11 through the distance oracles
+    (16, "full_oracle"): "cd0467331a179d93c8f591d52553fe30eee6a82885940e23b3b931197fb26fd5",
 }
 
 
@@ -476,3 +484,119 @@ def test_catalog_bytes_pinned(capsys, q, level):
                        "--verify-level", level)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_SHA256[(q, level)]
+
+
+FILE = "FILE"  # in a pin's argv: the file under tmp_path that its `make` writes
+
+
+class Pin(NamedTuple):
+    """`aqmds *argv` exits 0 with this output, run after `aqmds *make`
+    has written FILE: its stdout, or the file itself when FILE is among its
+    arguments."""
+    argv: Tuple[str, ...]
+    stdout: str  # sha256 of stdout, or stdout itself where one line is pinned
+    make: Tuple[str, ...] = ()
+    cap: Optional[str] = None  # AQMDS_MAX_ENUM for argv, not for make
+    lines: Optional[int] = None
+    skipped: Optional[int] = None  # lines with a skipped(cap) entry
+    seconds: Optional[float] = None
+
+
+def catalog_argv(q):
+    return ("enumerate", "--q", str(q), "--format", "json")
+
+
+COMMAND_PINS = {
+    "verify-q7": Pin(
+        ("verify", FILE), make=catalog_argv(7), lines=75,
+        stdout="34ced26a5da288216d9870297936b3875bb5244cb60896db6c27a37e1a569441"),
+    "verify-q8": Pin(
+        ("verify", FILE), make=catalog_argv(8), lines=113,
+        stdout="5de74a6ec90779cdde892848f56785af9c786000a0444db5c5dbd044499fdc76"),
+    "verify-q9": Pin(
+        ("verify", FILE), make=catalog_argv(9), lines=136, skipped=43,
+        stdout="eb7543fc2f8eb4ebc2fad9a4445bddff44f1b3a4e8022d30c81f1c505f1e53b2"),
+    "verify-q11": Pin(
+        ("verify", FILE), make=catalog_argv(11), lines=222,
+        stdout="56f75641f3ba940016e814305132e5b7ad50bdde4f35385dc2ce0e89c465695c"),
+    "verify-q16": Pin(
+        ("verify", FILE), make=catalog_argv(16), lines=583,
+        stdout="4d6d5039dc6917209774e1881e23a27249505c082bb83371bd147bf63c2c716b"),
+    "full-oracle-q8-cap": Pin(
+        catalog_argv(8) + ("--verify-level", "full_oracle"), cap="1000",
+        stdout="2d2b27ae847dadb99ffcd015ba8c90ba67b43c0d44e1f39e635e9ed0207b8219"),
+    "verify-q8-cap": Pin(
+        ("verify", FILE), make=catalog_argv(8), cap="1000", lines=113,
+        stdout="046f2a0710998357992e1c2f0442a1a4e09ea64cdc4b525ca3b4fe167ccb624f"),
+    # TH8's irreducible subcode
+    "grs-subcode-q16": Pin(
+        ("construct", "grs-subcode", "--q", "16", "--k", "10", "--r", "4"),
+        stdout="6b1e6fa9460282a173d4a7500c7ab72d200ae85e0992c039bf1c81d208ffd7b8"),
+    # the largest elimination, a 63x66 generator over GF(64)
+    "qplus2-high-q64": Pin(
+        ("construct", "qplus2-high", "--q", "64"), seconds=60,
+        stdout="33c2b9888c1d2a9af472468a25e3b26454cb17123023d17de677bbcf308f04e0"),
+    # a css record verifies under its own family (test_family_checked: not another)
+    "css-th12-verify": Pin(
+        ("verify", FILE), make=("css", "--family", "th12", "--q", "7", "--n", "5", "--k", "3",
+                                "--emit-cert", FILE),
+        stdout="[[5,2,3/2]]_7 pure AQMDS: verified\n"),
+    # the largest testable prime answers at once
+    "exists-4294967291": Pin(
+        ("exists", "--q", "4294967291", "--n", "4294967291", "--j", "1",
+         "--dz", "2147483646", "--dx", "2147483646"), seconds=10,
+        stdout="yes\n(exists; certificate construction skipped:"
+               " q=4294967291 exceeds the field cap 64)\n"),
+}
+
+
+@pytest.mark.parametrize("name", COMMAND_PINS)
+def test_command_output_pinned(capsys, monkeypatch, tmp_path, name):
+    pin = COMMAND_PINS[name]
+    path = tmp_path / "input"
+
+    def argv(args):
+        return [str(path) if a == FILE else a for a in args]
+
+    if pin.make:
+        code, out, err = run(capsys, *argv(pin.make))
+        assert code == 0, err
+        if FILE not in pin.make:
+            path.write_text(out)
+    if pin.cap:
+        monkeypatch.setenv("AQMDS_MAX_ENUM", pin.cap)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv(pin.argv))
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert pin.stdout in (hashlib.sha256(out.encode()).hexdigest(), out)
+    lines = out.splitlines()
+    assert pin.lines in (None, len(lines))
+    assert pin.skipped in (None, sum("skipped(cap)" in line for line in lines))
+    assert pin.seconds is None or elapsed < pin.seconds
+
+
+# `aqmds ARGS` on bad input, run from a directory that holds nofamily.json
+BAD_INPUT = (
+    "construct grs --q 5 --n 5 --k 9",
+    "construct grs --q 5 --n 5 --k 2 --alpha 1,1,2,3,4",
+    "construct qplus2-high --q 9",
+    "construct qplus2-low --q 2",
+    "construct grs-subcode --q 16 --k 10 --r 9",
+    "css --family th8 --q 7 --k 3 --j 1",
+    "enumerate --q 7 --n 100",
+    "verify nofamily.json",
+)
+
+
+def test_bad_input_messages_pinned(capsys, monkeypatch, tmp_path):
+    # one line "{exit code} {stderr}" per case, hashed together
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nofamily.json").write_text('{"q": 7, "n": 5}\n')
+    transcript = ""
+    for args in BAD_INPUT:
+        code, _, err = run(capsys, *args.split())
+        message = err.rstrip("\n")
+        transcript += f"{code} {message}\n"
+    assert hashlib.sha256(transcript.encode()).hexdigest() == (
+        "a1462cbffabbd99bcaeb402269cc2bea1deeb7ef4ccfbd1d3e44f98e2f0da9dd")
