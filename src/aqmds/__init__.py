@@ -3,11 +3,11 @@
 Layers:
     gf         finite-field arithmetic via lookup tables (q <= 64)
     matrix     dense linear algebra over GF(q)
-    code       linear codes, duals, exact weights by a scan of one word per
-               scalar class of the code or its smaller dual (MacWilliams)
+    code       linear codes, duals, exact weights; code._distributions holds
+               the counting rule (one scan of the smaller of C and C-perp)
     construct  GRS / extended GRS / length-(q+2) MDS builders
-    css        nested classical pair -> asymmetric quantum parameters from one
-               weight count per code, and the full-weight-codeword construction
+    css        nested classical pair -> asymmetric quantum parameters from
+               code._distributions, and the full-weight-codeword construction
     catalog    classification catalog, certificates, verification oracles
     cli        command-line front end (`aqmds`)
 """

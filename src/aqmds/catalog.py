@@ -31,7 +31,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .code import LinearCode, from_generator, full_space
-from .css import AqcParams, NestedPair, make_pair, pair_from_full_weight, pair_sides
+from .css import (AqcParams, NestedPair, _quantum_distances, make_pair, pair_from_full_weight,
+                  pair_sides)
 from .errors import AqmdsError, CapExceeded, NotPrimePower, VerificationFailed
 from .gf import FIELD_CAP, FiniteField, _factor_prime_power, find_irreducible, make_field
 from .matrix import GfMatrix
@@ -48,6 +49,11 @@ from .construct import (
 
 FAMILY_TAGS = ("PROP5", "PROP6", "TH7", "TH8", "COR10", "TH11", "TH12")
 VERIFY_LEVELS = ("closed_form", "full_oracle")
+
+
+def _check_level(verify_level: str) -> None:
+    if verify_level not in VERIFY_LEVELS:
+        raise AqmdsError(f"verify_level must be one of {VERIFY_LEVELS}")
 
 
 @dataclass
@@ -72,8 +78,7 @@ class CatalogQuery:
     verify_level: str = "closed_form"
 
     def __post_init__(self):
-        if self.verify_level not in VERIFY_LEVELS:
-            raise AqmdsError(f"verify_level must be one of {VERIFY_LEVELS}")
+        _check_level(self.verify_level)
         for name in ("n", "j", "dz", "dx"):
             val = getattr(self, name)
             if val is not None and not 0 <= val <= self.q + 2:
@@ -349,23 +354,19 @@ def run_oracles(claimed: AqcParams, pair: NestedPair, level: str,
         # at j = 0, C1 = dual(C2): the one proof of mds_dual_c1 and mds_c2
         # is already filed for both codes
         sides = pair_sides(pair, store.is_mds)
-        exact = [side for side in sides if not isinstance(side, CapExceeded)]
-        if claimed.k == 0:
-            if len(exact) < 2:
-                log.append("distances_exact:skipped(cap)")
-            else:
-                ds = [d for _, d in exact]
-                record("distances_exact", (max(ds), min(ds)) == (claimed.dz, claimed.dx))
-        else:
+        if claimed.k:
             for name, side in zip(("distance_c2_side", "distance_c1_side"), sides):
                 if isinstance(side, CapExceeded):
                     log.append(f"{name}:skipped(cap)")
                 else:
                     record(name, side[0] in (claimed.dz, claimed.dx))
-            wts = [wt for wt, _ in exact if wt is not None]
-            if len(wts) == 2:
-                record("distances_exact", (max(wts), min(wts)) == (claimed.dz, claimed.dx))
-                record("purity", set(wts) == {d for _, d in exact})
+        found = _quantum_distances(claimed.k, sides)
+        if found:
+            record("distances_exact", found[:2] == (claimed.dz, claimed.dx))
+            if claimed.k:
+                record("purity", found[2])
+        elif not claimed.k:
+            log.append("distances_exact:skipped(cap)")
     return not any(e.endswith(":FAIL") for e in log), log
 
 
@@ -425,8 +426,7 @@ def make_certificate(
     """Certificate of the claim [[n, j, dz/dx]]_q, pure and AQMDS, for the
     pair `recipe` builds; `verified` when every check of verify passes at
     `verify_level`."""
-    if verify_level not in VERIFY_LEVELS:
-        raise AqmdsError(f"verify_level must be one of {VERIFY_LEVELS}")
+    _check_level(verify_level)
     claimed = AqcParams(q=q, n=n, k=j, dz=dz, dx=dx, pure=True, aqmds=True)
     family = sorted(tags, key=FAMILY_TAGS.index)
     failed, log = _failed_checks(claimed, family, recipe, verify_level, store or CodeStore())
@@ -496,6 +496,7 @@ def exists(
     treated as unordered.  Positive answers carry a constructive certificate
     unless building it exceeds a cap: AQMDS_MAX_ENUM bounds TH12's
     full-weight search, and oracles over it are logged skipped(cap)."""
+    _check_level(verify_level)
     try:
         _factor_prime_power(q)  # CapExceeded from 2^32 on: no "no" for a q never tested
     except NotPrimePower:

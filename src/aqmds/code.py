@@ -12,13 +12,12 @@ whose first nonzero digit is 1, since weight is a class invariant.  They
 never form a word.  A canonical word's pivot coordinates are its message
 digits, so its weight is the message weight plus its nonzero count on the
 other columns, found by comparing a precomputed block of partial sums
-against each prefix's offset.  A code with 2k > n is counted through its
-dual: the MacWilliams identity gives A(C) exactly from A(C-perp), so a
-count visits (q^min(k, n-k)-1)/(q-1) words; the cap still counts all q^k
-words of C.  The same identity gives A(C-perp) from A(C), so a CSS pair
-counts each of its codes at most once (css.pair_sides).  The full-weight
-search forms its candidate words in chunks over lookup tables and stops
-at the first hit.
+against each prefix's offset.  One function, _distributions, holds the
+counting rule: A(C) and A(C-perp) come together, from one scan of the one
+of smaller dimension, (q^min(k, n-k)-1)/(q-1) words, and one MacWilliams
+transform (MacWilliams-Sloane, Ch. 5), each under its own cap.  The
+full-weight search forms its candidate words in chunks over lookup tables
+and stops at the first hit.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
-from typing import Optional
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -115,8 +114,7 @@ class LinearCode:
         return mat_mul(GfMatrix(self.field, [message]), self.G).data[0]
 
     def min_distance(self) -> int:
-        """Exact minimum weight from the weight distribution, counted on one
-        word per scalar class of C, or of C-perp when 2k > n."""
+        """Exact minimum weight from the weight distribution."""
         return self.weight_distribution().min_weight
 
     def is_mds(self) -> bool:
@@ -136,7 +134,9 @@ class LinearCode:
     def weight_distribution(self) -> WeightReport:
         if self.k == 0:
             raise AqmdsError("the zero code has no weight distribution")
-        dist = _enumerate_scan(self.field, self.G.data)
+        dist = _distributions(self)[0]
+        if isinstance(dist, CapExceeded):
+            raise dist
         return WeightReport(min_weight=_lowest_weight(dist), distribution=dist)
 
     def full_weight_codeword(self) -> Optional[np.ndarray]:
@@ -345,19 +345,9 @@ def _iter_weight_blocks(field: FiniteField, gen: np.ndarray):
 
 def _count_weights(field: FiniteField, gen: np.ndarray) -> np.ndarray:
     """Weight distribution A_0..A_n of rowspace(gen), whose pivot columns
-    must be the identity.
-
-    When 2k <= n: q-1 words for each representative that _iter_weight_blocks
-    yields, plus the zero word.  When 2k > n the dual is smaller: with A the
-    non-pivot columns, [I_(n-k) | -A^T] generates C-perp up to a column
-    permutation, and [I_(n-k) | A^T] differs from it by negating columns.
-    Neither map changes a weight, so the count of [I_(n-k) | A^T] is
-    transformed by the MacWilliams identity.  At k = n the dual is {0}.
-    """
-    k, n = gen.shape
-    if 2 * k > n:
-        dual = np.hstack([np.eye(n - k, dtype=np.uint8), _non_pivot_columns(gen).T])
-        return _macwilliams(field.q, _count_weights(field, dual), n - k)
+    must be the identity: q-1 words for each representative that
+    _iter_weight_blocks yields, plus the zero word."""
+    n = gen.shape[1]
     counts = np.zeros(n + 1, dtype=np.int64)
     for wts in _iter_weight_blocks(field, gen):
         counts += np.bincount(wts, minlength=n + 1)
@@ -389,16 +379,40 @@ def _macwilliams(q: int, dual_counts: np.ndarray, r: int) -> np.ndarray:
 
 def _enumerate_scan(field: FiniteField, gen: np.ndarray) -> np.ndarray:
     """Weight distribution A_0..A_n of C = rowspace(gen), whose pivot
-    columns must be the identity (a canonical generator).
-
-    The count visits one word per scalar class of the smaller of the code
-    and its dual, (q^min(k, n-k)-1)/(q-1) words (see _count_weights).  The
-    cap counts all q^k of C and is checked before anything is allocated;
-    q^k >= 2^63 is refused even when the cap admits it, since the counts
-    are int64.
-    """
+    columns must be the identity (a canonical generator), counted directly.
+    The cap counts all q^k words and is checked before anything is
+    allocated; q^k >= 2^63 is refused even when the cap admits it, since
+    the counts are int64."""
     _check_enumerable(field, gen.shape[0])
     return _count_weights(field, gen)
+
+
+def _distributions(C: LinearCode) -> Tuple[Union[np.ndarray, CapExceeded], ...]:
+    """(A(C), A(C-perp)), each replaced by the CapExceeded of its own cap,
+    q^k or q^(n-k) words.
+
+    Of C and C-perp, the one of smaller dimension s is counted by
+    _enumerate_scan, and the other's distribution is the MacWilliams
+    transform of that count.  C-perp is counted from [I_(n-k) | A^T], A the
+    non-pivot columns of C's canonical G: it differs from [I_(n-k) | -A^T],
+    a generator of C-perp up to a column permutation, by negated columns,
+    so it has C-perp's weights and needs no elimination.
+    """
+    field, k, n = C.field, C.k, C.n
+    dual_first = 2 * k > n
+    gen = (np.hstack([np.eye(n - k, dtype=np.uint8), _non_pivot_columns(C.G.data).T])
+           if dual_first else C.G.data)
+    s = gen.shape[0]
+    try:
+        counted = _enumerate_scan(field, gen)
+    except CapExceeded as capped:
+        counted = capped
+    try:
+        _check_enumerable(field, n - s)  # raises too where the smaller count is capped
+        other = _macwilliams(field.q, counted, s)
+    except CapExceeded as capped:
+        other = capped
+    return (other, counted) if dual_first else (counted, other)
 
 
 def _check_enumerable(field: FiniteField, k: int) -> None:

@@ -13,12 +13,12 @@ bound k <= n - d_x - d_z + 2.
 
 One function, pair_sides, computes these numbers for a pair: for each
 side, its set-difference weight and its classical minimum distance, from
-at most one exact weight count of each of C1 and C2 and the MacWilliams
-identity; at k = 0, where C1 = C2^perp, from one count.
-css_construct and the catalog's full_oracle distance oracles both read
-it.  At k = 0, C1^perp = C2, so no word lies outside and d_z, d_x are the
-two classical distances, pure by convention; where a count there exceeds
-the cap, an MDS proof gives the distance n - k + 1 instead.
+the distributions of C1, C2 and their duals that code._distributions
+gives (the counting rule is described there).  At k = 0, C1^perp = C2, so
+no word lies outside and d_z, d_x are the two classical distances, pure
+by convention; where a count there exceeds the cap, an MDS proof gives
+the distance n - k + 1 instead.  _quantum_distances turns two exact sides
+into (d_z, d_x, purity) for css_construct and the catalog's oracles alike.
 
 Each fact is proven once.  A NestedPair proves dual(C1) subseteq C2 when
 it is made, so holding one is the nesting proof.  The MDS verdicts behind
@@ -30,10 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
-import numpy as np
-
-from .code import (LinearCode, _check_enumerable, _enumerate_scan, _lowest_weight, _macwilliams,
-                   first_row_outside)
+from .code import LinearCode, _distributions, _lowest_weight, first_row_outside
 from .errors import AqmdsError, CapExceeded
 from .matrix import GfMatrix
 
@@ -95,36 +92,39 @@ def pair_sides(pair: NestedPair,
                is_mds: Callable[[LinearCode], bool] = LinearCode.is_mds) -> Tuple[Side, Side]:
     """The C2 side and then the C1 side of the pair: (min weight of the
     side's code outside the other's dual, or None, min distance of the
-    side's code), or the CapExceeded that the count of the side's code raised.
+    side's code), or the CapExceeded in place of the side's code's
+    distribution (code._distributions; C2 is counted first).
 
-    Each of C2 and C1 is counted at most once, each under its own cap and
-    before any dual is counted.  The pair proves dual(C1) subseteq C2
-    and dual(C2) subseteq C1, so the words of a side's code orthogonal to
-    the other code are exactly dual(other), and the weights outside it are
-    A(code) - A(dual(other)).  A(dual(other)) is the MacWilliams transform
-    of A(other), or a count of dual(other) where other's count is capped:
-    q^(n - dim other) <= q^(dim code), which passed its cap.
-
-    At k = 0 dual(other) is the code itself, so no word lies outside, and a
-    capped distance is n-k+1 of the side's code when `is_mds` proves it MDS.
-    There C1 = dual(C2): where both pass their caps, A(C1) is the
-    MacWilliams transform of A(C2), and only C2 is counted.
+    The pair proves dual(C1) subseteq C2 and dual(C2) subseteq C1, so the
+    words of a side's code orthogonal to the other code are exactly
+    dual(other), no larger than the code, and the weights outside it are
+    A(code) - A(dual(other)).  At k = 0 dual(other) is the code itself, so
+    no word lies outside, C1's distributions are C2's swapped, and a capped
+    distance is n-k+1 of the side's code when `is_mds` proves it MDS.
     """
-    codes = (pair.c2, pair.c1)
-    counts = [_count(pair.c2)]
-    counts.append(_count(pair.c1, counts[0] if pair.quantum_k == 0 else None))
+    k = pair.quantum_k
+    c2 = _distributions(pair.c2)
+    c1 = c2[::-1] if k == 0 else _distributions(pair.c1)
     sides = []
-    for code, dist, other, other_dist in zip(codes, counts, codes[::-1], counts[::-1]):
+    for code, (dist, _), (_, inside) in ((pair.c2, c2, c1), (pair.c1, c1, c2)):
         if isinstance(dist, CapExceeded):
-            proven = pair.quantum_k == 0 and is_mds(code)
+            proven = k == 0 and is_mds(code)
             sides.append((None, code.n - code.k + 1) if proven else dist)
-        elif pair.quantum_k == 0:
-            sides.append((None, _lowest_weight(dist)))
         else:
-            inside = (_enumerate_scan(other.field, other.H.data) if isinstance(other_dist, CapExceeded)
-                      else _macwilliams(other.field.q, other_dist, other.k))
-            sides.append((_lowest_weight(dist - inside), _lowest_weight(dist)))
+            sides.append((_lowest_weight(dist - inside) if k else None, _lowest_weight(dist)))
     return sides[0], sides[1]
+
+
+def _quantum_distances(k: int, sides: Tuple[Side, Side]) -> Optional[Tuple[int, int, bool]]:
+    """(dz, dx, pure) of a pair of quantum dimension k from its two sides:
+    the larger and the smaller of the outside weights, or at k = 0 of the
+    classical distances, and whether they are the classical distances.
+    None when a side is capped or, for k > 0, has no outside weight."""
+    if any(isinstance(side, CapExceeded) for side in sides):
+        return None
+    (wt2, d2), (wt1, d1) = sides
+    a, b = (wt2, wt1) if k else (d2, d1)
+    return None if None in (a, b) else (max(a, b), min(a, b), {a, b} == {d1, d2})
 
 
 def css_construct(pair: NestedPair) -> AqcParams:
@@ -135,28 +135,10 @@ def css_construct(pair: NestedPair) -> AqcParams:
     for side in sides:
         if isinstance(side, CapExceeded):
             raise side
-    (wt2, d2), (wt1, d1) = sides
     n, k = pair.c1.n, pair.quantum_k
-    a, b = (wt2, wt1) if k else (d2, d1)
-    dz, dx = max(a, b), min(a, b)
-    return AqcParams(q=pair.c1.field.q, n=n, k=k, dz=dz, dx=dx, pure={dz, dx} == {d1, d2},
+    dz, dx, pure = _quantum_distances(k, sides)
+    return AqcParams(q=pair.c1.field.q, n=n, k=k, dz=dz, dx=dx, pure=pure,
                      aqmds=(k == n - dx - dz + 2))
-
-
-def _count(code: LinearCode, dual_count: Union[np.ndarray, CapExceeded, None] = None
-           ) -> Union[np.ndarray, CapExceeded]:
-    """The weight distribution of `code`, or the CapExceeded its count raised.
-
-    Given the distribution of dual(code), the cap is checked just the same,
-    and the distribution is its MacWilliams transform instead of a count.
-    """
-    try:
-        if not isinstance(dual_count, np.ndarray):
-            return _enumerate_scan(code.field, code.G.data)
-        _check_enumerable(code.field, code.k)
-        return _macwilliams(code.field.q, dual_count, code.n - code.k)
-    except CapExceeded as capped:
-        return capped
 
 
 def pair_from_full_weight(C: LinearCode) -> NestedPair:

@@ -2,9 +2,9 @@
 
 AqmdsError          bad input or a failed precondition; `cli.main` exits 2
 NotPrimePower       q is not a prime power; `catalog.exists` answers no
-CapExceeded         an enumeration would pass its size cap; `css.pair_sides`
-                    returns it for `catalog.run_oracles` to log skipped(cap),
-                    and `catalog.exists` answers yes without a certificate
+CapExceeded         an enumeration would pass its size cap; `code._distributions`
+                    returns it for a capped distribution, `catalog.run_oracles`
+                    logs skipped(cap), `catalog.exists` answers yes uncertified
 VerificationFailed  a built code or a certificate fails a check; exit 3
 """
 

@@ -249,12 +249,25 @@ class TestCertificates:
         assert a == b
 
     def test_unknown_verify_level_refused(self):
-        # "full" is neither level: it ran closed_form and reported verified
-        with pytest.raises(AqmdsError, match="verify_level must be one of"):
-            exists(7, 5, 1, 3, 3, verify_level="full")
+        # "full" is neither level: it ran closed_form and reported verified,
+        # answered a "no" that builds nothing, and a "yes" with no certificate
+        for args in ((7, 5, 1, 3, 3), (7, 9, 1, 3, 3), (4294967291, 5, 1, 3, 3)):
+            with pytest.raises(AqmdsError, match="verify_level must be one of"):
+                exists(*args, verify_level="full")
         cert = exists(7, 5, 1, 3, 3).certificate
         with pytest.raises(AqmdsError, match="verify_level must be one of"):
             make_certificate(7, 5, 1, 3, 3, cert.family, cert.recipe, "full")
+
+    def test_capped_j0_distances_are_skipped(self, monkeypatch):
+        # a non-MDS [4,2]_3 code against its dual: both sides over the cap,
+        # and neither code is proven MDS, so no distance stands in
+        C = from_generator(GfMatrix(make_field(3), [[1, 0, 0, 0], [0, 1, 0, 0]]))
+        monkeypatch.setenv("AQMDS_MAX_ENUM", "2")
+        claimed = AqcParams(q=3, n=4, k=0, dz=3, dx=3, pure=True, aqmds=True)
+        verified, log = run_oracles(claimed, make_pair(C.dual(), C), "full_oracle")
+        assert not verified
+        assert log == ["nesting:pass", "mds_dual_c1:FAIL", "mds_c2:FAIL", "dimensions:pass",
+                       "singleton_equality:pass", "distances_exact:skipped(cap)"]
 
     def test_cap_skips_are_marked_not_passed(self, monkeypatch):
         cert = exists(8, 10, 4, 4, 4).certificate

@@ -421,13 +421,23 @@ class TestEnumeratorWork:
         assert full_space(make_field(7), 8).weight_distribution().distribution[8] == 6 ** 8
         assert weighed == []
 
-    def test_pair_counts_each_code_once(self, weighed):
+    def test_pair_counts_each_code_once(self, weighed, monkeypatch):
         # C2 = [7,5] through its [7,2] dual and C1 = [7,4] through its [7,3]
-        # dual; each side's subcode, the other code's dual, is their transform
+        # dual; each code's distribution and its dual's come from one count
+        # and one transform
         f = make_field(7)
         pair = make_pair(grs(GrsSpec(f, 7, 3)).dual(), grs(GrsSpec(f, 7, 5)))
+        transformed = []
+        transform = aqmds.code._macwilliams
+
+        def transforming(*args):
+            transformed.append(args)
+            return transform(*args)
+
+        monkeypatch.setattr(aqmds.code, "_macwilliams", transforming)
         assert pair_sides(pair) == ((3, 3), (4, 4))
         assert sum(weighed) == (7 ** 2 - 1) // 6 + (7 ** 3 - 1) // 6  # 65, not 130
+        assert len(transformed) == 2
 
     def test_full_weight_search_looks_before_it_builds(self, yielded):
         assert grs(GrsSpec(make_field(16), 16, 6)).full_weight_codeword() is not None
@@ -459,7 +469,7 @@ class TestScanPreconditions:
         monkeypatch.setenv("AQMDS_MAX_ENUM", "1000")
         f = make_field(7)
         counted, transformed = [], []
-        count, transform = aqmds.code._count_weights, aqmds.css._macwilliams
+        count, transform = aqmds.code._count_weights, aqmds.code._macwilliams
 
         def counting(field, gen):
             counted.append(gen.shape)
@@ -470,7 +480,7 @@ class TestScanPreconditions:
             return transform(*args)
 
         monkeypatch.setattr(aqmds.code, "_count_weights", counting)
-        monkeypatch.setattr(aqmds.css, "_macwilliams", transforming)
+        monkeypatch.setattr(aqmds.code, "_macwilliams", transforming)
         C2 = grs(GrsSpec(f, 7, 3))
         c2_side, c1_side = pair_sides(make_pair(full_space(f, 7), C2))
         assert isinstance(c1_side, CapExceeded) and "7^7 codewords exceeds cap 1000" in str(c1_side)

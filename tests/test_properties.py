@@ -423,7 +423,7 @@ def test_dual_count_matches_the_direct_count(C):
         direct += np.bincount(wts, minlength=n + 1)
     direct *= f.q - 1
     direct[0] += 1
-    assert aqmds.code._count_weights(f, C.G.data).tolist() == direct.tolist()
+    assert aqmds.code._distributions(C)[0].tolist() == direct.tolist()
 
 
 @st.composite
