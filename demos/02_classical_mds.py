@@ -7,7 +7,6 @@ distribution (counted on the smaller of the code and its dual) and the
 k-column-subset rank oracle.
 """
 from aqmds import (
-    GrsSpec,
     extended_grs,
     find_irreducible,
     grs,
@@ -20,7 +19,7 @@ from aqmds import (
 
 f5 = make_field(5)
 
-C = grs(GrsSpec(f5, 5, 2))
+C = grs(f5, 5, 2)
 print(f"GRS code over GF(5): [{C.n},{C.k},{C.min_distance()}], MDS={C.is_mds()}")
 print("canonical generator matrix:")
 for row in C.G.data:

@@ -27,7 +27,6 @@ from .catalog import (
 )
 from .code import DEFAULT_ENUM_CAP, LinearCode, from_generator, full_space, is_subcode
 from .construct import (
-    GrsSpec,
     default_alpha,
     extended_grs,
     grs,
@@ -57,7 +56,6 @@ __all__ = [
     "ExistsResult",
     "FiniteField",
     "GfMatrix",
-    "GrsSpec",
     "LinearCode",
     "NestedPair",
     "VerificationFailed",

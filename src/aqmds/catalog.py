@@ -37,7 +37,6 @@ from .errors import AqmdsError, CapExceeded, NotPrimePower, VerificationFailed
 from .gf import FIELD_CAP, FiniteField, _factor_prime_power, find_irreducible, make_field
 from .matrix import GfMatrix
 from .construct import (
-    GrsSpec,
     default_alpha,
     extended_grs,
     grs,
@@ -213,7 +212,7 @@ class CodeStore:
     one call of any other public function, which makes a fresh store.  A
     code is keyed by its builder and the repr of the builder's arguments:
     unlike ==, repr tells 1, 1.0 and True apart, so a recipe gets the code
-    its own spec builds.  A verdict is keyed by the code's matrices, never
+    its own arguments build.  A verdict is keyed by the code's matrices, never
     by the recipe that claims it.  A code with 0 < k < n is MDS exactly
     when its dual is, so one proof, which LinearCode.is_mds runs on the
     side with fewer rows, is filed under both C's canonical G and C's H,
@@ -254,8 +253,7 @@ def _build_source(f: FiniteField, src: Dict, store: CodeStore) -> LinearCode:
         rep = store.code(_repetition, f, _length(src["n"]))
         return rep if kind == "repetition" else rep.dual()
     if kind == "grs":
-        return store.code(grs, GrsSpec(f, src["n"], src["k"],
-                                       tuple(src["alpha"]), tuple(src["v"])))
+        return store.code(grs, f, src["n"], src["k"], src["alpha"], src["v"])
     if kind == "extended_grs":
         return store.code(extended_grs, f, src["k"], src["alpha"], src["v"])
     if kind == "qplus2_low":
@@ -273,6 +271,14 @@ def _integers(d: Dict, names: Tuple[str, ...], what: str):
             raise AqmdsError(f"{what} {name} must be an integer, got {d[name]!r}")
 
 
+def _arrays(d: Dict):
+    """Refuse an `alpha` or `v` of `d` that is not an array: a builder reads
+    None as its default, which the recipe would then not state."""
+    for name in ("alpha", "v"):
+        if name in d and type(d[name]) is not list:
+            raise AqmdsError(f"recipe {name} must be an array, got {d[name]!r}")
+
+
 def build_pair_from_recipe(recipe: Dict, *, store: Optional[CodeStore] = None) -> NestedPair:
     """Rebuild the classical nested pair described by a certificate recipe,
     taking the codes the run already built from `store`.
@@ -287,6 +293,7 @@ def build_pair_from_recipe(recipe: Dict, *, store: Optional[CodeStore] = None) -
     try:
         for part in (recipe, recipe.get("code"), recipe.get("source")):
             _integers(part or {}, ("q", "n", "k", "j", "r"), "recipe")
+            _arrays(part or {})
         q = recipe["q"]
         construction = recipe["construction"]
         f = make_field(q)
@@ -297,10 +304,10 @@ def build_pair_from_recipe(recipe: Dict, *, store: Optional[CodeStore] = None) -
             code = _build_source(f, recipe["code"], store)
             return make_pair(code.dual(), code)
         if construction == "TH7":
-            n, k, j = recipe["n"], recipe["k"], recipe["j"]
-            alpha, v = tuple(recipe["alpha"]), tuple(recipe["v"])
-            c_low = store.code(grs, GrsSpec(f, n, k, alpha, v))
-            c_high = store.code(grs, GrsSpec(f, n, k + j, alpha, v))
+            n, k, alpha, v = recipe["n"], recipe["k"], recipe["alpha"], recipe["v"]
+            # the arguments a grs source passes, so the two share a code
+            c_low = store.code(grs, f, n, k, alpha, v)
+            c_high = store.code(grs, f, n, k + recipe["j"], alpha, v)
             return make_pair(c_low.dual(), c_high)
         if construction == "TH8":
             k, alpha, v = recipe["k"], recipe["alpha"], recipe["v"]

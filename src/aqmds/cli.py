@@ -42,7 +42,6 @@ from .catalog import (
 )
 from .code import enum_cap
 from .construct import (
-    GrsSpec,
     extended_grs,
     grs,
     grs_subcode_irreducible,
@@ -84,8 +83,7 @@ def cmd_construct(args) -> int:
             raise AqmdsError("grs requires --n and --k")
         if args.n > args.q:
             raise AqmdsError("n exceeds q")
-        C = grs(GrsSpec(f, args.n, args.k,
-                        tuple(alpha) if alpha else (), tuple(v) if v else ()))
+        C = grs(f, args.n, args.k, alpha, v)
         _print_code(C, "GRS")
     elif which == "extended-grs":
         if args.k is None:

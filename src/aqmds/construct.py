@@ -6,6 +6,11 @@ the zero point in position q, and the first q-1 points invertible; with
 this default no separate code path is required.  Column multipliers
 default to all ones; custom nonzero multipliers are accepted everywhere.
 
+Every builder takes the field, then the n, k, r or poly that fix its code,
+as it needs them, then alpha=None and v=None; the length-(q+2) builders
+take v alone.  Only None selects a default: any other alpha or v, an
+empty sequence included, is checked as given.
+
 The builders construct and do not re-prove their output.  On the
 certificate paths each fact is proven once: the nesting when the
 `css.NestedPair` is made, and MDS of both codes by `catalog.run_oracles`,
@@ -15,7 +20,6 @@ subcommand proves MDS of the code it prints.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,28 +38,6 @@ def default_alpha(f: FiniteField, n: int) -> Tuple[int, ...]:
 
 def ones(n: int) -> Tuple[int, ...]:
     return (1,) * n
-
-
-@dataclass(frozen=True)
-class GrsSpec:
-    """Evaluation points and column multipliers for a GRS code."""
-
-    field: FiniteField
-    n: int
-    k: int
-    alpha: Tuple[int, ...] = ()
-    v: Tuple[int, ...] = ()
-
-    def __post_init__(self):
-        f = self.field
-        if not 1 <= self.n <= f.q:
-            raise AqmdsError(f"n={self.n} must satisfy 1 <= n <= q={f.q}")
-        if not 1 <= self.k <= self.n:
-            raise AqmdsError(f"k={self.k} must satisfy 1 <= k <= n={self.n}")
-        alpha, v = _points(f, self.alpha or None, self.v or None, self.n, self.n,
-                           "be n pairwise distinct elements", "n nonzero field elements")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "v", v)
 
 
 def _points(f: FiniteField, alpha: Optional[Sequence[int]], v: Optional[Sequence[int]],
@@ -89,11 +71,20 @@ def _vandermonde_rows(f: FiniteField, alpha: Sequence[int], v: Sequence[int], nr
     return G
 
 
-def grs(spec: GrsSpec) -> LinearCode:
+def grs(
+    f: FiniteField,
+    n: int,
+    k: int,
+    alpha: Optional[Sequence[int]] = None,
+    v: Optional[Sequence[int]] = None,
+) -> LinearCode:
     """The [n, k, n-k+1]_q code of polynomial evaluations deg < k."""
-    f = spec.field
-    G = _vandermonde_rows(f, spec.alpha, spec.v, spec.k)
-    return from_generator(GfMatrix(f, G))
+    if not 1 <= n <= f.q:
+        raise AqmdsError(f"n={n} must satisfy 1 <= n <= q={f.q}")
+    if not 1 <= k <= n:
+        raise AqmdsError(f"k={k} must satisfy 1 <= k <= n={n}")
+    alpha, v = _points(f, alpha, v, n, n, "be n pairwise distinct elements", "n nonzero field elements")
+    return from_generator(GfMatrix(f, _vandermonde_rows(f, alpha, v, k)))
 
 
 def extended_grs(

@@ -16,7 +16,6 @@ import numpy as np
 from aqmds.catalog import CatalogQuery, enumerate_catalog, exists, verify
 from aqmds.code import extend_by_codeword, from_generator, is_subcode
 from aqmds.construct import (
-    GrsSpec,
     extended_grs,
     grs,
     grs_subcode_irreducible,
@@ -55,8 +54,8 @@ def test_criterion_1_nested_grs_sweep():
                 for j in range(1, n - k):
                     if q ** (k + j) > 10 ** 6:
                         break
-                    pair = make_pair(grs(GrsSpec(f, n, k)).dual(),
-                                     grs(GrsSpec(f, n, k + j)))
+                    pair = make_pair(grs(f, n, k).dual(),
+                                     grs(f, n, k + j))
                     with big_cap():
                         p = css_construct(pair)
                     good = (p.k == j
@@ -143,7 +142,7 @@ def test_criterion_5_shorten_puncture_extend_round_trip():
         pts = list(range(q))
         rng.shuffle(pts)
         v = tuple(rng.randrange(1, q) for _ in range(n))
-        D = grs(GrsSpec(f, n, k, tuple(pts[:n]), v))
+        D = grs(f, n, k, tuple(pts[:n]), v)
         S = D.shorten(n - 1)
         P = D.puncture(n - 1)
         if not is_subcode(S, P):
@@ -164,9 +163,9 @@ def _dichotomy_code_pool():
         for n in range(2, q + 1):
             for k in range(1, n + 1):
                 if q ** k <= 10 ** 5:
-                    pool.append(grs(GrsSpec(f, n, k)))
+                    pool.append(grs(f, n, k))
                 if q ** (n - k) <= 10 ** 5 and k < n:
-                    pool.append(grs(GrsSpec(f, n, k)).dual())
+                    pool.append(grs(f, n, k).dual())
     for q in (4, 5, 7, 8, 9):
         f = make_field(q)
         for k in range(3, q + 1):
@@ -223,7 +222,7 @@ def test_criterion_7_dx_2_family_spot_checks():
     for q in (3, 4, 5):  # [[n, n-2, 2/2]]_q for short lengths
         f = make_field(q)
         for n in range(3, q + 1):
-            p = from_full_weight(grs(GrsSpec(f, n, n - 1)))
+            p = from_full_weight(grs(f, n, n - 1))
             ok = ok and (p.n, p.k, p.dz, p.dx) == (n, n - 2, 2, 2) and p.aqmds
     for q in (4, 8):  # [[q+2, 2, q/2]] and [[q+2, q-2, 4/2]]
         f = make_field(q)

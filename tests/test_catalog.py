@@ -29,7 +29,7 @@ from aqmds.catalog import (
 )
 from aqmds.cli import main
 from aqmds.code import from_generator, full_space
-from aqmds.construct import GrsSpec, grs
+from aqmds.construct import grs
 from aqmds.css import AqcParams, css_construct, make_pair
 from aqmds.errors import AqmdsError, CapExceeded, NotPrimePower, VerificationFailed
 from aqmds.gf import FIELD_CAP, make_field
@@ -342,7 +342,7 @@ class TestOracles:
         # dual(C1) is the zero code, a subcode of every C2
         f = make_field(5)
         claimed = AqcParams(q=5, n=4, k=2, dz=3, dx=1, pure=True, aqmds=True)
-        _, log = run_oracles(claimed, make_pair(full_space(f, 4), grs(GrsSpec(f, 4, 2))),
+        _, log = run_oracles(claimed, make_pair(full_space(f, 4), grs(f, 4, 2)),
                              "closed_form")
         assert log[0] == "nesting:pass"
 
@@ -426,6 +426,35 @@ class TestVerify:
             certificate_from_dict({**d, field: mistyped(d)})
         assert type(exc.value) is AqmdsError
         assert str(exc.value).startswith(f"malformed certificate: {field} must be")
+
+    def test_recipe_must_name_its_points(self, tmp_path):
+        # a builder reads None as its defaults: an alpha or v of null or []
+        # must be refused, never built from the defaults and echoed as given
+        firsts = {}
+        for cert in enumerate_catalog(CatalogQuery(q=8)):
+            recipe = cert.recipe
+            part = recipe.get("code") or recipe.get("source") or {}
+            if {"alpha", "v"} & (set(recipe) | set(part)):
+                firsts.setdefault((recipe["construction"], part.get("type")),
+                                  certificate_to_dict(cert))
+        edited = []
+        for record in firsts.values():
+            for where in ("recipe", "code", "source"):
+                for name in ("alpha", "v"):
+                    for value in (None, []):
+                        copy = json.loads(json.dumps(record))
+                        part = copy["recipe"] if where == "recipe" else copy["recipe"].get(where)
+                        if part and name in part:
+                            part[name] = value
+                            edited.append(copy)
+        assert len(edited) == 38
+        path = tmp_path / "cert.json"
+        for copy in edited:
+            with pytest.raises(AqmdsError) as exc:
+                verify(certificate_from_dict(copy))
+            assert type(exc.value) is AqmdsError, copy["recipe"]
+            path.write_text(json.dumps(copy))
+            assert main(["verify", str(path)]) == 2, copy["recipe"]
 
     @pytest.mark.parametrize("n, dz, dx", [(5, 4, 3), (7, 5, 4)])
     def test_j0_swapped_distances_rejected(self, n, dz, dx):
@@ -677,7 +706,7 @@ class TestCodeStore:
         # rebuilt from H.  The dual of the full space is the zero code, which
         # is never MDS and needs no proof
         f = make_field(8)
-        codes = [(grs(GrsSpec(f, n, k)), True)]
+        codes = [(grs(f, n, k), True)]
         if k < n:
             A = np.hstack([np.eye(k, dtype=np.uint8), np.ones((k, n - k), dtype=np.uint8)])
             codes.append((from_generator(GfMatrix(f, A)), False))
@@ -704,7 +733,7 @@ class TestCodeStore:
     def test_verdicts_keyed_by_matrix(self):
         # two [4,2]_5 generators of one shape, one MDS and one not
         f = make_field(5)
-        mds = grs(GrsSpec(f, 4, 2))
+        mds = grs(f, 4, 2)
         not_mds = from_generator(GfMatrix(f, np.array([[1, 0, 1, 0], [0, 1, 0, 1]], dtype=np.uint8)))
         assert mds.G.data.shape == not_mds.G.data.shape
         store = CodeStore()

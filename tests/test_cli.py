@@ -70,6 +70,17 @@ class TestConstruct:
         assert code == 0
         assert "[4,2,3]_5 MDS=true" in out
 
+    @pytest.mark.parametrize("builder, sizes, option, message", [
+        ("grs", ("--n", "5", "--k", "2"), "--alpha", "alpha must be n pairwise distinct elements"),
+        ("grs", ("--n", "5", "--k", "2"), "--v", "v must be n nonzero field elements"),
+        ("extended-grs", ("--k", "2"), "--alpha", "alpha must cover q distinct points"),
+        ("extended-grs", ("--k", "2"), "--v", "v must be q+1 nonzero elements"),
+    ], ids=["grs-alpha", "grs-v", "extended-grs-alpha", "extended-grs-v"])
+    def test_empty_points_refused(self, capsys, builder, sizes, option, message):
+        # an empty list is checked as given, never read as the default points
+        code, out, err = run(capsys, "construct", builder, "--q", "5", *sizes, option, "")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_enum_cap_does_not_apply(self, capsys, monkeypatch):
         # MDS is proven on k-column subsets; no codeword is enumerated
         monkeypatch.setenv("AQMDS_MAX_ENUM", "10")
@@ -81,7 +92,7 @@ class TestConstruct:
         # construct proves the builder's output itself, so a broken builder fails
         bad = from_generator(GfMatrix(make_field(5), np.array([[1, 0, 0, 0], [0, 1, 0, 0]],
                                                                dtype=np.uint8)))
-        monkeypatch.setattr(cli, "grs", lambda spec: bad)
+        monkeypatch.setattr(cli, "grs", lambda *args: bad)
         code, out, err = run(capsys, "construct", "grs", "--q", "5", "--n", "4", "--k", "2")
         assert (code, out) == (3, "")
         assert "not MDS [4,2]" in err

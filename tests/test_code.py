@@ -19,7 +19,7 @@ from aqmds.code import (
     is_subcode,
 )
 from aqmds.catalog import enumerate_catalog, exists, make_certificate, run_oracles, verify
-from aqmds.construct import GrsSpec, grs, q_plus_2_low
+from aqmds.construct import grs, q_plus_2_low
 from aqmds.css import css_construct, from_full_weight, make_pair, pair_from_full_weight, pair_sides
 from aqmds.errors import AqmdsError, CapExceeded
 from aqmds.gf import make_field
@@ -53,7 +53,7 @@ class TestFromGenerator:
 
     def test_grs_rows(self):
         f = make_field(5)
-        C = grs(GrsSpec(f, 5, 2))
+        C = grs(f, 5, 2)
         assert (C.n, C.k) == (5, 2)
 
     def test_zero_rejected(self):
@@ -86,14 +86,14 @@ class TestDual:
 
     def test_dual_of_grs_distance(self):
         f = make_field(5)
-        D = grs(GrsSpec(f, 5, 2)).dual()
+        D = grs(f, 5, 2).dual()
         assert D.min_distance() == 3  # dual of MDS is MDS: [5,3,3]
 
 
 class TestMinDistance:
     def test_repetition(self):
         f = make_field(5)
-        assert grs(GrsSpec(f, 5, 1)).min_distance() == 5
+        assert grs(f, 5, 1).min_distance() == 5
 
     def test_dual_repetition(self):
         f = make_field(3)
@@ -102,7 +102,7 @@ class TestMinDistance:
 
     def test_grs_6_3_gf7(self):
         f = make_field(7)
-        assert grs(GrsSpec(f, 6, 3)).min_distance() == 4
+        assert grs(f, 6, 3).min_distance() == 4
 
     def test_cap_exceeded(self, monkeypatch):
         C = full_space(make_field(5), 11)  # 5^11 > 10^7
@@ -126,7 +126,7 @@ class TestMinDistance:
         monkeypatch.setenv("AQMDS_MAX_ENUM", str(10 ** 20))
         f = make_field(64)
         overflow = "64^11 codewords overflow the int64 weight counts; use the MDS k-subset oracle"
-        full, line = full_space(f, 11), grs(GrsSpec(f, 11, 2))
+        full, line = full_space(f, 11), grs(f, 11, 2)
         c2_side, c1_side = pair_sides(make_pair(full, line))
         assert c2_side == (10, 10) and isinstance(c1_side, CapExceeded) and str(c1_side) == overflow
         # mirrored, the [11,9] side counts the zero code dual(C2)
@@ -142,7 +142,7 @@ CAPPED_CALLS = {
     "full_weight_codeword": lambda: from_generator(
         GfMatrix(make_field(3), np.eye(5, 6, dtype=np.uint8))).full_weight_codeword(),
     "css_construct": lambda: css_construct(
-        make_pair(grs(GrsSpec(make_field(5), 5, 2)).dual(), grs(GrsSpec(make_field(5), 5, 3)))),
+        make_pair(grs(make_field(5), 5, 2).dual(), grs(make_field(5), 5, 3))),
 }
 LOGGED_CALLS = {
     "verify": lambda: verify(exists(5, 5, 1, 3, 3).certificate).oracle_log,
@@ -166,7 +166,7 @@ def test_env_cap_override(monkeypatch, entry):
 def test_extension_reads_no_cap(monkeypatch):
     # the witness is one syndrome product, not a scan: 5^2 words exceed the cap
     f = make_field(5)
-    C, Cp = grs(GrsSpec(f, 4, 1)), grs(GrsSpec(f, 4, 2))
+    C, Cp = grs(f, 4, 1), grs(f, 4, 2)
     uncapped = extend_by_codeword(C, Cp)
     monkeypatch.setenv("AQMDS_MAX_ENUM", "10")
     assert extend_by_codeword(C, Cp) == uncapped
@@ -192,7 +192,7 @@ def test_no_public_function_takes_a_cap():
 class TestIsMds:
     def test_grs_true(self):
         f = make_field(7)
-        assert grs(GrsSpec(f, 6, 3)).is_mds()
+        assert grs(f, 6, 3).is_mds()
 
     def test_weight_two_word_false(self):
         f = make_field(3)
@@ -218,8 +218,8 @@ class TestWeightOfDifference:
 
     def test_nested_grs_gf5(self):
         f = make_field(5)
-        C = grs(GrsSpec(f, 5, 3))
-        D = grs(GrsSpec(f, 5, 2))
+        C = grs(f, 5, 3)
+        D = grs(f, 5, 2)
         assert weight_outside(C, D) == 3
 
     def test_dual_repetition_vs_all_ones(self):
@@ -231,24 +231,24 @@ class TestWeightOfDifference:
     def test_not_strict_subcode(self):
         # no word of C lies outside D when D is C; a D containing C makes no pair
         f = make_field(5)
-        C = grs(GrsSpec(f, 5, 2))
+        C = grs(f, 5, 2)
         assert weight_outside(C, C) is None
         with pytest.raises(AqmdsError, match="dual\\(C1\\) not contained in C2"):
-            weight_outside(C, grs(GrsSpec(f, 5, 3)))
+            weight_outside(C, grs(f, 5, 3))
 
 
 class TestIsSubcode:
     def test_grs_chain(self):
         f = make_field(5)
-        assert is_subcode(grs(GrsSpec(f, 5, 2)), grs(GrsSpec(f, 5, 3)))
+        assert is_subcode(grs(f, 5, 2), grs(f, 5, 3))
 
     def test_dimension_blocks(self):
         f = make_field(5)
-        assert not is_subcode(grs(GrsSpec(f, 5, 3)), grs(GrsSpec(f, 5, 2)))
+        assert not is_subcode(grs(f, 5, 3), grs(f, 5, 2))
 
     def test_reflexive(self):
         f = make_field(5)
-        C = grs(GrsSpec(f, 5, 2))
+        C = grs(f, 5, 2)
         assert is_subcode(C, C)
 
 
@@ -299,8 +299,8 @@ class TestShortenPuncture:
 class TestExtendByCodeword:
     def test_grs_pair_gf5(self):
         f = make_field(5)
-        C = grs(GrsSpec(f, 4, 1))
-        Cp = grs(GrsSpec(f, 4, 2))
+        C = grs(f, 4, 1)
+        Cp = grs(f, 4, 2)
         E = extend_by_codeword(C, Cp)
         assert (E.n, E.k) == (5, 2)
         assert E.is_mds() and E.min_distance() == 4
@@ -323,9 +323,9 @@ class TestExtendByCodeword:
     def test_precondition_failures(self):
         f = make_field(5)
         with pytest.raises(AqmdsError, match=r"dim C' = 3 != dim C \+ 1 = 2"):
-            extend_by_codeword(grs(GrsSpec(f, 4, 1)), grs(GrsSpec(f, 4, 3)))
+            extend_by_codeword(grs(f, 4, 1), grs(f, 4, 3))
         with pytest.raises(AqmdsError, match="C is not a subcode of C'"):
-            extend_by_codeword(grs(GrsSpec(f, 4, 2)), grs(GrsSpec(f, 4, 1)))
+            extend_by_codeword(grs(f, 4, 2), grs(f, 4, 1))
         non_mds = from_generator(GfMatrix(f, [[1, 0, 1, 0], [0, 1, 0, 1]]))
         bigger = from_generator(
             GfMatrix(f, [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]))
@@ -335,7 +335,7 @@ class TestExtendByCodeword:
     def test_non_mds_extension_named_with_its_singleton_distance(self):
         # C = the [4,1,4] repetition code is MDS; C' adds e_0, a weight-1 word
         f = make_field(5)
-        C = grs(GrsSpec(f, 4, 1))
+        C = grs(f, 4, 1)
         Cp = from_generator(GfMatrix(f, [[1, 1, 1, 1], [1, 0, 0, 0]]))
         with pytest.raises(AqmdsError, match=r"C' is not MDS \[4,2,3\]"):
             extend_by_codeword(C, Cp)
@@ -353,7 +353,7 @@ class TestFullWeightCodeword:
 
     def test_grs_4_2_gf5_hit(self):
         f = make_field(5)
-        C = grs(GrsSpec(f, 4, 2))
+        C = grs(f, 4, 2)
         u = C.full_weight_codeword()
         assert u is not None and np.count_nonzero(u) == 4
 
@@ -361,7 +361,7 @@ class TestFullWeightCodeword:
     def test_first_in_message_order(self, q, n, k):
         # independent oracle: iterate messages lexicographically (first digit
         # most significant) and take the first full-weight encoding
-        C = grs(GrsSpec(make_field(q), n, k))
+        C = grs(make_field(q), n, k)
         expected = None
         for msg in itertools.product(range(q), repeat=C.k):
             word = C.codeword(np.array(msg, dtype=np.uint8))
@@ -408,12 +408,12 @@ class TestEnumeratorWork:
 
     def test_scan_visits_one_word_per_scalar_class(self, weighed):
         # 2k > n: the count is of the [7,2] dual, transformed by MacWilliams
-        grs(GrsSpec(make_field(7), 7, 5)).weight_distribution()
+        grs(make_field(7), 7, 5).weight_distribution()
         assert sum(weighed) == (7 ** 2 - 1) // 6  # 8, not the 2,801 classes of C
 
     @pytest.mark.parametrize("q, n, k", [(7, 7, 3), (8, 8, 4)])
     def test_low_rate_scan_visits_every_class_of_the_code(self, weighed, q, n, k):
-        grs(GrsSpec(make_field(q), n, k)).weight_distribution()
+        grs(make_field(q), n, k).weight_distribution()
         assert sum(weighed) == (q ** k - 1) // (q - 1)
 
     def test_full_space_visits_no_word(self, weighed):
@@ -426,7 +426,7 @@ class TestEnumeratorWork:
         # dual; each code's distribution and its dual's come from one count
         # and one transform
         f = make_field(7)
-        pair = make_pair(grs(GrsSpec(f, 7, 3)).dual(), grs(GrsSpec(f, 7, 5)))
+        pair = make_pair(grs(f, 7, 3).dual(), grs(f, 7, 5))
         transformed = []
         transform = aqmds.code._macwilliams
 
@@ -440,7 +440,7 @@ class TestEnumeratorWork:
         assert len(transformed) == 2
 
     def test_full_weight_search_looks_before_it_builds(self, yielded):
-        assert grs(GrsSpec(make_field(16), 16, 6)).full_weight_codeword() is not None
+        assert grs(make_field(16), 16, 6).full_weight_codeword() is not None
         assert sum(yielded) < 100  # a whole first chunk is 15^5 = 759,375 words
 
 
@@ -481,7 +481,7 @@ class TestScanPreconditions:
 
         monkeypatch.setattr(aqmds.code, "_count_weights", counting)
         monkeypatch.setattr(aqmds.code, "_macwilliams", transforming)
-        C2 = grs(GrsSpec(f, 7, 3))
+        C2 = grs(f, 7, 3)
         c2_side, c1_side = pair_sides(make_pair(full_space(f, 7), C2))
         assert isinstance(c1_side, CapExceeded) and "7^7 codewords exceeds cap 1000" in str(c1_side)
         assert c2_side == (5, 5)
@@ -541,7 +541,7 @@ class TestInvariants:
         for q in (3, 4, 5, 7, 9):
             f = make_field(q)
             for k in range(1, q):
-                C = grs(GrsSpec(f, q, k))
+                C = grs(f, q, k)
                 assert C.is_mds()
                 if k < q:
                     assert C.dual().is_mds()

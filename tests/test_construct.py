@@ -6,7 +6,6 @@ import pytest
 
 from aqmds.code import from_generator, is_subcode
 from aqmds.construct import (
-    GrsSpec,
     default_alpha,
     extended_grs,
     grs,
@@ -34,29 +33,29 @@ class TestDefaults:
 class TestGrs:
     def test_constant_polynomials_repetition(self):
         f = make_field(5)
-        C = grs(GrsSpec(f, 5, 1))
+        C = grs(f, 5, 1)
         assert (C.n, C.k) == (5, 1) and C.min_distance() == 5
 
     def test_4_2_gf5(self):
         f = make_field(5)
-        C = grs(GrsSpec(f, 4, 2))
+        C = grs(f, 4, 2)
         assert (C.n, C.k) == (4, 2) and C.min_distance() == 3
         assert C.is_mds()
 
     def test_nesting_chain_gf7(self):
         f = make_field(7)
-        assert is_subcode(grs(GrsSpec(f, 7, 3)), grs(GrsSpec(f, 7, 4)))
+        assert is_subcode(grs(f, 7, 3), grs(f, 7, 4))
 
     def test_invalid_specs(self):
         f = make_field(5)
         with pytest.raises(AqmdsError, match="n=6 must satisfy 1 <= n <= q=5"):
-            GrsSpec(f, 6, 2)  # n > q
+            grs(f, 6, 2)  # n > q
         with pytest.raises(AqmdsError, match="k=5 must satisfy 1 <= k <= n=4"):
-            GrsSpec(f, 4, 5)  # k > n
+            grs(f, 4, 5)  # k > n
         with pytest.raises(AqmdsError, match="alpha must be n pairwise distinct elements"):
-            GrsSpec(f, 3, 2, alpha=(1, 1, 2))  # duplicate points
+            grs(f, 3, 2, alpha=(1, 1, 2))  # duplicate points
         with pytest.raises(AqmdsError, match="v must be n nonzero field elements"):
-            GrsSpec(f, 3, 2, v=(1, 0, 1))  # zero multiplier
+            grs(f, 3, 2, v=(1, 0, 1))  # zero multiplier
 
     def test_custom_alpha_v_still_mds(self):
         rng = random.Random(5)
@@ -68,7 +67,7 @@ class TestGrs:
                 n = rng.randrange(2, q + 1)
                 k = rng.randrange(1, n + 1)
                 v = tuple(rng.randrange(1, q) for _ in range(n))
-                C = grs(GrsSpec(f, n, k, tuple(pts[:n]), v))
+                C = grs(f, n, k, tuple(pts[:n]), v)
                 assert C.is_mds()
 
 
@@ -241,7 +240,7 @@ def test_every_builder_mds_with_advertised_parameters(q):
     seen = []
     for k in range(1, q + 1):
         for n in range(max(k, 2), q + 1):
-            seen.append((grs(GrsSpec(f, n, k)), n, k))
+            seen.append((grs(f, n, k), n, k))
     for k in range(1, q + 1):
         seen.append((extended_grs(f, k), q + 1, k))
     if q % 2 == 0 and q >= 4:

@@ -6,7 +6,7 @@ import pytest
 
 from aqmds.catalog import build_pair_from_recipe, exists
 from aqmds.code import from_generator, full_space
-from aqmds.construct import GrsSpec, grs, q_plus_2_high, q_plus_2_low
+from aqmds.construct import grs, q_plus_2_high, q_plus_2_low
 from aqmds.css import (
     NestedPair,
     css_construct,
@@ -24,16 +24,16 @@ from test_code import random_code, simplex_5_2_gf4
 class TestMakePair:
     def test_nested_grs_pair(self):
         f = make_field(5)
-        pair = make_pair(grs(GrsSpec(f, 5, 2)).dual(), grs(GrsSpec(f, 5, 3)))
+        pair = make_pair(grs(f, 5, 2).dual(), grs(f, 5, 3))
         assert pair.quantum_k == 1
 
     def test_not_nested(self):
         f = make_field(5)
         with pytest.raises(AqmdsError, match=r"dual\(C1\) not contained in C2"):
-            make_pair(grs(GrsSpec(f, 5, 3)).dual(), grs(GrsSpec(f, 5, 2)))
+            make_pair(grs(f, 5, 3).dual(), grs(f, 5, 2))
         # the pair type itself proves the nesting: no unproven pair can be made
         with pytest.raises(AqmdsError, match=r"witness row \[1, 0, 0, 1, 3\]"):
-            NestedPair(grs(GrsSpec(f, 5, 3)).dual(), grs(GrsSpec(f, 5, 2)))
+            NestedPair(grs(f, 5, 3).dual(), grs(f, 5, 2))
 
     @pytest.mark.parametrize("zero_side", ["C1", "C2"])
     def test_zero_code_refused(self, zero_side):
@@ -54,27 +54,27 @@ class TestMakePair:
     def test_length_mismatch(self):
         f = make_field(5)
         with pytest.raises(AqmdsError, match="lengths differ: 5 != 4"):
-            make_pair(grs(GrsSpec(f, 5, 2)), grs(GrsSpec(f, 4, 2)))
+            make_pair(grs(f, 5, 2), grs(f, 4, 2))
 
 
 class TestCssConstruct:
     def test_nested_grs_5_1_3_3(self):
         f = make_field(5)
-        p = css_construct(make_pair(grs(GrsSpec(f, 5, 2)).dual(), grs(GrsSpec(f, 5, 3))))
+        p = css_construct(make_pair(grs(f, 5, 2).dual(), grs(f, 5, 3)))
         assert (p.n, p.k, p.dz, p.dx) == (5, 1, 3, 3)
         assert p.pure and p.aqmds
         assert str(p) == "[[5,1,3/3]]_5 pure AQMDS"
 
     def test_code_against_full_space(self):
         f = make_field(5)
-        C = grs(GrsSpec(f, 5, 2))
+        C = grs(f, 5, 2)
         p = css_construct(make_pair(C, full_space(f, 5)))
         assert (p.n, p.k, p.dz, p.dx) == (5, 2, 4, 1)
         assert p.pure and p.aqmds
 
     def test_zero_dimensional_pure_by_convention(self):
         f = make_field(5)
-        C = grs(GrsSpec(f, 5, 2))
+        C = grs(f, 5, 2)
         p = css_construct(make_pair(C.dual(), C))
         assert (p.n, p.k) == (5, 0)
         assert {p.dz, p.dx} == {4, 3}
@@ -114,7 +114,7 @@ class TestCssConstruct:
 class TestFromFullWeight:
     def test_grs_5_3_gf5(self):
         f = make_field(5)
-        p = from_full_weight(grs(GrsSpec(f, 5, 3)))
+        p = from_full_weight(grs(f, 5, 3))
         assert (p.n, p.k, p.dz, p.dx) == (5, 2, 3, 2)
         assert p.aqmds
 
@@ -130,11 +130,11 @@ class TestFromFullWeight:
     def test_dimension_too_small(self):
         f = make_field(5)
         with pytest.raises(AqmdsError, match="need k >= 2, got k=1"):
-            from_full_weight(grs(GrsSpec(f, 5, 1)))
+            from_full_weight(grs(f, 5, 1))
 
     def test_pair_shape(self):
         f = make_field(7)
-        C = grs(GrsSpec(f, 6, 3))
+        C = grs(f, 6, 3)
         pair = pair_from_full_weight(C)
         assert pair.c2 == C
         assert pair.c1.k == C.n - 1  # dual of the witness line
@@ -147,7 +147,7 @@ class TestClosedForms:
         for (q, n, k, j) in [(4, 4, 1, 2), (5, 5, 2, 2), (7, 6, 2, 3), (8, 7, 3, 2)]:
             f = make_field(q)
             p = css_construct(
-                make_pair(grs(GrsSpec(f, n, k)).dual(), grs(GrsSpec(f, n, k + j))))
+                make_pair(grs(f, n, k).dual(), grs(f, n, k + j)))
             assert p.k == j
             assert {p.dz, p.dx} == {n - k - j + 1, k + 1}
             assert p.pure and p.aqmds

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from aqmds.construct import GrsSpec, grs, ones, q_plus_2_low, _q_plus_2_check_matrix
+from aqmds.construct import grs, ones, q_plus_2_low, _q_plus_2_check_matrix
 from aqmds.errors import AqmdsError
 from aqmds import matrix
 from aqmds.gf import make_field
@@ -65,7 +65,7 @@ class TestNullspace:
 
     def test_grs_dual_orthogonality(self):
         f = make_field(5)
-        G = grs(GrsSpec(f, 5, 2)).G
+        G = grs(f, 5, 2).G
         N = nullspace(G)
         assert N.rows == 3
         prod = mat_mul(G, transpose(N))
@@ -131,7 +131,7 @@ class TestKSubsetOracle:
 
     def test_grs_vandermonde_gf7(self):
         f = make_field(7)
-        M = grs(GrsSpec(f, 5, 3)).G
+        M = grs(f, 5, 3).G
         assert first_singular_k_subset(M, 3) is None
 
     def test_singular_subset_in_second_chunk(self, monkeypatch):
@@ -186,7 +186,7 @@ class TestKSubsetOracle:
         monkeypatch.setattr(matrix, "rank", no_rank)
         f = make_field(7)
         for k in range(1, 7):
-            assert first_singular_k_subset(grs(GrsSpec(f, 6, k)).G, k) is None
+            assert first_singular_k_subset(grs(f, 6, k).G, k) is None
 
 
 class TestInvariants:

@@ -12,7 +12,7 @@ import aqmds.matrix
 from aqmds.catalog import run_oracles
 from aqmds.code import (LinearCode, _enumerate_scan, _lowest_weight, from_generator, full_space,
                         is_subcode)
-from aqmds.construct import GrsSpec, grs
+from aqmds.construct import grs
 from aqmds.css import AqcParams, css_construct, make_pair, pair_sides
 from aqmds.errors import AqmdsError, CapExceeded
 from aqmds.gf import _poly_is_irreducible, make_field
@@ -188,7 +188,7 @@ def code_of_any_dimension(draw):
     n = draw(st.integers(1, 8))
     k = draw(st.sampled_from([0, n, draw(st.integers(0, n))]))
     if k and n <= q and draw(st.booleans()):
-        return grs(GrsSpec(f, n, k))
+        return grs(f, n, k)
     zero_share = draw(st.sampled_from([0.0, 0.3, 0.6]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     while True:
@@ -290,10 +290,10 @@ def grs_params(draw):
 def test_grs_always_mds_and_nested(params):
     q, n, k, alpha, v = params
     f = make_field(q)
-    C = grs(GrsSpec(f, n, k, alpha, v))
+    C = grs(f, n, k, alpha, v)
     assert C.is_mds()
     if k < n:
-        assert is_subcode(C, grs(GrsSpec(f, n, k + 1, alpha, v)))
+        assert is_subcode(C, grs(f, n, k + 1, alpha, v))
 
 
 @settings(max_examples=30, deadline=None)
@@ -302,7 +302,7 @@ def test_full_weight_matches_naive_scan(params):
     q, n, k, alpha, v = params
     if q ** k > 2000:
         return
-    C = grs(GrsSpec(make_field(q), n, k, alpha, v))
+    C = grs(make_field(q), n, k, alpha, v)
     got = C.full_weight_codeword()
     naive = None
     for t in range(q ** k):
