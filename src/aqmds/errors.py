@@ -2,9 +2,9 @@
 
 AqmdsError          bad input or a failed precondition; `cli.main` exits 2
 NotPrimePower       q is not a prime power; `catalog.exists` answers no
-CapExceeded         an enumeration would pass its size cap; `code._distributions`
-                    returns it for a capped distribution, `catalog.run_oracles`
-                    logs skipped(cap), `catalog.exists` answers yes uncertified
+CapExceeded         an enumeration or the MDS k-subset test would pass its cap;
+                    `code._distributions` returns it, logged skipped(cap), and
+                    `catalog.exists` answers yes uncertified; elsewhere exit 2
 VerificationFailed  a built code or a certificate fails a check; exit 3
 """
 

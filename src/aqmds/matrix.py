@@ -1,31 +1,33 @@
 """Dense linear algebra over GF(q).
 
 Matrices store element indices in a numpy uint8 array.  One Gaussian
-elimination, `rref`, does every row reduction but the k-subset oracle's:
-`rank`, `nullspace` and the code layer read what they need off its RREF
-and pivots.  The matrices there are small, so it eliminates on Python row
+elimination, `rref`, does every row reduction: `rank`, `nullspace`, the
+code layer and the k-subset oracle read what they need off its RREF and
+pivots.  The matrices there are small, so it eliminates on Python row
 lists over the field's nested-list tables.  A kernel is read off a
 matrix already in RREF by `_kernel`, which `nullspace` and `LinearCode.H`
 share, so a code's canonical generator is never eliminated a second time.
 `mat_mul` forms every entry product in one table gather and sums them
-digit-wise mod p.  The k-subset MDS oracle `first_singular_k_subset` faces
-up to C(n, k) square submatrices instead, so it eliminates a chunk of them
-at once, in lockstep, with table lookups over the whole stack; it checks
-the rank only when the first subset is singular.
+digit-wise mod p.  The k-subset MDS oracle `first_singular_k_subset` reads
+its C(n, k) square submatrices off the minors of A in the RREF [I | A],
+level by level, and raises CapExceeded where a level passes `_MINOR_CAP`.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain, combinations, islice
-from typing import Iterator, List, Optional, Tuple
+from itertools import chain, combinations
+from math import comb
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import AqmdsError
+from .errors import AqmdsError, CapExceeded
 from .gf import FiniteField
 
 # elements per numpy chunk, for the k-subset oracle here and the codeword scan
 _CHUNK_TARGET = 1 << 20
+_MINOR_CAP = 1 << 29  # bytes at one level of the k-subset oracle; every length <= 32 passes
+_TABLE_CAP = 1 << 24  # entries of the subset tables kept in _TABLES, at most 100 MB
+_TABLES: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
 
 class GfMatrix:
@@ -155,74 +157,82 @@ def first_singular_k_subset(M: GfMatrix, k: int) -> Optional[Tuple[int, ...]]:
     """Lexicographically first singular k-column subset of M, or None.
 
     None means every k x k column-submatrix is nonsingular: the standard
-    MDS characterization of a rank-k generator matrix.  The C(cols, k)
-    subsets are taken in lexicographic order, in chunks of about
-    `_CHUNK_TARGET` matrix entries, and each chunk's submatrices are
-    eliminated in lockstep.  M must have k independent rows.  Every
-    k-subset of a matrix of lower rank is singular, the first, columns
-    0..k-1, included, so the rank is computed only when that one is.
+    MDS characterization of a rank-k generator matrix.  M must have k
+    independent rows.  With M in RREF, [I | A] up to the order of the
+    columns, the pivot columns of the rows outside R and the non-pivot
+    columns T are singular exactly when the minor of A on R and T is 0
+    (MacWilliams-Sloane, Ch. 11, Thm 8): k * C(n-1, k) products in all.
     """
-    short = f"matrix must have k={k} independent rows"
-    if M.rows != k or M.cols < k:  # fewer than k columns: rank below k
-        raise AqmdsError(short)
-    if k == 0:
-        return None  # the empty subset: a 0 x 0 matrix is nonsingular
-    f = M.field
-    q = f.q
-    # entry a * q + b of a flat table is a + b, resp. a * b; it fits uint16
-    add, mul = f.add_table.ravel(), f.mul_table.ravel()
-    size = max(1, _CHUNK_TARGET // (k * k))
-    for subsets in _subset_chunks(M.cols, k, size):
-        # a matrix and its transpose are singular together, so row r of A[b]
-        # is column subsets[b, r] of M
-        A = M.data.T[subsets].astype(np.uint16)
-        singular = np.zeros(len(A), dtype=bool)
-        batch = np.arange(len(A))
-        for c in range(k - 1):
-            # the pivot row is the first with a nonzero entry in column c; row c
-            # takes its place among the rows left to eliminate.  A pivot entry 0
-            # marks A[b] singular, and its factors below are 0 (inv_table[0] is 0).
-            p = (A[:, c:, c] != 0).argmax(axis=1) + c
-            pivot = A[batch, p, c:]
-            A[batch, p, c:] = A[:, c, c:]
-            singular |= pivot[:, 0] == 0
-            # q * (-A[b, r, c] / pivot[b, 0]) for the rows r below c
-            factor = mul.take(f.neg_table[A[:, c + 1:, c]].astype(np.uint16) * q
-                              + f.inv_table[pivot[:, :1]]).astype(np.uint16) * q
-            A[:, c + 1:, c + 1:] = add.take(
-                A[:, c + 1:, c + 1:] * q + mul.take(factor[:, :, None] + pivot[:, None, 1:]))
-        singular |= A[:, k - 1, k - 1] == 0
-        hits = np.flatnonzero(singular)
-        if hits.size:
-            first = tuple(int(col) for col in subsets[hits[0]])
-            if first == tuple(range(k)) and rank(M) < k:
-                raise AqmdsError(short)
-            return first
-    return None
+    R, pivots = rref(M)
+    if M.rows != k or len(pivots) < k:
+        raise AqmdsError(f"matrix must have k={k} independent rows")
+    m = len(free := sorted(set(range(M.cols)) - set(pivots)))
+    # bytes at level i: the minors of levels i-1 and i, and 17 a subset-table entry
+    # (5 kept, 12 in temporaries); chunks of about _CHUNK_TARGET entries come on top
+    need = max((comb(k, i - 1) * comb(m, i - 1) + comb(k, i) * comb(m, i)
+                + 17 * i * (comb(k, i) + comb(m, i)) for i in range(1, min(k, m) + 1)), default=0)
+    if need > _MINOR_CAP:
+        raise CapExceeded(f"the k-subset test of a {k}x{M.cols} matrix over {M.field} needs {need} "
+                          f"bytes at one level of minors, more than the cap {_MINOR_CAP}")
+    found, step = [], _CHUNK_TARGET // (k + 1) + 1  # step: minors a chunk
+    for minors, rows, cols in _minors(M.field, R.data[:, free]):
+        flat = minors.ravel() if not minors.all() else ()
+        for z in range(0, len(flat), step):
+            # a zero at a * C(m, i) + b: the pivots of the rows outside rows[a], and free[cols[b]]
+            a, b = np.divmod(np.flatnonzero(flat[z:z + step] == 0) + z, len(cols))
+            outside = np.ones((len(a), k), dtype=bool)
+            outside[np.arange(len(a))[:, None], rows[a]] = False
+            held = np.take(pivots, np.nonzero(outside)[1]).reshape(len(a), k - rows.shape[1])
+            subsets = np.sort(np.hstack([held, np.take(free, cols[b])]), axis=1)
+            found += subsets[np.lexsort(subsets.T[::-1])[:1]].tolist()
+    return min(map(tuple, found), default=None)
 
 
-def _subset_chunks(n: int, k: int, size: int) -> Iterator[np.ndarray]:
-    """The k-subsets of range(n) in lexicographic order, `size` subsets a
-    chunk, as read-only (<= size, k) index arrays, from one walk.
+def _minors(f: FiniteField, A: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The i x i minors of A for i = 1, 2, ..., a level at a time beside the
+    row and column i-subsets that index them, in `combinations` order.  Term j
+    of the minor on rows R and columns T, expanded along its first row a chunk
+    of rows at a time, is (-1)^j A[R[0], T[j]] times a minor of the level before."""
+    k, m = A.shape
+    mul, add = f.mul_table.ravel(), f.add_table.ravel()
+    yield (minors := A), _subsets(k, 1)[0], _subsets(m, 1)[0]
+    # [r, t, j % 2]: q (-1)^j A[r, t], in uint16 so that no index a * q + b wraps on any numpy
+    signed = np.array([A, f.neg_table[A]], dtype=np.uint16).transpose(1, 2, 0) * f.q
+    for i in range(2, min(k, m) + 1):
+        (rows, row_drops), (cols, col_drops) = _subsets(k, i), _subsets(m, i)
+        prev, minors = minors, np.empty((len(rows), len(cols)), dtype=np.uint8)
+        step = max(1, _CHUNK_TARGET // (len(cols) * i))  # rows a chunk
+        for a in range(0, len(rows), step):
+            chunk = slice(a, a + step)
+            first = rows[chunk, 0]  # ascending: rows are in combinations order
+            by_row = signed[first[0]:first[-1] + 1, cols, np.arange(i) % 2]  # the first factors
+            terms = mul.take(by_row.take(first - first[0], axis=0)
+                             + prev.take(row_drops[chunk, 0], axis=0).take(col_drops, axis=1))
+            minor = terms[..., 0]
+            for j in range(1, i):
+                minor = add.take(minor.astype(np.uint16) * f.q + terms[..., j])
+            minors[chunk] = minor
+        yield minors, rows, cols
 
-    The first chunk is cached: it holds every subset of most matrices.
-    """
-    chunk = _first_chunk(n, k, size)
-    yield chunk
-    if len(chunk) == size:
-        rest = islice(combinations(range(n), k), size, None)
-        while len(chunk := _index_array(islice(rest, size), n, k)):
-            yield chunk
 
-
-@lru_cache(maxsize=128)
-def _first_chunk(n: int, k: int, size: int) -> np.ndarray:
-    return _index_array(islice(combinations(range(n), k), size), n, k)
-
-
-def _index_array(subsets, n: int, k: int) -> np.ndarray:
-    """The subsets as a read-only (-1, k) array of the smallest dtype that
-    holds n: one byte while n <= 256."""
-    chunk = np.fromiter(chain.from_iterable(subsets), dtype=np.min_scalar_type(n)).reshape(-1, k)
-    chunk.setflags(write=False)
-    return chunk
+def _subsets(u: int, i: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The i-subsets of range(u) in `combinations` order, a read-only (C(u, i), i)
+    array, and beside it the index of each without its j-th element, in column j.
+    Kept in `_TABLES`, which is emptied before it would pass `_TABLE_CAP` entries."""
+    if (u, i) in _TABLES:
+        return _TABLES[u, i]
+    size = comb(u, i)
+    subsets = np.fromiter(chain.from_iterable(combinations(range(u), i)), np.min_scalar_type(u - 1),
+                          count=size * i).reshape(size, i)
+    # an (i-1)-subset t is number C(u, i-1) - 1 - sum_l C(u-1-t[l], i-1-l) in that order
+    binom = np.array([[comb(x, t) for t in range(i)] for x in range(u)], dtype=np.int64)
+    drops = np.empty((size, i), dtype=np.min_scalar_type(comb(u, i - 1)))
+    for j in range(i):
+        drops[:, j] = comb(u, i - 1) - 1 - sum(binom[u - 1 - subsets[:, l], i - 1 - t] for t, l in
+                                               enumerate(l for l in range(i) if l != j))
+    subsets.flags.writeable = drops.flags.writeable = False
+    if sum(table.size for table, _ in _TABLES.values()) + subsets.size > _TABLE_CAP:
+        _TABLES.clear()
+    if subsets.size <= _TABLE_CAP:
+        _TABLES[u, i] = subsets, drops
+    return subsets, drops

@@ -539,7 +539,8 @@ class TestOneCheckPath:
 
 
 class TestLengthBound:
-    """A length no accepted field reaches is refused before anything is built."""
+    """A length no accepted field reaches, or an MDS test past the k-subset
+    oracle's cap, is refused before anything is built."""
 
     ADDRESS_LIMIT = 2 << 30  # bytes: far below what a length of 10^6 asks for
 
@@ -575,6 +576,49 @@ class TestLengthBound:
         found, skipped, reason, seconds = json.loads(result.stdout)
         assert found and skipped and "certificate construction skipped" in reason
         assert seconds < 1
+
+    def test_mds_test_past_the_cap_allocates_nothing(self):
+        # C(64, 32) column subsets: the cap stops the test before any minor
+        result = self.run_limited(
+            "import json, time\n"
+            "from aqmds.construct import grs\n"
+            "from aqmds.errors import CapExceeded\n"
+            "from aqmds.gf import make_field\n"
+            "from aqmds.matrix import first_singular_k_subset\n"
+            "G = grs(make_field(64), 64, 32).G\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    first_singular_k_subset(G, 32)\n"
+            "except CapExceeded as exc:\n"
+            "    print(json.dumps([str(exc), time.perf_counter() - start]))\n")
+        assert result.returncode == 0, result.stderr
+        message, seconds = json.loads(result.stdout)
+        assert message.startswith("the k-subset test of a 32x64 matrix over GF(64) needs ")
+        assert seconds < 1
+
+    def test_mds_test_at_the_cap_fits_the_address_limit(self):
+        # [I | A] with A 2 x 5539 needs 536,823,297 bytes, just under the cap of
+        # 2^29: 35 per 2 x 2 minor of A, in the minors and the column subset table
+        result = self.run_limited(
+            "import json\n"
+            "import numpy as np\n"
+            "from aqmds.errors import CapExceeded\n"
+            "from aqmds.gf import make_field\n"
+            "from aqmds.matrix import GfMatrix, first_singular_k_subset\n"
+            "out = []\n"
+            "for m in (5539, 5540):\n"
+            "    A = np.random.default_rng(0).integers(1, 64, size=(2, m), dtype=np.uint8)\n"
+            "    G = GfMatrix(make_field(64), np.hstack([np.eye(2, dtype=np.uint8), A]))\n"
+            "    try:\n"
+            "        out.append(first_singular_k_subset(G, 2))\n"
+            "    except CapExceeded as exc:\n"
+            "        out.append(str(exc))\n"
+            "print(json.dumps(out))\n")
+        assert result.returncode == 0, result.stderr
+        subset, refused = json.loads(result.stdout)
+        assert len(subset) == 2  # 5539 columns over GF(64) hold two proportional ones
+        assert refused == ("the k-subset test of a 2x5542 matrix over GF(64) needs 537017164 "
+                           "bytes at one level of minors, more than the cap 536870912")
 
     @pytest.mark.parametrize("recipe", [
         {"construction": "PROP6", "k": 1, "code": {"type": "repetition", "n": 10 ** 6}},

@@ -105,6 +105,13 @@ class TestConstruct:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {'k=' + k if k == '100' else 'r=' + r} must satisfy")
 
+    def test_mds_test_past_the_cap_exits_2(self, capsys):
+        # a [64,32] code has C(64, 32) column subsets: refused before any minor
+        code, out, err = run(capsys, "construct", "grs", "--q", "64", "--n", "64", "--k", "32")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the k-subset test of a 32x64 matrix over GF(64) needs ")
+        assert err.endswith(" bytes at one level of minors, more than the cap 536870912\n")
+
     def test_malformed_alpha_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["construct", "grs", "--q", "5", "--n", "4", "--k", "2", "--alpha", "1,x"])
@@ -257,6 +264,13 @@ class TestExists:
         assert out.startswith("yes")
         payload = json.loads(out.split("\n", 1)[1])
         assert "TH11" in payload["family"]
+
+    def test_mds_test_past_the_cap_skips_the_certificate(self, capsys):
+        code, out, _ = run(capsys, "exists", "--q", "64", "--n", "64", "--j", "2",
+                           "--dz", "32", "--dx", "32")
+        assert code == 0
+        assert out.startswith("yes\n(exists; certificate construction skipped: the k-subset test"
+                              " of a 31x64 matrix over GF(64) needs ")
 
 
 class TestVerifyCommand:
@@ -481,6 +495,7 @@ CATALOG_SHA256 = {
     (7, "full_oracle"): "63cf337be86268a2a1becf7237f1a76950b25affa0e40e30b6ae4b2b583223e6",
     (8, "full_oracle"): "e51b808d19063c56e04c4a4e46e87a85ad0ecccee0b3ff11ee4177bb7689049a",
     (16, "closed_form"): "538ce72b7a247b64c413452dfe9fee8cf43b1d4c31b23f7e941dca95efc7e454",
+    (19, "closed_form"): "22b73a92aee076614e8fac2addba4b5a0023b247467d48272f733abd7033b36e",
     (9, "full_oracle"): "103b54354905948e644fbc6238f82c98fd4311b9693abe07f9fb5370f9ea9c50",
     (11, "full_oracle"): "aae7964980328b84ae36b86e1db2290b6ea28f9c7d49271bde1b1ad60893f118",
     (13, "full_oracle"): "e6854578845cfae7d984de2e7cbbca608456c2447b1253d28af072482a0a9450",
@@ -543,6 +558,10 @@ COMMAND_PINS = {
     "grs-subcode-q16": Pin(
         ("construct", "grs-subcode", "--q", "16", "--k", "10", "--r", "4"),
         stdout="6b1e6fa9460282a173d4a7500c7ab72d200ae85e0992c039bf1c81d208ffd7b8"),
+    # MDS proofs of [24,12] codes among others; 60 s catches a slide back to minutes
+    "closed-form-q23": Pin(
+        catalog_argv(23), seconds=60,
+        stdout="f515eec8134220ba6419d01fe1116be05a4a0e82eb8cbac0c16a67eb7b0865c0"),
     # the largest elimination, a 63x66 generator over GF(64)
     "qplus2-high-q64": Pin(
         ("construct", "qplus2-high", "--q", "64"), seconds=60,

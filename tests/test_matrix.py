@@ -1,11 +1,12 @@
 """Dense linear algebra over GF(q): RREF, nullspace, products, MDS oracle."""
 import random
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from aqmds.construct import grs, ones, q_plus_2_low, _q_plus_2_check_matrix
+from aqmds.construct import extended_grs, grs, ones, q_plus_2_low, _q_plus_2_check_matrix
 from aqmds.errors import AqmdsError
 from aqmds import matrix
 from aqmds.gf import make_field
@@ -142,15 +143,44 @@ class TestKSubsetOracle:
         M = GfMatrix(f, [[1, 0, 1, 1, 1, 1, 2, 1], [0, 1, 1, 2, 3, 4, 1, 6]])
         assert first_singular_k_subset(M, 2) == (5, 6)
 
-    @pytest.mark.parametrize("n, k, size", [(8, 2, 16), (8, 2, 7), (6, 3, 5), (5, 5, 1), (4, 1, 9)])
-    def test_chunks_walk_the_subsets_once(self, n, k, size):
-        # chunks of `size` but the last, which is nonempty, in combinations order;
-        # C(8, 2) = 28 = 4 * 7 ends on a full chunk
-        chunks = list(matrix._subset_chunks(n, k, size))
-        assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
-        assert 0 < len(chunks[-1]) <= size
-        assert [tuple(int(x) for x in s) for c in chunks for s in c] == list(combinations(range(n), k))
-        assert not any(c.flags.writeable for c in chunks)
+    @pytest.mark.parametrize("u, i", [(1, 1), (4, 1), (5, 5), (6, 3), (8, 2), (9, 4)])
+    def test_subset_table_drops_each_element(self, u, i):
+        # the i-subsets of range(u) in combinations order; drops[s, j] is the index
+        # of subset s without its j-th element among the (i-1)-subsets
+        subsets, drops = matrix._subsets(u, i)
+        assert [tuple(s) for s in subsets.tolist()] == list(combinations(range(u), i))
+        smaller = list(combinations(range(u), i - 1))
+        assert drops.shape == subsets.shape
+        for s, row in zip(subsets.tolist(), drops.tolist()):
+            assert [smaller[d] for d in row] == [tuple(s[:j] + s[j + 1:]) for j in range(i)]
+        assert not subsets.flags.writeable and not drops.flags.writeable
+
+    def test_subset_tables_are_kept_up_to_the_cap(self):
+        # the i-subsets of range(300) fill 2 * C(300, 2) = 89,700 entries
+        assert matrix._subsets(9, 4)[0] is matrix._subsets(9, 4)[0]
+        assert matrix._subsets(300, 2)[0] is matrix._subsets(300, 2)[0]
+        assert matrix._subsets(300, 2)[1].dtype == np.uint16  # C(300, 1) = 300 > 255
+        with mock.patch.object(matrix, "_TABLE_CAP", 1 << 16):
+            matrix._TABLES.clear()
+            matrix._subsets(9, 4)
+            assert list(matrix._TABLES) == [(9, 4)]
+            # past the cap: the kept tables go, and the new one is not kept
+            assert matrix._subsets(300, 2)[0] is not matrix._subsets(300, 2)[0]
+            assert matrix._TABLES == {}
+
+    @pytest.mark.parametrize("q", [17, 19, 23, 25, 27, 32, 49, 64])
+    def test_extended_grs_above_gf16(self, q):
+        # past GF(16) a table index a * q + b passes 255: wrapped in uint8, it
+        # would turn minors of these MDS generators to 0, or the 0 minors that a
+        # last column col 0 + col 1 makes to something else
+        f = make_field(q)
+        for k in (2, 3, 4):
+            G = extended_grs(f, k).G
+            assert first_singular_k_subset(G, k) is None
+            if k > 2:  # the first k-subset holding columns 0, 1 and q is singular
+                summed = G.data.copy()
+                summed[:, q] = f.add_table[summed[:, 0], summed[:, 1]]
+                assert first_singular_k_subset(GfMatrix(f, summed), k) == (*range(k - 1), q)
 
     def test_rank_deficient_rejected(self):
         f = make_field(3)

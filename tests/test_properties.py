@@ -324,17 +324,25 @@ def test_full_weight_matches_naive_scan(params):
 
 @st.composite
 def full_rank_matrix(draw):
-    """A k x n matrix of rank k over GF(q), q <= 16; k = 1 and k = n are drawn
-    often, and zeroed entries make singular column subsets common."""
-    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16]))
+    """A k x n matrix of rank k over GF(q); k = 1, n and about n/2, which has
+    the most levels of minors, are drawn often.
+    Zeroed entries make singular column subsets common, and a last column
+    that is the sum of two others makes a subset of three or more singular
+    where few entries are 0.  The fields past 16 catch table indices
+    a * q + b that wrap in uint8 once q^2 > 256."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 32, 49, 64]))
     f = make_field(q)
-    n = draw(st.integers(1, 7))
-    k = draw(st.sampled_from([1, n, draw(st.integers(1, n))]))
+    n = draw(st.integers(1, 8))
+    k = draw(st.sampled_from([1, n, (n + 1) // 2, draw(st.integers(1, n))]))
     zero_share = draw(st.sampled_from([0.0, 0.3, 0.6]))
+    summed = 3 <= n > k and draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     while True:
         A = rng.integers(0, q, size=(k, n)).astype(np.uint8)
         A[rng.random(A.shape) < zero_share] = 0
+        if summed:
+            a, b = rng.choice(n - 1, size=2, replace=False)
+            A[:, -1] = f.add_table[A[:, a], A[:, b]]
         M = GfMatrix(f, A)
         if rank(M) == k:
             return M
@@ -346,7 +354,7 @@ def test_first_singular_k_subset_matches_rank_loop(M, chunk_target):
     k = M.rows
     expected = next((s for s in combinations(range(M.cols), k)
                      if rank(GfMatrix(M.field, M.data[:, s])) < k), None)
-    # small chunk targets walk the subsets in many chunks, the last one full or not
+    # small chunk targets compute each level of minors in many chunks of rows
     with mock.patch.object(aqmds.matrix, "_CHUNK_TARGET", chunk_target):
         assert first_singular_k_subset(M, k) == expected
 
