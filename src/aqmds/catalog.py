@@ -214,10 +214,9 @@ class CodeStore:
     unlike ==, repr tells 1, 1.0 and True apart, so a recipe gets the code
     its own arguments build.  A verdict is keyed by the code's matrices, never
     by the recipe that claims it.  A code with 0 < k < n is MDS exactly
-    when its dual is, so one proof, which LinearCode.is_mds runs on the
-    side with fewer rows, is filed under both C's canonical G and C's H,
-    the canonical G of dual(C).  Shared codes are never changed in place;
-    their matrices are read-only.
+    when its dual is, so the proof LinearCode.is_mds runs on C's canonical
+    G is filed under both that G and C's H, the canonical G of dual(C).
+    Shared codes are never changed in place; their matrices are read-only.
     """
 
     def __init__(self):

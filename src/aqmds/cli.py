@@ -50,6 +50,7 @@ from .construct import (
 )
 from .errors import AqmdsError, VerificationFailed
 from .gf import find_irreducible, make_field
+from .matrix import first_singular_k_subset
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,9 +66,10 @@ def _indices(text: str) -> List[int]:
 
 
 def _print_code(C, label: str):
-    """Prove C MDS (k-subset oracle, no enumeration) and print it with d = n-k+1."""
-    if not C.is_mds():
-        raise VerificationFailed(f"{label} output is not MDS [{C.n},{C.k}]")
+    """Prove C MDS (k-subset oracle on G, no enumeration) and print it with d = n-k+1."""
+    if (columns := first_singular_k_subset(C.G, C.k) if C.k else ()) is not None:
+        raise VerificationFailed(f"{label} output is not MDS [{C.n},{C.k}]: "
+                                 f"columns {list(columns)} are singular")
     print(f"[{C.n},{C.k},{C.n - C.k + 1}]_{C.field.q} MDS=true  ({label})")
     print("generator matrix (canonical form, element indices):")
     for row in C.G.data:

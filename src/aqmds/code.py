@@ -120,16 +120,12 @@ class LinearCode:
     def is_mds(self) -> bool:
         """Every k columns of G independent; equivalent to d = n-k+1.
 
-        A code with 0 < k < n is MDS exactly when its dual is
-        (MacWilliams-Sloane, Ch. 11), so when n-k < k the k-subset proof
-        runs on H, the dual's generator, which has fewer rows.  The zero
-        code is not MDS, and the full space is, by its identity G.
+        The k-subset proof runs on G = [I | A] for every k: the minors of
+        A^T in the dual's [-A^T | I] are those of A up to sign, so a proof on
+        H, with fewer rows when n-k < k, would test the same minors.  The
+        zero code is not MDS, and the full space is, by its identity G.
         """
-        if self.k == 0:
-            return False
-        if self.n - self.k < self.k < self.n:
-            return first_singular_k_subset(self.H, self.n - self.k) is None
-        return first_singular_k_subset(self.G, self.k) is None
+        return self.k > 0 and first_singular_k_subset(self.G, self.k) is None
 
     def weight_distribution(self) -> WeightReport:
         if self.k == 0:

@@ -8,9 +8,9 @@ lists over the field's nested-list tables.  A kernel is read off a
 matrix already in RREF by `_kernel`, which `nullspace` and `LinearCode.H`
 share, so a code's canonical generator is never eliminated a second time.
 `mat_mul` forms every entry product in one table gather and sums them
-digit-wise mod p.  The k-subset MDS oracle `first_singular_k_subset` reads
-its C(n, k) square submatrices off the minors of A in the RREF [I | A],
-level by level, and raises CapExceeded where a level passes `_MINOR_CAP`.
+digit-wise mod p.  The k-subset MDS oracle `first_singular_k_subset` stops
+at the first zero among the square minors of A in the RREF [I | A], level
+by level, and raises CapExceeded where a level passes `_MINOR_CAP`.
 """
 from __future__ import annotations
 
@@ -154,14 +154,15 @@ def _kernel(field: FiniteField, R: np.ndarray, pivots) -> GfMatrix:
 
 
 def first_singular_k_subset(M: GfMatrix, k: int) -> Optional[Tuple[int, ...]]:
-    """Lexicographically first singular k-column subset of M, or None.
+    """The singular k-column subset of M's first zero minor, or None.
 
     None means every k x k column-submatrix is nonsingular: the standard
     MDS characterization of a rank-k generator matrix.  M must have k
     independent rows.  With M in RREF, [I | A] up to the order of the
     columns, the pivot columns of the rows outside R and the non-pivot
     columns T are singular exactly when the minor of A on R and T is 0
-    (MacWilliams-Sloane, Ch. 11, Thm 8): k * C(n-1, k) products in all.
+    (MacWilliams-Sloane, Ch. 11, Thm 8).  The minors go by |T| = 1, 2, ...,
+    then by R and T in `combinations` order: k * C(n-1, k) products at most.
     """
     R, pivots = rref(M)
     if M.rows != k or len(pivots) < k:
@@ -174,18 +175,12 @@ def first_singular_k_subset(M: GfMatrix, k: int) -> Optional[Tuple[int, ...]]:
     if need > _MINOR_CAP:
         raise CapExceeded(f"the k-subset test of a {k}x{M.cols} matrix over {M.field} needs {need} "
                           f"bytes at one level of minors, more than the cap {_MINOR_CAP}")
-    found, step = [], _CHUNK_TARGET // (k + 1) + 1  # step: minors a chunk
     for minors, rows, cols in _minors(M.field, R.data[:, free]):
-        flat = minors.ravel() if not minors.all() else ()
-        for z in range(0, len(flat), step):
-            # a zero at a * C(m, i) + b: the pivots of the rows outside rows[a], and free[cols[b]]
-            a, b = np.divmod(np.flatnonzero(flat[z:z + step] == 0) + z, len(cols))
-            outside = np.ones((len(a), k), dtype=bool)
-            outside[np.arange(len(a))[:, None], rows[a]] = False
-            held = np.take(pivots, np.nonzero(outside)[1]).reshape(len(a), k - rows.shape[1])
-            subsets = np.sort(np.hstack([held, np.take(free, cols[b])]), axis=1)
-            found += subsets[np.lexsort(subsets.T[::-1])[:1]].tolist()
-    return min(map(tuple, found), default=None)
+        if not minors.all():  # the first 0 at [a, b]: pivots of the rows outside rows[a], free[cols[b]]
+            a, b = divmod(int(minors.argmin()), len(cols))
+            held = [p for r, p in enumerate(pivots) if r not in rows[a]]
+            return tuple(sorted(held + [free[c] for c in cols[b]]))
+    return None
 
 
 def _minors(f: FiniteField, A: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -12,7 +12,7 @@ from aqmds import cli
 from aqmds.cli import main
 from aqmds.code import from_generator
 from aqmds.gf import make_field
-from aqmds.matrix import GfMatrix
+from aqmds.matrix import GfMatrix, rank
 
 from test_catalog import ZERO_CODE_RECORD
 
@@ -96,6 +96,9 @@ class TestConstruct:
         code, out, err = run(capsys, "construct", "grs", "--q", "5", "--n", "4", "--k", "2")
         assert (code, out) == (3, "")
         assert "not MDS [4,2]" in err
+        # and names a witness: columns of G that are not independent
+        columns = json.loads(err.split(": columns ")[1].removesuffix(" are singular\n"))
+        assert len(columns) == 2 and rank(GfMatrix(bad.field, bad.G.data[:, columns])) < 2
 
     @pytest.mark.parametrize("k, r", [("10", "-100"), ("100", "4"), ("10", "9")])
     def test_grs_subcode_bad_k_or_r_exits_2_before_any_search(self, capsys, monkeypatch, k, r):

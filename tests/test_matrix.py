@@ -127,8 +127,10 @@ class TestKSubsetOracle:
 
     def test_singular_pair_gf2(self):
         f = make_field(2)
+        # A = [0; 0] in [I | A]: the first zero minor is row 0's, so the
+        # subset holds the pivot of row 1 and the non-pivot column 2
         M = GfMatrix(f, [[1, 0, 0], [0, 1, 0]])
-        assert first_singular_k_subset(M, 2) == (0, 2)
+        assert first_singular_k_subset(M, 2) == (1, 2)
 
     def test_grs_vandermonde_gf7(self):
         f = make_field(7)
@@ -136,12 +138,13 @@ class TestKSubsetOracle:
         assert first_singular_k_subset(M, 3) is None
 
     def test_singular_subset_in_second_chunk(self, monkeypatch):
-        # 64 // 2^2 = 16 subsets a chunk; columns 5 and 6 are proportional and no
-        # other pair is, and (5, 6) is the 26th of the C(8, 2) = 28 pairs
-        monkeypatch.setattr(matrix, "_CHUNK_TARGET", 64)
+        # _minors computes the C(3, 2) = 3 row pairs of level 2 in chunks of
+        # 24 // (C(4, 2) * 2) = 2; A has no zero entry, and its one zero 2 x 2
+        # minor, on rows (1, 2) and columns (2, 3), is in the second chunk
+        monkeypatch.setattr(matrix, "_CHUNK_TARGET", 24)
         f = make_field(7)
-        M = GfMatrix(f, [[1, 0, 1, 1, 1, 1, 2, 1], [0, 1, 1, 2, 3, 4, 1, 6]])
-        assert first_singular_k_subset(M, 2) == (5, 6)
+        M = GfMatrix(f, [[1, 0, 0, 1, 1, 1, 1], [0, 1, 0, 1, 2, 3, 4], [0, 0, 1, 1, 3, 2, 5]])
+        assert first_singular_k_subset(M, 3) == (0, 5, 6)
 
     @pytest.mark.parametrize("u, i", [(1, 1), (4, 1), (5, 5), (6, 3), (8, 2), (9, 4)])
     def test_subset_table_drops_each_element(self, u, i):
@@ -172,15 +175,16 @@ class TestKSubsetOracle:
     def test_extended_grs_above_gf16(self, q):
         # past GF(16) a table index a * q + b passes 255: wrapped in uint8, it
         # would turn minors of these MDS generators to 0, or the 0 minors that a
-        # last column col 0 + col 1 makes to something else
+        # last column 2 * col k makes to something else.  G is [I | A] and A
+        # has no 0 entry, so the first zero of the scaled G is a 2 x 2 minor,
+        # at a level that looks up tables: rows (0, 1) of A, columns k and q
         f = make_field(q)
         for k in (2, 3, 4):
             G = extended_grs(f, k).G
             assert first_singular_k_subset(G, k) is None
-            if k > 2:  # the first k-subset holding columns 0, 1 and q is singular
-                summed = G.data.copy()
-                summed[:, q] = f.add_table[summed[:, 0], summed[:, 1]]
-                assert first_singular_k_subset(GfMatrix(f, summed), k) == (*range(k - 1), q)
+            scaled = G.data.copy()
+            scaled[:, q] = f.mul_table[2, scaled[:, k]]
+            assert first_singular_k_subset(GfMatrix(f, scaled), k) == (*range(2, k + 1), q)
 
     def test_rank_deficient_rejected(self):
         f = make_field(3)
@@ -199,16 +203,20 @@ class TestKSubsetOracle:
         with pytest.raises(AqmdsError, match=f"^matrix must have k={k} independent rows$"):
             first_singular_k_subset(GfMatrix(make_field(5), rows), k)
 
-    @pytest.mark.parametrize("rows", [
-        [[1, 1, 0], [1, 1, 1]],  # columns 0 and 1 equal
-        [[1, 0, 2, 1], [0, 1, 0, 1], [1, 1, 2, 0]],  # column 2 is twice column 0
-        [[0, 1, 2, 3, 4]],  # a zero first entry, k = 1
-    ])
-    def test_full_rank_with_singular_first_subset(self, rows):
+    @pytest.mark.parametrize("rows, expected", [
+        # RREF [[1, 1, 0], [0, 0, 1]]: pivots 0, 2; row 1 of A = [1; 0] is 0
+        ([[1, 1, 0], [1, 1, 1]], (0, 1)),  # columns 0 and 1 equal
+        # pivots 0, 1, 3 and A = [2; 0; 0]: row 1 leaves out pivot 1
+        ([[1, 0, 2, 1], [0, 1, 0, 1], [1, 1, 2, 0]], (0, 2, 3)),  # column 2 is twice column 0
+        ([[0, 1, 2, 3, 4]], (0,)),  # a zero first entry, k = 1
+    ], ids=["rows0", "rows1", "rows2"])
+    def test_full_rank_with_singular_first_subset(self, rows, expected):
+        # each M has a singular first k-subset, range(k); the oracle returns
+        # the subset of its first zero minor, which need not be that one
         M = GfMatrix(make_field(5), rows)
         k = M.rows
         assert rank(M) == k
-        assert first_singular_k_subset(M, k) == tuple(range(k))
+        assert first_singular_k_subset(M, k) == expected
 
     def test_mds_generator_never_computes_the_rank(self, monkeypatch):
         def no_rank(M):

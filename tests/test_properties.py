@@ -178,15 +178,15 @@ def test_shortening_is_dual_to_puncturing_the_dual(code_and_pos):
 
 
 @st.composite
-def code_of_any_dimension(draw):
+def code_of_any_dimension(draw, proper=False):
     """A code over GF(q), q in {2, 3, 4, 7, 8, 9, 16}, n <= 8, of a drawn
-    dimension k in 0..n, k = 0 and k = n drawn often: a GRS code, which is
-    MDS, or a random generator whose zeroed entries make non-MDS codes
-    common."""
+    dimension k in 0..n, k = 0 and k = n drawn often, or 0 < k < n if proper:
+    a GRS code, which is MDS, or a random generator whose zeroed entries make
+    non-MDS codes common."""
     q = draw(st.sampled_from([2, 3, 4, 7, 8, 9, 16]))
     f = make_field(q)
-    n = draw(st.integers(1, 8))
-    k = draw(st.sampled_from([0, n, draw(st.integers(0, n))]))
+    n = draw(st.integers(1 + proper, 8))
+    k = draw(st.integers(1, n - 1) if proper else st.sampled_from([0, n, draw(st.integers(0, n))]))
     if k and n <= q and draw(st.booleans()):
         return grs(f, n, k)
     zero_share = draw(st.sampled_from([0.0, 0.3, 0.6]))
@@ -200,10 +200,11 @@ def code_of_any_dimension(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(code_of_any_dimension())
-def test_is_mds_matches_the_k_subset_oracle_on_G(C):
-    # is_mds proves a code with n-k < k < n on H; the zero code is never MDS
-    assert C.is_mds() == (C.k > 0 and first_singular_k_subset(C.G, C.k) is None)
+@given(code_of_any_dimension(proper=True))
+def test_is_mds_agrees_with_the_dual_and_the_oracle_on_H(C):
+    # is_mds proves every code on G; a code with 0 < k < n is MDS exactly
+    # when its dual is, which the k-subset oracle on H decides on its own
+    assert C.is_mds() == C.dual().is_mds() == (first_singular_k_subset(C.H, C.n - C.k) is None)
 
 
 @settings(max_examples=100, deadline=None)
@@ -324,16 +325,17 @@ def test_full_weight_matches_naive_scan(params):
 
 @st.composite
 def full_rank_matrix(draw):
-    """A k x n matrix of rank k over GF(q); k = 1, n and about n/2, which has
-    the most levels of minors, are drawn often.
-    Zeroed entries make singular column subsets common, and a last column
-    that is the sum of two others makes a subset of three or more singular
-    where few entries are 0.  The fields past 16 catch table indices
-    a * q + b that wrap in uint8 once q^2 > 256."""
+    """A k x n matrix of rank k over GF(q), n <= 10 with n = 10 drawn first,
+    and k within one of n/2, which has the most levels of minors, so k = 1
+    only for n <= 4 and k = n for n <= 3.  Zeroed entries make singular
+    column subsets common, and a last column that is the sum of two others
+    makes a subset of three or more singular where few entries are 0.  The
+    fields past 16 catch table indices a * q + b that wrap in uint8 once
+    q^2 > 256."""
     q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 32, 49, 64]))
     f = make_field(q)
-    n = draw(st.integers(1, 8))
-    k = draw(st.sampled_from([1, n, (n + 1) // 2, draw(st.integers(1, n))]))
+    n = draw(st.sampled_from(range(10, 0, -1)))
+    k = min(n, max(1, (n + 1) // 2 + draw(st.integers(-1, 1))))
     zero_share = draw(st.sampled_from([0.0, 0.3, 0.6]))
     summed = 3 <= n > k and draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -351,9 +353,19 @@ def full_rank_matrix(draw):
 @settings(max_examples=150, deadline=None)
 @given(full_rank_matrix(), st.sampled_from([1, 3, 16, 1 << 20]))
 def test_first_singular_k_subset_matches_rank_loop(M, chunk_target):
+    # with M in RREF [I | A] up to the order of the columns, a singular subset S
+    # is a zero minor of A: on the rows whose pivot is outside S, and on the
+    # non-pivot columns in S.  The oracle returns the S of the first zero minor
+    # by (size, rows, columns), a key that no two subsets share
     k = M.rows
-    expected = next((s for s in combinations(range(M.cols), k)
-                     if rank(GfMatrix(M.field, M.data[:, s])) < k), None)
+    pivots = rref(M)[1]
+    free = [c for c in range(M.cols) if c not in pivots]
+
+    def minor(s):
+        T = tuple(free.index(c) for c in s if c in free)
+        return len(T), tuple(r for r, p in enumerate(pivots) if p not in s), T
+    expected = min((s for s in combinations(range(M.cols), k)
+                    if rank(GfMatrix(M.field, M.data[:, s])) < k), key=minor, default=None)
     # small chunk targets compute each level of minors in many chunks of rows
     with mock.patch.object(aqmds.matrix, "_CHUNK_TARGET", chunk_target):
         assert first_singular_k_subset(M, k) == expected
