@@ -8,9 +8,13 @@ lists over the field's nested-list tables.  A kernel is read off a
 matrix already in RREF by `_kernel`, which `nullspace` and `LinearCode.H`
 share, so a code's canonical generator is never eliminated a second time.
 `mat_mul` forms every entry product in one table gather and sums them
-digit-wise mod p.  The k-subset MDS oracle `first_singular_k_subset` stops
-at the first zero among the square minors of A in the RREF [I | A], level
-by level, and raises CapExceeded where a level passes `_MINOR_CAP`.
+digit-wise mod p.  The k-subset MDS oracle `first_singular_k_subset` reads
+A in the RREF [I | A] and raises CapExceeded where a level of its minors
+would pass `_MINOR_CAP`.  Under the cap its fast path, `_cauchy`, proves
+a GRS or doubly extended GRS code MDS in O(k(n-k)) lookups by finding A a
+generalized Cauchy matrix (Roth-Seroussi 1985, Roth-Lempel 1989).  That
+test only ever says yes; every other matrix goes on to the square minors
+of A, level by level, which stop at the first zero.
 """
 from __future__ import annotations
 
@@ -161,8 +165,10 @@ def first_singular_k_subset(M: GfMatrix, k: int) -> Optional[Tuple[int, ...]]:
     independent rows.  With M in RREF, [I | A] up to the order of the
     columns, the pivot columns of the rows outside R and the non-pivot
     columns T are singular exactly when the minor of A on R and T is 0
-    (MacWilliams-Sloane, Ch. 11, Thm 8).  The minors go by |T| = 1, 2, ...,
-    then by R and T in `combinations` order: k * C(n-1, k) products at most.
+    (MacWilliams-Sloane, Ch. 11, Thm 8).  After the cap check, an A that
+    `_cauchy` finds Cauchy, as for every GRS code, returns None at once.
+    Otherwise the minors go by |T| = 1, 2, ..., then by R and T in
+    `combinations` order: k * C(n-1, k) products at most.
     """
     R, pivots = rref(M)
     if M.rows != k or len(pivots) < k:
@@ -175,12 +181,38 @@ def first_singular_k_subset(M: GfMatrix, k: int) -> Optional[Tuple[int, ...]]:
     if need > _MINOR_CAP:
         raise CapExceeded(f"the k-subset test of a {k}x{M.cols} matrix over {M.field} needs {need} "
                           f"bytes at one level of minors, more than the cap {_MINOR_CAP}")
-    for minors, rows, cols in _minors(M.field, R.data[:, free]):
+    if _cauchy(M.field, A := R.data[:, free]):
+        return None
+    for minors, rows, cols in _minors(M.field, A):
         if not minors.all():  # the first 0 at [a, b]: pivots of the rows outside rows[a], free[cols[b]]
             a, b = divmod(int(minors.argmin()), len(cols))
             held = [p for r, p in enumerate(pivots) if r not in rows[a]]
             return tuple(sorted(held + [free[c] for c in cols[b]]))
     return None
+
+
+def _cauchy(f: FiniteField, A: np.ndarray) -> bool:
+    """True when A, k x m, is a generalized Cauchy matrix, so that no square
+    submatrix of A is singular; False leaves that undecided.  With no 0
+    entry, and k, m >= 2, scale rows and columns so that row 0 and column 0
+    are ones (B); A is one when M = 1/B - 1 off them is u w^T with the u_i
+    nonzero and pairwise distinct, and the w_j too.  Then
+    B_ij = 1/(1 + u_i w_j) is Cauchy on the points x = 0, u_1, ... and
+    y = infinity, -1/w_1, ... (Roth-Lempel 1989).  O(k m) table lookups."""
+    k, m = A.shape
+    rows = A.tolist()
+    if not all(chain.from_iterable(rows)):  # a singular 1 x 1 minor, left to the minors
+        return False
+    if k == 1 or m <= 1:  # every minor is an entry, or there is none
+        return True
+    add, mul, neg, inv = f._tables
+    row_scale = [mul[rows[0][0]][inv[row[0]]] for row in rows[1:]]  # B_ij = A_ij s_i t_j
+    col_scale = [inv[a] for a in rows[0][1:]]
+    M = [[add[inv[mul[mul[a][s]][t]]][neg[1]] for a, t in zip(row[1:], col_scale)]
+         for row, s in zip(rows[1:], row_scale)]
+    u, w = [row[0] for row in M], M[0]
+    return (all(u) and all(w) and len(set(u)) == len(u) and len(set(w)) == len(w)
+            and all(mul[b][u[0]] == mul[u_i][c] for row, u_i in zip(M, u) for b, c in zip(row, w)))
 
 
 def _minors(f: FiniteField, A: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:

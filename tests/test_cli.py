@@ -499,6 +499,7 @@ CATALOG_SHA256 = {
     (8, "full_oracle"): "e51b808d19063c56e04c4a4e46e87a85ad0ecccee0b3ff11ee4177bb7689049a",
     (16, "closed_form"): "538ce72b7a247b64c413452dfe9fee8cf43b1d4c31b23f7e941dca95efc7e454",
     (19, "closed_form"): "22b73a92aee076614e8fac2addba4b5a0023b247467d48272f733abd7033b36e",
+    (25, "closed_form"): "baa50c643bee3d2ca272d1955a33bac3f9c5c8f021ff180a907432e47712311c",
     (9, "full_oracle"): "103b54354905948e644fbc6238f82c98fd4311b9693abe07f9fb5370f9ea9c50",
     (11, "full_oracle"): "aae7964980328b84ae36b86e1db2290b6ea28f9c7d49271bde1b1ad60893f118",
     (13, "full_oracle"): "e6854578845cfae7d984de2e7cbbca608456c2447b1253d28af072482a0a9450",

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from aqmds.construct import extended_grs, grs, ones, q_plus_2_low, _q_plus_2_check_matrix
+from aqmds.construct import extended_grs, grs, ones, q_plus_2_high, q_plus_2_low, _q_plus_2_check_matrix
 from aqmds.errors import AqmdsError
 from aqmds import matrix
 from aqmds.gf import make_field
@@ -225,6 +225,59 @@ class TestKSubsetOracle:
         f = make_field(7)
         for k in range(1, 7):
             assert first_singular_k_subset(grs(f, 6, k).G, k) is None
+
+
+class TestCauchyFastPath:
+    @pytest.fixture
+    def minors_calls(self, monkeypatch):
+        calls = []
+
+        def counted(f, A):
+            calls.append(A.shape)
+            return minors(f, A)
+        minors = matrix._minors
+        monkeypatch.setattr(matrix, "_minors", counted)
+        return calls
+
+    @pytest.mark.parametrize("build", [q_plus_2_low, q_plus_2_high])
+    def test_hyperoval_codes_fall_through_to_the_minors(self, build, minors_calls):
+        # the length-(q+2) codes are MDS but not GRS, so the Cauchy test
+        # leaves them undecided and the minors prove them
+        C = build(make_field(8))
+        assert first_singular_k_subset(C.G, C.k) is None
+        assert minors_calls == [(C.k, C.n - C.k)]
+
+    def test_all_ones_block_over_gf2_is_undecided(self, minors_calls):
+        # B is all ones, so 1/B - 1 is 0: no Cauchy points, and the minors
+        # find the zero 2 x 2 minor
+        f = make_field(2)
+        assert not matrix._cauchy(f, np.ones((2, 2), dtype=np.uint8))
+        M = GfMatrix(f, [[1, 0, 1, 1], [0, 1, 1, 1]])
+        assert first_singular_k_subset(M, 2) == (2, 3)
+        assert minors_calls == [(2, 2)]
+
+    def test_full_space_is_decided(self, minors_calls):
+        f = make_field(7)
+        assert matrix._cauchy(f, np.zeros((3, 0), dtype=np.uint8))
+        assert first_singular_k_subset(GfMatrix.identity(f, 3), 3) is None
+        assert minors_calls == []
+
+    @pytest.mark.parametrize("q", [7, 8, 9, 16, 25, 64])
+    def test_grs_generators_never_reach_the_minors(self, q, minors_calls):
+        f = make_field(q)
+        # the cap is checked before the fast path, and k = 32 passes it at q = 64
+        for k in (1, 2, q // 2 if q < 32 else 4, q - 2, q - 1):
+            assert first_singular_k_subset(grs(f, q, k).G, k) is None
+            assert first_singular_k_subset(extended_grs(f, k).G, k) is None
+        assert minors_calls == []
+
+    @pytest.mark.parametrize("A", [
+        [[1, 2, 3], [0, 4, 5]],  # a zero entry: a singular 1 x 1 minor
+        [[1, 1, 1], [1, 2, 2]],  # two equal columns of B
+        [[1, 1, 1], [1, 2, 4], [1, 4, 2]],  # rows of B distinct, but M of rank 2
+    ])
+    def test_undecided_blocks_over_gf7(self, A):
+        assert not matrix._cauchy(make_field(7), np.array(A, dtype=np.uint8))
 
 
 class TestInvariants:

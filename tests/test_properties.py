@@ -179,14 +179,16 @@ def test_shortening_is_dual_to_puncturing_the_dual(code_and_pos):
 
 @st.composite
 def code_of_any_dimension(draw, proper=False):
-    """A code over GF(q), q in {2, 3, 4, 7, 8, 9, 16}, n <= 8, of a drawn
-    dimension k in 0..n, k = 0 and k = n drawn often, or 0 < k < n if proper:
-    a GRS code, which is MDS, or a random generator whose zeroed entries make
-    non-MDS codes common."""
+    """A code over GF(q), q in {2, 3, 4, 7, 8, 9, 16}, n <= 8 drawn from the
+    top down, of a drawn dimension: 0 < k < n if proper, and otherwise three
+    times in four where n > 1, else k = 0 or k = n.  It is a GRS code, which
+    is MDS, or a random generator whose zeroed entries make non-MDS codes
+    common."""
     q = draw(st.sampled_from([2, 3, 4, 7, 8, 9, 16]))
     f = make_field(q)
-    n = draw(st.integers(1 + proper, 8))
-    k = draw(st.integers(1, n - 1) if proper else st.sampled_from([0, n, draw(st.integers(0, n))]))
+    n = draw(st.sampled_from(range(8, proper, -1)))
+    proper = proper or n > 1 and draw(st.sampled_from([True, True, True, False]))
+    k = draw(st.integers(1, n - 1) if proper else st.sampled_from([0, n]))
     if k and n <= q and draw(st.booleans()):
         return grs(f, n, k)
     zero_share = draw(st.sampled_from([0.0, 0.3, 0.6]))
@@ -369,6 +371,59 @@ def test_first_singular_k_subset_matches_rank_loop(M, chunk_target):
     # small chunk targets compute each level of minors in many chunks of rows
     with mock.patch.object(aqmds.matrix, "_CHUNK_TARGET", chunk_target):
         assert first_singular_k_subset(M, k) == expected
+
+
+@st.composite
+def generator_for_the_cauchy_test(draw, kinds=("grs", "extended", "perturbed", "random")):
+    """A k x n generator over GF(q), q <= 64, of a drawn kind: GRS at n
+    distinct points with nonzero multipliers; extended GRS, whose point at
+    infinity, v e_(k-1), lands in a drawn column; one of those with one entry
+    changed; or a random matrix with zeroed entries.  n <= min(10, q + 1) is
+    drawn from the top down and 0 < k < n near n/2, as in full_rank_matrix,
+    so that most blocks A have two rows and two columns or more."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 32, 49, 64]))
+    f = make_field(q)
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.sampled_from(range(min(10, q + 1), 1, -1)))
+    k = min(n - 1, max(1, n // 2 + draw(st.integers(-1, 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        G = rng.integers(0, q, size=(k, n)).astype(np.uint8)
+        G[rng.random(G.shape) < draw(st.sampled_from([0.0, 0.1, 0.3]))] = 0
+        return GfMatrix(f, G)
+    extended = n == q + 1 or kind == "extended" or (kind == "perturbed" and draw(st.booleans()))
+    points = rng.choice(q, size=n - extended, replace=False)
+    G = rng.integers(1, q, size=(1, n)).astype(np.uint8).repeat(k, axis=0)
+    for i in range(1, k):  # row i: v_j alpha_j^i
+        G[i, :n - extended] = f.mul_table[G[i - 1, :n - extended], points]
+    if extended:
+        G[:k - 1, -1] = 0
+        G = G[:, rng.permutation(n)]
+    if kind == "perturbed":
+        i, j = rng.integers(k), rng.integers(n)
+        G[i, j] = f.add_table[G[i, j], rng.integers(1, q)]
+    return GfMatrix(f, G)
+
+
+def _non_pivot_block(M: GfMatrix) -> np.ndarray:
+    R, pivots = rref(M)
+    return R.data[:, [c for c in range(M.cols) if c not in pivots]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_for_the_cauchy_test())
+def test_cauchy_yes_means_no_zero_minor(M):
+    # the Cauchy test only ever says yes, so a yes must survive every minor
+    assume(rank(M) == M.rows)
+    A = _non_pivot_block(M)
+    if aqmds.matrix._cauchy(M.field, A):
+        assert all(minors.all() for minors, _, _ in aqmds.matrix._minors(M.field, A))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_for_the_cauchy_test(kinds=("grs", "extended")))
+def test_cauchy_decides_every_grs_generator(M):
+    assert aqmds.matrix._cauchy(M.field, _non_pivot_block(M))
 
 
 def _random_full_rank(rng, f, k, n) -> np.ndarray:
