@@ -206,22 +206,18 @@ def _length(n: int) -> int:
 
 
 class CodeStore:
-    """The codes and MDS verdicts of one run, shared by its certificates.
+    """The codes of one run, shared by its certificates.
 
     A run is one enumerate_catalog call, one `aqmds verify` of a file, or
     one call of any other public function, which makes a fresh store.  A
     code is keyed by its builder and the repr of the builder's arguments:
     unlike ==, repr tells 1, 1.0 and True apart, so a recipe gets the code
-    its own arguments build.  A verdict is keyed by the code's matrices, never
-    by the recipe that claims it.  A code with 0 < k < n is MDS exactly
-    when its dual is, so the proof LinearCode.is_mds runs on C's canonical
-    G is filed under both that G and C's H, the canonical G of dual(C).
+    its own arguments build, and with it that code's own MDS verdict.
     Shared codes are never changed in place; their matrices are read-only.
     """
 
     def __init__(self):
         self._codes: Dict[Tuple, LinearCode] = {}
-        self._mds: Dict[GfMatrix, bool] = {}
 
     def code(self, build: Callable[..., LinearCode], *args) -> LinearCode:
         """build(*args), built once per run."""
@@ -229,15 +225,6 @@ class CodeStore:
         if key not in self._codes:
             self._codes[key] = build(*args)
         return self._codes[key]
-
-    def is_mds(self, C: LinearCode) -> bool:
-        """C.is_mds(), proven once per run for each code and its dual."""
-        verdict = self._mds.get(C.G)
-        if verdict is None:
-            verdict = self._mds[C.G] = C.is_mds()
-            if 0 < C.k < C.n:
-                self._mds[C.H] = verdict
-        return verdict
 
 
 def _repetition(f: FiniteField, n: int) -> LinearCode:
@@ -332,34 +319,28 @@ def build_pair_from_recipe(recipe: Dict, *, store: Optional[CodeStore] = None) -
 # -- verification oracles -----------------------------------------------------
 
 
-def run_oracles(claimed: AqcParams, pair: NestedPair, level: str,
-                *, store: Optional[CodeStore] = None):
+def run_oracles(claimed: AqcParams, pair: NestedPair, level: str):
     """Run verification oracles against the rebuilt pair.
 
     Returns (verified, oracle_log).  Oracles that would exceed the
     enumeration cap are marked skipped, never silently passed.  `nesting`
     records the proof that made the pair.  Every MDS verdict, those behind
-    the j = 0 distances included, comes from `store`, which proves each
-    code and its dual once between them.
+    the j = 0 distances included, is the code's own LinearCode.is_mds.
     """
-    store = store or CodeStore()
     log: List[str] = []
 
     def record(name: str, passed: bool):
         log.append(f"{name}:{'pass' if passed else 'FAIL'}")
 
     record("nesting", True)  # a NestedPair proves its nesting when it is made
-    # for j = 0, dual(C1) = C2: the store proves their one matrix once
-    record("mds_dual_c1", store.is_mds(pair.c1.dual()))
-    record("mds_c2", store.is_mds(pair.c2))
+    record("mds_dual_c1", pair.c1.dual().is_mds())
+    record("mds_c2", pair.c2.is_mds())
     record("dimensions", pair.quantum_k == claimed.k)
     record("singleton_equality",
            claimed.k == claimed.n - claimed.dx - claimed.dz + 2)
 
     if level == "full_oracle":
-        # at j = 0, C1 = dual(C2): the one proof of mds_dual_c1 and mds_c2
-        # is already filed for both codes
-        sides = pair_sides(pair, store.is_mds)
+        sides = pair_sides(pair)
         if claimed.k:
             for name, side in zip(("distance_c2_side", "distance_c1_side"), sides):
                 if isinstance(side, CapExceeded):
@@ -408,7 +389,7 @@ def _failed_checks(claimed: AqcParams, family: List[str], recipe: Dict, level: s
         failed.append("header_family")
     if failed:
         return failed, []
-    verified, log = run_oracles(claimed, pair, level, store=store)
+    verified, log = run_oracles(claimed, pair, level)
     if not verified:
         return [e.split(":")[0] for e in log if e.endswith(":FAIL")], log
     d1, d2 = c1.n - c1.k + 1, c2.n - c2.k + 1
@@ -465,8 +446,8 @@ def enumerate_catalog(query: CatalogQuery) -> List[Certificate]:
     table once.  A tuple that several cases reach carries all their tags;
     its recipe comes from the first case in classification order.  Output is
     sorted by (n, j, dz, dx) and deterministic across runs.  The
-    certificates share one CodeStore: each code is built once, and each
-    code and its dual are proven MDS once between them.
+    certificates share one CodeStore, so each code is built, and proven
+    MDS, once.
     """
     q = query.q
     make_field(q)  # a q that is no prime power or over the cap is refused before any work
@@ -548,7 +529,7 @@ def verify(cert: Certificate, *, store: Optional[CodeStore] = None) -> Certifica
     MDS codes ("mds_distances").  Returns a refreshed certificate; raises
     VerificationFailed naming the first failing header field, oracle or
     that check.  Idempotent on valid certificates.  Certificates verified
-    through one `store` share its codes and MDS verdicts.
+    through one `store` share its codes, and with them their MDS verdicts.
     """
     failed, log = _failed_checks(cert.params, cert.family, cert.recipe, "full_oracle",
                                  store or CodeStore())

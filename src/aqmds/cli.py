@@ -223,7 +223,7 @@ def cmd_verify(args) -> int:
         except RecursionError:
             raise AqmdsError("malformed certificate file: JSON nested too deeply") from None
     items = payload if isinstance(payload, list) else [payload]
-    store = CodeStore()  # the file's records share their codes and MDS proofs
+    store = CodeStore()  # the file's records share their codes, which keep their MDS proofs
     for item in items:
         cert = certificate_from_dict(item)
         refreshed = verify_certificate(cert, store=store)

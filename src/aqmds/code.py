@@ -22,11 +22,12 @@ and stops at the first hit.
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -77,6 +78,10 @@ class LinearCode:
         self.n = G.cols
         self.k = G.rows
         self._H: Optional[GfMatrix] = None
+        # the linked dual, or None: a code holds the dual it builds, and the dual
+        # holds it by a weak reference, so that the pair is no reference cycle
+        self._dual: Callable[[], Optional[LinearCode]] = lambda: None
+        self._mds: Optional[bool] = None
 
     @property
     def H(self) -> GfMatrix:
@@ -105,8 +110,13 @@ class LinearCode:
     # -- basic operations -----------------------------------------------------
 
     def dual(self) -> "LinearCode":
-        dual = LinearCode(self.H, _canonical=True)
-        dual._H = self.G  # the dual's parity check is this code's canonical generator
+        """The dual code, one object per code, so that C.dual().dual() is C."""
+        dual = self._dual()
+        if dual is None:
+            dual = LinearCode(self.H, _canonical=True)
+            # the dual's parity check is this code's canonical generator
+            dual._H, dual._dual = self.G, weakref.ref(self)
+            self._dual = lambda: dual
         return dual
 
     def codeword(self, message: np.ndarray) -> np.ndarray:
@@ -124,8 +134,21 @@ class LinearCode:
         A^T in the dual's [-A^T | I] are those of A up to sign, so a proof on
         H, with fewer rows when n-k < k, would test the same minors.  The
         zero code is not MDS, and the full space is, by its identity G.
+
+        The verdict is kept on the code, and a code and its dual() share one
+        proof: for 0 < k < n, C is MDS exactly when its dual is, so the one
+        asked second takes the first one's verdict.  A code rebuilt from
+        equal matrices is another object and proves itself; within a run,
+        certificates share codes, and with them verdicts, through the
+        catalog's CodeStore.
         """
-        return self.k > 0 and first_singular_k_subset(self.G, self.k) is None
+        if self._mds is None:
+            dual = self._dual()
+            if dual is not None and dual._mds is not None and 0 < self.k < self.n:
+                self._mds = dual._mds
+            else:
+                self._mds = self.k > 0 and first_singular_k_subset(self.G, self.k) is None
+        return self._mds
 
     def weight_distribution(self) -> WeightReport:
         if self.k == 0:

@@ -14,7 +14,7 @@ empty sequence included, is checked as given.
 The builders construct and do not re-prove their output.  On the
 certificate paths each fact is proven once: the nesting when the
 `css.NestedPair` is made, and MDS of both codes by `catalog.run_oracles`,
-whose every verdict goes through the run's `CodeStore`; the `construct`
+whose verdicts each code keeps (`LinearCode.is_mds`); the `construct`
 subcommand proves MDS of the code it prints.
 """
 from __future__ import annotations

@@ -22,13 +22,13 @@ into (d_z, d_x, purity) for css_construct and the catalog's oracles alike.
 
 Each fact is proven once.  A NestedPair proves dual(C1) subseteq C2 when
 it is made, so holding one is the nesting proof.  The MDS verdicts behind
-the k = 0 distances come from the caller's `is_mds`, which the catalog's
-oracles take from the run's CodeStore.
+the k = 0 distances are the codes' own, which LinearCode.is_mds keeps, so
+in the catalog's oracles they are those of mds_dual_c1 and mds_c2.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .code import LinearCode, _distributions, _lowest_weight, first_row_outside
 from .errors import AqmdsError, CapExceeded
@@ -88,8 +88,7 @@ def make_pair(C1: LinearCode, C2: LinearCode) -> NestedPair:
 Side = Union[Tuple[Optional[int], int], CapExceeded]
 
 
-def pair_sides(pair: NestedPair,
-               is_mds: Callable[[LinearCode], bool] = LinearCode.is_mds) -> Tuple[Side, Side]:
+def pair_sides(pair: NestedPair) -> Tuple[Side, Side]:
     """The C2 side and then the C1 side of the pair: (min weight of the
     side's code outside the other's dual, or None, min distance of the
     side's code), or the CapExceeded in place of the side's code's
@@ -100,7 +99,7 @@ def pair_sides(pair: NestedPair,
     dual(other), no larger than the code, and the weights outside it are
     A(code) - A(dual(other)).  At k = 0 dual(other) is the code itself, so
     no word lies outside, C1's distributions are C2's swapped, and a capped
-    distance is n-k+1 of the side's code when `is_mds` proves it MDS.
+    distance is n-k+1 of the side's code when it is proven MDS.
     """
     k = pair.quantum_k
     c2 = _distributions(pair.c2)
@@ -108,7 +107,7 @@ def pair_sides(pair: NestedPair,
     sides = []
     for code, (dist, _), (_, inside) in ((pair.c2, c2, c1), (pair.c1, c1, c2)):
         if isinstance(dist, CapExceeded):
-            proven = k == 0 and is_mds(code)
+            proven = k == 0 and code.is_mds()
             sides.append((None, code.n - code.k + 1) if proven else dist)
         else:
             sides.append((_lowest_weight(dist - inside) if k else None, _lowest_weight(dist)))

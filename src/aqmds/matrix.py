@@ -9,18 +9,19 @@ matrix already in RREF by `_kernel`, which `nullspace` and `LinearCode.H`
 share, so a code's canonical generator is never eliminated a second time.
 `mat_mul` forms every entry product in one table gather and sums them
 digit-wise mod p.  The k-subset MDS oracle `first_singular_k_subset` reads
-A in the RREF [I | A] and raises CapExceeded where a level of its minors
-would pass `_MINOR_CAP`.  Under the cap its fast path, `_cauchy`, proves
-a GRS or doubly extended GRS code MDS in O(k(n-k)) lookups by finding A a
-generalized Cauchy matrix (Roth-Seroussi 1985, Roth-Lempel 1989).  That
-test only ever says yes; every other matrix goes on to the square minors
-of A, level by level, which stop at the first zero.
+A in the RREF [I | A].  Its fast path, `_cauchy`, proves a GRS or doubly
+extended GRS code MDS in O(k(n-k)) lookups by finding A a generalized
+Cauchy matrix (Roth-Seroussi 1985, Roth-Lempel 1989).  That test only
+ever says yes; every other matrix goes on to the square minors of A,
+level by level, which stop at the first zero, and raises CapExceeded
+first where a level of them would pass `_MINOR_CAP`.  The subset tables
+that index the minors are built on each call.
 """
 from __future__ import annotations
 
 from itertools import chain, combinations
 from math import comb
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +31,6 @@ from .gf import FiniteField
 # elements per numpy chunk, for the k-subset oracle here and the codeword scan
 _CHUNK_TARGET = 1 << 20
 _MINOR_CAP = 1 << 29  # bytes at one level of the k-subset oracle; every length <= 32 passes
-_TABLE_CAP = 1 << 24  # entries of the subset tables kept in _TABLES, at most 100 MB
-_TABLES: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
 
 class GfMatrix:
@@ -165,15 +164,17 @@ def first_singular_k_subset(M: GfMatrix, k: int) -> Optional[Tuple[int, ...]]:
     independent rows.  With M in RREF, [I | A] up to the order of the
     columns, the pivot columns of the rows outside R and the non-pivot
     columns T are singular exactly when the minor of A on R and T is 0
-    (MacWilliams-Sloane, Ch. 11, Thm 8).  After the cap check, an A that
-    `_cauchy` finds Cauchy, as for every GRS code, returns None at once.
-    Otherwise the minors go by |T| = 1, 2, ..., then by R and T in
-    `combinations` order: k * C(n-1, k) products at most.
+    (MacWilliams-Sloane, Ch. 11, Thm 8).  An A that `_cauchy` finds
+    Cauchy, as for every GRS code, returns None at once, at any size.
+    Otherwise, under the cap, the minors go by |T| = 1, 2, ..., then by R
+    and T in `combinations` order: k * C(n-1, k) products at most.
     """
     R, pivots = rref(M)
     if M.rows != k or len(pivots) < k:
         raise AqmdsError(f"matrix must have k={k} independent rows")
     m = len(free := sorted(set(range(M.cols)) - set(pivots)))
+    if _cauchy(M.field, A := R.data[:, free]):
+        return None
     # bytes at level i: the minors of levels i-1 and i, and 17 a subset-table entry
     # (5 kept, 12 in temporaries); chunks of about _CHUNK_TARGET entries come on top
     need = max((comb(k, i - 1) * comb(m, i - 1) + comb(k, i) * comb(m, i)
@@ -181,8 +182,6 @@ def first_singular_k_subset(M: GfMatrix, k: int) -> Optional[Tuple[int, ...]]:
     if need > _MINOR_CAP:
         raise CapExceeded(f"the k-subset test of a {k}x{M.cols} matrix over {M.field} needs {need} "
                           f"bytes at one level of minors, more than the cap {_MINOR_CAP}")
-    if _cauchy(M.field, A := R.data[:, free]):
-        return None
     for minors, rows, cols in _minors(M.field, A):
         if not minors.all():  # the first 0 at [a, b]: pivots of the rows outside rows[a], free[cols[b]]
             a, b = divmod(int(minors.argmin()), len(cols))
@@ -243,11 +242,8 @@ def _minors(f: FiniteField, A: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndar
 
 
 def _subsets(u: int, i: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The i-subsets of range(u) in `combinations` order, a read-only (C(u, i), i)
-    array, and beside it the index of each without its j-th element, in column j.
-    Kept in `_TABLES`, which is emptied before it would pass `_TABLE_CAP` entries."""
-    if (u, i) in _TABLES:
-        return _TABLES[u, i]
+    """The i-subsets of range(u) in `combinations` order, a (C(u, i), i) array,
+    and beside it the index of each without its j-th element, in column j."""
     size = comb(u, i)
     subsets = np.fromiter(chain.from_iterable(combinations(range(u), i)), np.min_scalar_type(u - 1),
                           count=size * i).reshape(size, i)
@@ -257,9 +253,4 @@ def _subsets(u: int, i: int) -> Tuple[np.ndarray, np.ndarray]:
     for j in range(i):
         drops[:, j] = comb(u, i - 1) - 1 - sum(binom[u - 1 - subsets[:, l], i - 1 - t] for t, l in
                                                enumerate(l for l in range(i) if l != j))
-    subsets.flags.writeable = drops.flags.writeable = False
-    if sum(table.size for table, _ in _TABLES.values()) + subsets.size > _TABLE_CAP:
-        _TABLES.clear()
-    if subsets.size <= _TABLE_CAP:
-        _TABLES[u, i] = subsets, drops
     return subsets, drops

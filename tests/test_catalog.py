@@ -28,12 +28,12 @@ from aqmds.catalog import (
     _tuple_of,
 )
 from aqmds.cli import main
-from aqmds.code import from_generator, full_space
+from aqmds.code import LinearCode, from_generator, full_space
 from aqmds.construct import grs
 from aqmds.css import AqcParams, css_construct, make_pair
 from aqmds.errors import AqmdsError, CapExceeded, NotPrimePower, VerificationFailed
 from aqmds.gf import FIELD_CAP, make_field
-from aqmds.matrix import GfMatrix, nullspace
+from aqmds.matrix import GfMatrix
 
 import th14_expansion
 
@@ -149,6 +149,16 @@ class TestExists:
         assert (r.exists, r.certificate) == (True, None)
         assert r.reason == ("exists; certificate construction skipped:"
                             " q=4294967291 exceeds the field cap 64")
+
+    @pytest.mark.parametrize("q, n, j, dz, dx", [
+        (37, 38, 2, 19, 19), (61, 62, 2, 31, 31), (64, 64, 2, 32, 32)])
+    def test_mds_codes_past_the_minor_cap_certified(self, q, n, j, dz, dx):
+        # codes of dimension about n/2 at q >= 37 have more minors than the cap
+        # admits; the Cauchy test proves them before the cap is checked
+        cert = exists(q, n, j, dz, dx).certificate
+        assert cert is not None and cert.verified
+        assert cert.family == sorted({tag for tag, *_ in _cases_reaching(q, n, j, dz, dx)},
+                                     key=FAMILY_TAGS.index)
 
     def test_unordered_query(self):
         assert exists(16, 17, 1, 15, 3).exists
@@ -294,9 +304,11 @@ class TestOracles:
     def test_two_k_subset_calls_per_certificate(self, monkeypatch):
         # the builders do not re-prove MDS: mds_dual_c1 and mds_c2 are the only
         # k-subset oracle calls on a closed_form certificate.  One call serves
-        # both for PROP6, where dual(C1) = C2, and for TH12's [[3,1,2/2]]_9:
-        # the full-weight word of rep-perp is (1, 1, 1) in characteristic 3, so
-        # C1 = C2 = rep-perp, and the store files rep's verdict for its dual
+        # both for PROP6, where C1 = C2.dual(), so that dual(C1) is C2.  TH12's
+        # [[3,1,2/2]]_9 makes two: the full-weight word of rep-perp is (1, 1, 1)
+        # in characteristic 3, so dual(C1) = line and C2 = rep.dual() have
+        # the matrices of rep and rep-perp, but C2 is not line.dual(), so
+        # line and C2 are proven once each
         calls = count_k_subset_calls(monkeypatch)
         seen = set()
         for q in (4, 5, 8, 9):
@@ -307,15 +319,14 @@ class TestOracles:
                 p = c.params
                 calls.clear()
                 make_certificate(q, p.n, p.k, p.dz, p.dx, c.family, c.recipe)
-                one = construction == "PROP6" or (q, construction) == (9, "TH12")
-                assert len(calls) == (1 if one else 2), (q, construction)
+                assert len(calls) == (1 if construction == "PROP6" else 2), (q, construction)
             seen.update(picked)
         assert seen == set(FAMILY_TAGS)
 
     def test_j0_full_oracle_proves_each_code_once(self, monkeypatch):
-        # q^k over the cap: the distances come from the store's MDS verdicts.
-        # The code is self-dual, C1 = dual(C1) = C2, so the one matrix that
-        # mds_dual_c1 proved serves mds_c2 and both distances
+        # q^k over the cap: the distances come from the codes' MDS verdicts.
+        # C1 = C2.dual(), so dual(C1) is C2, and the one proof that
+        # mds_dual_c1 made serves mds_c2 and both distances
         calls = count_k_subset_calls(monkeypatch)
         monkeypatch.setenv("AQMDS_MAX_ENUM", "1000")
         r = exists(9, 10, 0, 6, 6, verify_level="full_oracle")
@@ -578,14 +589,18 @@ class TestLengthBound:
         assert seconds < 1
 
     def test_mds_test_past_the_cap_allocates_nothing(self):
-        # C(64, 32) column subsets: the cap stops the test before any minor
+        # C(64, 32) column subsets of a GRS generator with entry (5, 40) of its
+        # A changed, so that the Cauchy test leaves it undecided: the cap
+        # stops the test before any minor
         result = self.run_limited(
             "import json, time\n"
             "from aqmds.construct import grs\n"
             "from aqmds.errors import CapExceeded\n"
             "from aqmds.gf import make_field\n"
-            "from aqmds.matrix import first_singular_k_subset\n"
-            "G = grs(make_field(64), 64, 32).G\n"
+            "from aqmds.matrix import GfMatrix, first_singular_k_subset\n"
+            "G = grs(make_field(64), 64, 32).G.data.copy()\n"
+            "G[5, 40] = 1 if G[5, 40] != 1 else 2\n"
+            "G = GfMatrix(make_field(64), G)\n"
             "start = time.perf_counter()\n"
             "try:\n"
             "    first_singular_k_subset(G, 32)\n"
@@ -661,13 +676,14 @@ class TestLengthBound:
 
 
 def record_proven_matrices(monkeypatch) -> list:
-    """Record (q, shape, bytes) of every matrix the k-subset oracle proves."""
+    """Record every matrix the k-subset oracle proves, the object itself, so
+    that the ids of the recorded matrices stay distinct."""
     proven = []
     for name, mod in list(sys.modules.items()):
         fn = getattr(mod, "first_singular_k_subset", None)
         if name.startswith("aqmds") and fn is not None:
             def recorded(M, k, _fn=fn):
-                proven.append((M.field.q, M.data.shape, M.data.tobytes()))
+                proven.append(M)
                 return _fn(M, k)
             monkeypatch.setattr(mod, "first_singular_k_subset", recorded)
     return proven
@@ -726,29 +742,34 @@ def tampered_copies(record):
 
 
 class TestCodeStore:
-    """One store per run: each code built and each matrix proven MDS once,
-    nothing kept between calls, and no recipe trusted for another's code."""
+    """One store per run: each code built once and proven MDS once with its
+    dual, nothing kept between calls, and no recipe trusted for another's code."""
 
     @pytest.mark.parametrize("q", [4, 5, 7, 8])
     def test_catalog_proves_each_matrix_once(self, monkeypatch, q):
-        # and never both a matrix and its kernel, the generator of the dual
+        # each matrix object: a code is proven on its own G, and its dual()
+        # on the G that is the code's H, so no code is proven twice, and never
+        # both a code and its dual().  Codes with equal matrices held by
+        # different objects are proven once each
         proven = record_proven_matrices(monkeypatch)
+        duals = []
+        dual = LinearCode.dual
+
+        def recorded(C):
+            duals.append((C, dual(C)))
+            return duals[-1][1]
+        monkeypatch.setattr(LinearCode, "dual", recorded)
         enumerate_catalog(CatalogQuery(q=q))
-        assert proven and len(proven) == len(set(proven))
-        kernels = set()
-        for fq, shape, data in proven:
-            M = GfMatrix(make_field(fq), np.frombuffer(data, dtype=np.uint8).reshape(shape))
-            K = nullspace(M).data
-            if K.tobytes() != data or K.shape != shape:
-                kernels.add((fq, K.shape, K.tobytes()))
-        assert not kernels & set(proven)
+        ids = {id(M) for M in proven}
+        assert proven and len(ids) == len(proven)
+        assert duals and not any(id(C.G) in ids and id(D.G) in ids for C, D in duals)
 
     @pytest.mark.parametrize("n, k", [(7, 2), (7, 5), (6, 3), (5, 5)])
     def test_dual_answered_without_a_second_proof(self, monkeypatch, n, k):
         # a GRS code of each [n, k]_8 and, for k < n, a code with equal last
-        # columns, so not MDS; each dual is asked both as dual() and as a code
-        # rebuilt from H.  The dual of the full space is the zero code, which
-        # is never MDS and needs no proof
+        # columns, so not MDS.  dual() answers from the code's one proof; a
+        # code rebuilt from H is another code and proves itself.  The dual of
+        # the full space is the zero code, which is never MDS and needs no proof
         f = make_field(8)
         codes = [(grs(f, n, k), True)]
         if k < n:
@@ -757,11 +778,13 @@ class TestCodeStore:
         calls = count_k_subset_calls(monkeypatch)
         for C, mds in codes:
             calls.clear()
-            store = CodeStore()
-            assert store.is_mds(C) is mds
-            duals = [C.dual(), from_generator(C.H)] if k < n else [C.dual()]
-            assert [store.is_mds(D) for D in duals] == [mds and k < n] * len(duals)
+            assert C.is_mds() is mds
+            assert C.dual().is_mds() is (mds and k < n)
+            assert C.dual().dual() is C
             assert len(calls) == 1
+            if k < n:
+                assert from_generator(C.H).is_mds() is mds
+                assert len(calls) == 2
 
     def test_no_cache_between_calls(self, monkeypatch):
         proven = record_proven_matrices(monkeypatch)
@@ -774,14 +797,15 @@ class TestCodeStore:
             counts.append(len(proven))
         assert counts == [2, 2, 2, 2]
 
-    def test_verdicts_keyed_by_matrix(self):
-        # two [4,2]_5 generators of one shape, one MDS and one not
+    def test_each_code_keeps_its_own_verdict(self, monkeypatch):
+        # two [4,2]_5 generators of one shape, one MDS and one not: one proof each
         f = make_field(5)
         mds = grs(f, 4, 2)
         not_mds = from_generator(GfMatrix(f, np.array([[1, 0, 1, 0], [0, 1, 0, 1]], dtype=np.uint8)))
         assert mds.G.data.shape == not_mds.G.data.shape
-        store = CodeStore()
-        assert [store.is_mds(C) for C in (mds, not_mds, mds, not_mds)] == [True, False, True, False]
+        calls = count_k_subset_calls(monkeypatch)
+        assert [C.is_mds() for C in (mds, not_mds, mds, not_mds)] == [True, False, True, False]
+        assert len(calls) == 2
 
     def test_tampered_records_get_their_own_outcome(self):
         # one record of each recipe layout at q = 5 and 7, interleaved, and

@@ -108,12 +108,12 @@ class TestConstruct:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {'k=' + k if k == '100' else 'r=' + r} must satisfy")
 
-    def test_mds_test_past_the_cap_exits_2(self, capsys):
-        # a [64,32] code has C(64, 32) column subsets: refused before any minor
+    def test_grs_past_the_minor_cap_proven_mds(self, capsys):
+        # a [64,32] code has C(64, 32) column subsets, past the cap of the
+        # minors; the Cauchy test proves it before the cap is checked
         code, out, err = run(capsys, "construct", "grs", "--q", "64", "--n", "64", "--k", "32")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: the k-subset test of a 32x64 matrix over GF(64) needs ")
-        assert err.endswith(" bytes at one level of minors, more than the cap 536870912\n")
+        assert (code, err) == (0, "")
+        assert out.startswith("[64,32,33]_64 MDS=true  (GRS)\n")
 
     def test_malformed_alpha_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -268,12 +268,13 @@ class TestExists:
         payload = json.loads(out.split("\n", 1)[1])
         assert "TH11" in payload["family"]
 
-    def test_mds_test_past_the_cap_skips_the_certificate(self, capsys):
+    def test_grs_past_the_minor_cap_certified(self, capsys):
+        # the 31x64 and 33x64 GRS generators are proven by the Cauchy test
         code, out, _ = run(capsys, "exists", "--q", "64", "--n", "64", "--j", "2",
                            "--dz", "32", "--dx", "32")
         assert code == 0
-        assert out.startswith("yes\n(exists; certificate construction skipped: the k-subset test"
-                              " of a 31x64 matrix over GF(64) needs ")
+        assert out.startswith("yes\n{")
+        assert json.loads(out.split("\n", 1)[1])["verified"] is True
 
 
 class TestVerifyCommand:

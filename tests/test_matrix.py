@@ -1,7 +1,6 @@
 """Dense linear algebra over GF(q): RREF, nullspace, products, MDS oracle."""
 import random
 from itertools import combinations
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,30 +145,17 @@ class TestKSubsetOracle:
         M = GfMatrix(f, [[1, 0, 0, 1, 1, 1, 1], [0, 1, 0, 1, 2, 3, 4], [0, 0, 1, 1, 3, 2, 5]])
         assert first_singular_k_subset(M, 3) == (0, 5, 6)
 
-    @pytest.mark.parametrize("u, i", [(1, 1), (4, 1), (5, 5), (6, 3), (8, 2), (9, 4)])
+    @pytest.mark.parametrize("u, i", [(1, 1), (4, 1), (5, 5), (6, 3), (8, 2), (9, 4), (300, 2)])
     def test_subset_table_drops_each_element(self, u, i):
         # the i-subsets of range(u) in combinations order; drops[s, j] is the index
-        # of subset s without its j-th element among the (i-1)-subsets
+        # of subset s without its j-th element among the (i-1)-subsets, which
+        # for (300, 2) pass a byte
         subsets, drops = matrix._subsets(u, i)
         assert [tuple(s) for s in subsets.tolist()] == list(combinations(range(u), i))
         smaller = list(combinations(range(u), i - 1))
         assert drops.shape == subsets.shape
         for s, row in zip(subsets.tolist(), drops.tolist()):
             assert [smaller[d] for d in row] == [tuple(s[:j] + s[j + 1:]) for j in range(i)]
-        assert not subsets.flags.writeable and not drops.flags.writeable
-
-    def test_subset_tables_are_kept_up_to_the_cap(self):
-        # the i-subsets of range(300) fill 2 * C(300, 2) = 89,700 entries
-        assert matrix._subsets(9, 4)[0] is matrix._subsets(9, 4)[0]
-        assert matrix._subsets(300, 2)[0] is matrix._subsets(300, 2)[0]
-        assert matrix._subsets(300, 2)[1].dtype == np.uint16  # C(300, 1) = 300 > 255
-        with mock.patch.object(matrix, "_TABLE_CAP", 1 << 16):
-            matrix._TABLES.clear()
-            matrix._subsets(9, 4)
-            assert list(matrix._TABLES) == [(9, 4)]
-            # past the cap: the kept tables go, and the new one is not kept
-            assert matrix._subsets(300, 2)[0] is not matrix._subsets(300, 2)[0]
-            assert matrix._TABLES == {}
 
     @pytest.mark.parametrize("q", [17, 19, 23, 25, 27, 32, 49, 64])
     def test_extended_grs_above_gf16(self, q):

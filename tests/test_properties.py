@@ -209,6 +209,24 @@ def test_is_mds_agrees_with_the_dual_and_the_oracle_on_H(C):
     assert C.is_mds() == C.dual().is_mds() == (first_singular_k_subset(C.H, C.n - C.k) is None)
 
 
+@settings(max_examples=150, deadline=None)
+@given(code_of_any_dimension(), st.booleans())
+def test_a_code_and_its_dual_share_one_proof(C, dual_first):
+    # dual() is one object per code, linked both ways, and whichever of the
+    # two is asked first proves the k-subset test for both
+    assert C.dual().dual() is C
+    with mock.patch.object(aqmds.code, "first_singular_k_subset",
+                           wraps=first_singular_k_subset) as oracle:
+        for D in (C.dual(), C) if dual_first else (C, C.dual()):
+            D.is_mds()
+        mds, dual_mds = C.is_mds(), C.dual().is_mds()
+    assert oracle.call_count <= 1
+    if 0 < C.k < C.n:
+        assert mds == dual_mds == (first_singular_k_subset(C.H, C.n - C.k) is None)
+    else:
+        assert (mds, dual_mds) == ((True, False) if C.k else (False, True))
+
+
 @settings(max_examples=100, deadline=None)
 @given(code_of_any_dimension())
 def test_parity_check_is_the_nullspace_of_G(C):
