@@ -146,11 +146,7 @@ def _cases_reaching(q: int, n: int, j: int, dz: int, dx: int) -> List[Tuple[str,
 
 
 def _mds_source(q: int, n: int, k: int) -> Dict:
-    """Canonical construction recipe for an MDS [n, k, n-k+1]_q code."""
-    if not 1 <= k <= n:
-        raise AqmdsError(f"no MDS code with k={k}, n={n}")
-    if k == n:
-        return {"type": "full", "n": n}
+    """Canonical construction recipe for an MDS [n, k, n-k+1]_q code, 0 < k < n."""
     if k == 1:
         return {"type": "repetition", "n": n}
     if k == n - 1:

@@ -22,19 +22,17 @@ and stops at the first hit.
 from __future__ import annotations
 
 import os
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import AqmdsError, CapExceeded
 from .gf import FiniteField
-from .matrix import (_CHUNK_TARGET, GfMatrix, _kernel, first_singular_k_subset, mat_mul, rref,
-                     transpose)
+from .matrix import _CHUNK_TARGET, GfMatrix, _kernel, first_singular_k_subset, mat_mul, rref
 
 DEFAULT_ENUM_CAP = 10 ** 7
 
@@ -77,22 +75,13 @@ class LinearCode:
         self.G = G
         self.n = G.cols
         self.k = G.rows
-        self._H: Optional[GfMatrix] = None
-        # the linked dual, or None: a code holds the dual it builds, and the dual
-        # holds it by a weak reference, so that the pair is no reference cycle
-        self._dual: Callable[[], Optional[LinearCode]] = lambda: None
+        self._dual: Optional[LinearCode] = None
         self._mds: Optional[bool] = None
 
     @property
     def H(self) -> GfMatrix:
-        """Cached parity-check matrix: the kernel of G in RREF, which is the
-        canonical generator of the dual.  G is canonical, so it is its own
-        RREF, with each row's pivot at its first nonzero entry, and the
-        kernel is read off it without another elimination."""
-        if self._H is None:
-            pivots = np.argmax(self.G.data != 0, axis=1) if self.k else []
-            self._H = _kernel(self.field, self.G.data, pivots)
-        return self._H
+        """Parity-check matrix: the canonical generator of the dual."""
+        return self.dual().G
 
     def __eq__(self, other) -> bool:
         return (
@@ -110,14 +99,13 @@ class LinearCode:
     # -- basic operations -----------------------------------------------------
 
     def dual(self) -> "LinearCode":
-        """The dual code, one object per code, so that C.dual().dual() is C."""
-        dual = self._dual()
-        if dual is None:
-            dual = LinearCode(self.H, _canonical=True)
-            # the dual's parity check is this code's canonical generator
-            dual._H, dual._dual = self.G, weakref.ref(self)
-            self._dual = lambda: dual
-        return dual
+        """The dual code, built once as the kernel of the canonical G.  A code
+        and its dual hold each other, so C.dual().dual() is C; the pair is a
+        reference cycle, which the garbage collector frees."""
+        if self._dual is None:
+            dual = LinearCode(_kernel(self.field, self.G.data, _pivots(self.G.data)), _canonical=True)
+            self._dual, dual._dual = dual, self
+        return self._dual
 
     def codeword(self, message: np.ndarray) -> np.ndarray:
         """Encode one message vector (length k) against the canonical G."""
@@ -143,7 +131,7 @@ class LinearCode:
         catalog's CodeStore.
         """
         if self._mds is None:
-            dual = self._dual()
+            dual = self._dual
             if dual is not None and dual._mds is not None and 0 < self.k < self.n:
                 self._mds = dual._mds
             else:
@@ -200,21 +188,22 @@ def full_space(field: FiniteField, n: int) -> LinearCode:
 
 
 def is_subcode(D: LinearCode, C: LinearCode) -> bool:
-    """True iff D is a subcode of C (every row of D.G passes C's parity check)."""
-    return first_row_outside(D, C) is None
+    """True iff D is a subcode of C (every row of D.G lies in C)."""
+    return rows_outside(D, C).size == 0
 
 
-def first_row_outside(D: LinearCode, C: LinearCode) -> Optional[np.ndarray]:
-    """First row of D.G failing C's parity check, or None when D is a subcode of C.
+def rows_outside(D: LinearCode, C: LinearCode) -> np.ndarray:
+    """Indices of the rows of D.G outside C, in row order.
 
-    One product D.G C.H^T gives every row's syndrome at once.
+    C.G is in RREF with pivots P, so a word x lies in C exactly when
+    x = x[P] C.G: one product forms that word for every row at once.
     """
     if D.field is not C.field:
         raise AqmdsError("codes over different fields")
     if D.n != C.n:
         raise AqmdsError(f"lengths differ: {D.n} != {C.n}")
-    outside = np.flatnonzero(mat_mul(D.G, transpose(C.H)).data.any(axis=1))
-    return D.G.data[outside[0]] if outside.size else None
+    spanned = mat_mul(GfMatrix(C.field, D.G.data[:, _pivots(C.G.data)]), C.G)
+    return np.flatnonzero((spanned.data != D.G.data).any(axis=1))
 
 
 def complement_rows(field: FiniteField, base: np.ndarray, full: np.ndarray) -> np.ndarray:
@@ -252,8 +241,7 @@ def extend_by_codeword(C: LinearCode, Cprime: LinearCode) -> LinearCode:
     # if row i is the last row of C'.G outside C, the messages before the
     # unit message e_i combine later rows only and lie in C, so row i is the
     # first word of C' \ C in message order
-    outside = np.flatnonzero(mat_mul(Cprime.G, transpose(C.H)).data.any(axis=1))
-    w = Cprime.G.data[outside[-1]]
+    w = Cprime.G.data[rows_outside(Cprime, C)[-1]]
     f = C.field
     top = np.hstack([np.zeros((C.k, 1), dtype=np.uint8), C.G.data])
     bottom = np.hstack([np.array([[1]], dtype=np.uint8), w[None, :]])
@@ -300,11 +288,17 @@ def _iter_word_chunks(field: FiniteField, base: np.ndarray, rows: np.ndarray, di
         yield add[offset[None, :], E]
 
 
+def _pivots(gen: np.ndarray) -> np.ndarray:
+    """Each row's first nonzero column, the pivots of a matrix in RREF; none
+    for a matrix with no rows."""
+    return np.argmax(gen != 0, axis=1) if len(gen) else np.zeros(0, dtype=np.intp)
+
+
 def _non_pivot_columns(gen: np.ndarray) -> np.ndarray:
     """The k x (n-k) columns of `gen` off its pivots, once the pivot columns
-    (each row's first nonzero) are checked to be the identity."""
+    are checked to be the identity."""
     k, n = gen.shape
-    pivots = np.argmax(gen != 0, axis=1)
+    pivots = _pivots(gen)
     if (gen[:, pivots] != np.eye(k, dtype=np.uint8)).any():
         raise AqmdsError("the pivot columns of the generator are not the identity")
     others = np.ones(n, dtype=bool)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .code import LinearCode, _distributions, _lowest_weight, first_row_outside
+from .code import LinearCode, _distributions, _lowest_weight, rows_outside
 from .errors import AqmdsError, CapExceeded
 from .matrix import GfMatrix
 
@@ -70,9 +70,10 @@ class NestedPair:
         for name, code in (("C1", self.c1), ("C2", self.c2)):
             if code.k == 0:
                 raise AqmdsError(f"{name} is the zero code, which has no minimum distance")
-        witness = first_row_outside(self.c1.dual(), self.c2)
-        if witness is not None:
-            raise AqmdsError(f"dual(C1) not contained in C2; witness row {witness.tolist()}")
+        outside = rows_outside(self.c1.dual(), self.c2)
+        if outside.size:
+            witness = self.c1.dual().G.data[outside[0]].tolist()
+            raise AqmdsError(f"dual(C1) not contained in C2; witness row {witness}")
 
     @property
     def quantum_k(self) -> int:

@@ -5,10 +5,9 @@ elimination, `rref`, does every row reduction: `rank`, `nullspace`, the
 code layer and the k-subset oracle read what they need off its RREF and
 pivots.  The matrices there are small, so it eliminates on Python row
 lists over the field's nested-list tables.  A kernel is read off a
-matrix already in RREF by `_kernel`, which `nullspace` and `LinearCode.H`
-share, so a code's canonical generator is never eliminated a second time.
-`mat_mul` forms every entry product in one table gather and sums them
-digit-wise mod p.  The k-subset MDS oracle `first_singular_k_subset` reads
+matrix already in RREF by `_kernel`, which `nullspace` and
+`LinearCode.dual` share.  `mat_mul` forms every entry product in one
+table gather and sums them digit-wise mod p.  The k-subset MDS oracle `first_singular_k_subset` reads
 A in the RREF [I | A].  Its fast path, `_cauchy`, proves a GRS or doubly
 extended GRS code MDS in O(k(n-k)) lookups by finding A a generalized
 Cauchy matrix (Roth-Seroussi 1985, Roth-Lempel 1989).  That test only

@@ -12,6 +12,7 @@ import pytest
 from aqmds.catalog import (
     CatalogQuery,
     CodeStore,
+    ExistsResult,
     FAMILY_TAGS,
     build_pair_from_recipe,
     certificate_from_dict,
@@ -114,6 +115,16 @@ class TestEnumerate:
         assert [certificate_to_dict(c) for c in a] == [certificate_to_dict(c) for c in b]
         assert a  # [[5,1,4/2]] and relatives exist
 
+    @pytest.mark.parametrize("bound", [{"dz": 4}, {"dx": 3}])
+    def test_one_distance_filter_matches_either_distance(self, bound):
+        # a lone dz or dx keeps every tuple with that distance on either side
+        (value,) = bound.values()
+        full = enumerate_catalog(CatalogQuery(q=7))
+        expected = [certificate_to_dict(c) for c in full if value in (c.params.dz, c.params.dx)]
+        got = [certificate_to_dict(c) for c in enumerate_catalog(CatalogQuery(q=7, **bound))]
+        assert got == expected
+        assert 0 < len(got) < len(full)
+
 
 class TestExists:
     def test_th11_tuple_q8(self):
@@ -126,6 +137,14 @@ class TestExists:
         r = exists(5, 7, 1, 3, 3)
         assert not r.exists
         assert r.reason == "length exceeds q+1 for odd q"
+
+    @pytest.mark.parametrize("args", [
+        (7, 0, 1, 1, 1), (7, 5, -1, 3, 3), (7, 5, 3, 3, 0), (7, 5, 3, 0, 3)])
+    def test_parameters_out_of_range(self, args):
+        assert exists(*args) == ExistsResult(False, None, "parameters out of range")
+
+    def test_even_q_length_bound(self):
+        assert exists(8, 11, 1, 6, 6) == ExistsResult(False, None, "length exceeds q+2")
 
     def test_j1_at_q_plus_1_needs_cor10_shape(self):
         r = exists(4, 5, 1, 4, 2)
@@ -246,6 +265,12 @@ class TestCertificates:
         pair = build_pair_from_recipe(cert.recipe)
         p = css_construct(pair)
         assert (p.n, p.k, p.dz, p.dx) == (5, 1, 3, 3)
+
+    def test_unknown_source_type(self):
+        d = certificate_to_dict(exists(7, 6, 0, 4, 4).certificate)
+        d["recipe"]["code"]["type"] = "bogus"
+        with pytest.raises(AqmdsError, match="unknown source type 'bogus'"):
+            verify(certificate_from_dict(d))
 
     def test_malformed_recipe(self):
         with pytest.raises(AqmdsError, match="unknown construction 'NOPE'"):

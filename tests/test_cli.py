@@ -345,6 +345,12 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == "error: recipe n must be an integer, got 6.0\n"
 
+    def test_unknown_source_type_exits_2(self, capsys, tmp_path):
+        path = edited_record(capsys, tmp_path, lambda d: d["recipe"]["code"].update(type="bogus"),
+                             "--family", "prop6", "--q", "7", "--n", "6", "--k", "3")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out, err) == (2, "", "error: unknown source type 'bogus'\n")
+
     def test_source_of_wrong_shape_exits_2(self, capsys, tmp_path):
         path = edited_record(capsys, tmp_path, lambda d: d["recipe"].update(code=[1]),
                              "--family", "prop6", "--q", "7", "--n", "6", "--k", "3")

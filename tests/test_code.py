@@ -1,9 +1,11 @@
 """Linear-code layer: canonical form, duals, distances, surgery, searches."""
+import gc
 import hashlib
 import inspect
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from aqmds.code import (
     from_generator,
     full_space,
     is_subcode,
+    rows_outside,
 )
 from aqmds.catalog import enumerate_catalog, exists, make_certificate, run_oracles, verify
 from aqmds.construct import grs, q_plus_2_low
@@ -88,6 +91,37 @@ class TestDual:
         f = make_field(5)
         D = grs(f, 5, 2).dual()
         assert D.min_distance() == 3  # dual of MDS is MDS: [5,3,3]
+
+
+class TestDualLink:
+    """dual() builds the dual once, by one kernel of the canonical G, and the
+    two codes hold each other."""
+
+    @staticmethod
+    def kernel_calls():
+        return mock.patch.object(aqmds.code, "_kernel", wraps=aqmds.code._kernel)
+
+    def test_dual_of_the_length_0_space_is_the_0_0_code(self):
+        D = full_space(make_field(5), 0).dual()
+        assert (D.n, D.k) == (0, 0)
+        assert D.dual().dual() is D
+
+    def test_th7_certificate_takes_one_kernel(self):
+        # C1's dual is built; C2 is tested on its own canonical G
+        with self.kernel_calls() as kernel:
+            cert = exists(7, 6, 1, 4, 3).certificate
+        assert cert.family == ["TH7"] and cert.verified
+        assert kernel.call_count == 1
+
+    def test_full_weight_pair_keeps_its_line(self):
+        with self.kernel_calls() as kernel:
+            pair = pair_from_full_weight(grs(make_field(7), 7, 3))
+        assert kernel.call_count == 1
+        gc.collect()  # the line is held by its dual, C1, and survives
+        with self.kernel_calls() as kernel:
+            line = pair.c1.dual()
+        assert kernel.call_count == 0
+        assert line.k == 1 and line.dual() is pair.c1
 
 
 class TestMinDistance:
@@ -250,6 +284,29 @@ class TestIsSubcode:
         f = make_field(5)
         C = grs(f, 5, 2)
         assert is_subcode(C, C)
+
+
+class TestRowsOutside:
+    def test_indices_in_row_order(self):
+        f = make_field(3)
+        C = from_generator(GfMatrix(f, [[1, 0, 0, 0], [0, 1, 0, 0]]))
+        D = from_generator(GfMatrix(f, [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]))
+        assert list(rows_outside(D, C)) == [0, 2]
+        assert list(rows_outside(C, D)) == [0]
+        assert list(rows_outside(grs(make_field(5), 5, 3), grs(make_field(5), 5, 2))) == [0, 1, 2]
+        assert list(rows_outside(grs(make_field(5), 5, 2), grs(make_field(5), 5, 3))) == []
+
+    def test_every_row_is_outside_the_zero_code(self):
+        f = make_field(3)
+        C = grs(f, 3, 2)
+        assert list(rows_outside(C, full_space(f, 3).dual())) == [0, 1]
+        assert list(rows_outside(full_space(f, 3).dual(), C)) == []
+
+    def test_length_and_field_are_checked(self):
+        with pytest.raises(AqmdsError, match="lengths differ: 4 != 5"):
+            rows_outside(grs(make_field(5), 4, 2), grs(make_field(5), 5, 2))
+        with pytest.raises(AqmdsError, match="codes over different fields"):
+            rows_outside(grs(make_field(5), 4, 2), grs(make_field(7), 4, 2))
 
 
 class TestShortenPuncture:

@@ -11,7 +11,7 @@ import aqmds.code
 import aqmds.matrix
 from aqmds.catalog import run_oracles
 from aqmds.code import (LinearCode, _enumerate_scan, _lowest_weight, from_generator, full_space,
-                        is_subcode)
+                        is_subcode, rows_outside)
 from aqmds.construct import grs
 from aqmds.css import AqcParams, css_construct, make_pair, pair_sides
 from aqmds.errors import AqmdsError, CapExceeded
@@ -232,6 +232,34 @@ def test_a_code_and_its_dual_share_one_proof(C, dual_first):
 def test_parity_check_is_the_nullspace_of_G(C):
     # H is read off the canonical G without eliminating it again
     assert C.H == nullspace(C.G)
+
+
+@st.composite
+def two_codes_of_one_length(draw):
+    """(D, C, nested): C from code_of_any_dimension, and D over its field
+    and length, spanned by random combinations of C's rows and by random
+    words with zeroed entries; nested when there are no words."""
+    C = draw(code_of_any_dimension())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    inside = draw(st.integers(0, 3)) if C.k else 0
+    words = rng.integers(0, C.field.q, size=(draw(st.integers(0 if inside else 1, 2)), C.n))
+    words[rng.random(words.shape) < draw(st.sampled_from([0.0, 0.5, 0.8]))] = 0
+    combos = mat_mul(GfMatrix(C.field, rng.integers(0, C.field.q, size=(inside, C.k))), C.G)
+    return (LinearCode(GfMatrix(C.field, np.vstack([combos.data, words]))), C,
+            len(words) == 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_codes_of_one_length())
+def test_rows_outside_are_the_rows_with_a_syndrome(codes):
+    # the membership test on C's canonical G against the parity check of C
+    D, C, nested = codes
+    syndromes = mat_mul(D.G, transpose(C.H)).data
+    outside = rows_outside(D, C)
+    assert outside.tolist() == np.flatnonzero(syndromes.any(axis=1)).tolist()
+    assert is_subcode(D, C) == (outside.size == 0)
+    if nested:
+        assert outside.size == 0
 
 
 def _naive_mat_mul(A: GfMatrix, B: GfMatrix) -> GfMatrix:
